@@ -4,9 +4,10 @@ Five families of scaled statistics (normalized Gaussian sums, sample
 minima, maxima under Gumbel-domain power tails, coupon collection times,
 and a replacement lifetime model) share one interface: exact log-domain
 tail evaluators, large/moderate deviation rate functions, weak limits,
-and samplers. On top of that sit admissible-scaling validation,
-deterministic counter-based Monte Carlo, and convergence probes that
-turn finite-n behavior into pass/fail/inconclusive verdicts.
+and one panel sampler per family, count_hits. On top of that sit
+admissible-scaling validation, deterministic counter-based Monte Carlo,
+and convergence probes that turn finite-n behavior into
+pass/fail/inconclusive verdicts.
 """
 
 from .distributions import (
@@ -47,8 +48,6 @@ from .families import (
     coupon_cdf_inclusion_exclusion,
     coupon_tail_bounds,
     coupon_threshold_pair,
-    exact_log_lower_tail,
-    exact_log_upper_tail,
     make_classical_sums,
     make_coupon,
     make_gumbel_maxima,
@@ -58,7 +57,6 @@ from .families import (
     power_tail_rate,
     rate_grid_violations,
     render_family_spec,
-    sample,
     shift_rate,
 )
 from .scalings import (
@@ -77,7 +75,6 @@ from .scalings import (
 )
 from .estimators import (
     McEstimate,
-    TrialStream,
     UniformPanel,
     counter_uniforms,
     mc_log_tail,
@@ -117,15 +114,14 @@ __all__ = [
     "FamilySpec", "RateFunction", "ReplacementParams", "CouponBounds",
     "make_classical_sums", "make_minima", "make_gumbel_maxima",
     "make_coupon", "make_replacement", "parse_family_spec",
-    "render_family_spec", "exact_log_upper_tail", "exact_log_lower_tail",
-    "sample", "shift_rate", "power_tail_rate", "rate_grid_violations",
+    "render_family_spec", "shift_rate", "power_tail_rate", "rate_grid_violations",
     "coupon_cdf_dp", "coupon_cdf_inclusion_exclusion", "coupon_tail_bounds",
     "coupon_threshold_pair",
     "ScalingFamily", "ScalingRejectedError", "ScalingReport",
     "BoundaryRegime", "power_scaling", "logpower_scaling", "table_scaling",
     "parse_scaling_spec", "render_scaling_spec", "evaluate", "validate",
     "boundary_regimes",
-    "McEstimate", "TrialStream", "UniformPanel", "counter_uniforms",
+    "McEstimate", "UniformPanel", "counter_uniforms",
     "mc_log_tail", "stable_log_complement",
     "Row", "ConvergenceReport", "CSV_COLUMNS", "DEFAULT_TOL_FACTOR",
     "ldp_probe", "md_probe", "weak_probe", "default_weak_grid",

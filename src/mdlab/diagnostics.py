@@ -187,37 +187,55 @@ def _base_notes(fam: FamilySpec) -> list[str]:
 # probes
 
 
-def ldp_probe(fam: FamilySpec, x_list, n_list, trials: int = 0, seed: int = 0,
-              partitions: int = 1, tol_factor: float = DEFAULT_TOL_FACTOR) -> ConvergenceReport:
-    """Compare -log P / v_n against the large-deviation rate."""
-    ns = _check_ns(fam, n_list, want_decades=True)
-    xs = _check_xs(x_list)
+def _rate_probe(fam: FamilySpec, regime: str, scaling: str, rate, point, xs, ns,
+                trials: int, seed: int, partitions: int, tol_factor: float,
+                notes) -> ConvergenceReport:
+    """The row loop shared by the ld and md probes.
+
+    point(tail, n, x) returns (threshold, log_p, s_n, normalized_rate),
+    where threshold is the C_n level the tail and the Monte Carlo column
+    are taken at. The family's members are read from fam while the probe
+    runs, so a record rebuilt with dataclasses.replace is the one called.
+    """
     rows = []
     for x in xs:
         side = "upper" if x > 0.0 else "lower"
         tail = fam.exact_log_upper_tail if side == "upper" else fam.exact_log_lower_tail
-        target = fam.rate_ld(x)
+        target = rate(x)
         for n in ns:
-            log_p = tail(n, x)
-            s_n = fam.speed(n)
-            norm = -log_p / s_n
+            threshold, log_p, s_n, norm = point(tail, n, x)
             mc = stderr = None
             if trials > 0:
-                est = mc_log_tail(fam, n, x, side, trials,
+                est = mc_log_tail(fam, n, threshold, side, trials,
                                   _row_seed(seed, fam.label, n, x, side), partitions)
                 mc, stderr = est.log_p_hat, est.stderr_log
             rows.append(Row(
-                family=fam.label, regime="ld", scaling="", n=n, x=x,
+                family=fam.label, regime=regime, scaling=scaling, n=n, x=x,
                 log_p_exact=log_p, log_p_mc=mc, stderr_log=stderr, s_n=s_n,
                 normalized_rate=norm, rate_target=target,
                 residual=norm - target if math.isfinite(target) else math.nan,
             ))
     tolerances = {"factor": tol_factor, "slack": MONOTONE_SLACK}
     return ConvergenceReport(
-        family=fam.label, regime="ld", scaling="", rows=tuple(rows),
+        family=fam.label, regime=regime, scaling=scaling, rows=tuple(rows),
         tolerances=tolerances, verdict=evaluate_verdict(rows, tolerances),
-        notes=tuple(_base_notes(fam)),
+        notes=tuple(notes),
     )
+
+
+def ldp_probe(fam: FamilySpec, x_list, n_list, trials: int = 0, seed: int = 0,
+              partitions: int = 1, tol_factor: float = DEFAULT_TOL_FACTOR) -> ConvergenceReport:
+    """Compare -log P / v_n against the large-deviation rate."""
+    ns = _check_ns(fam, n_list, want_decades=True)
+    xs = _check_xs(x_list)
+
+    def point(tail, n: int, x: float):
+        log_p = tail(n, x)
+        s_n = fam.speed(n)
+        return x, log_p, s_n, -log_p / s_n
+
+    return _rate_probe(fam, "ld", "", fam.rate_ld, point, xs, ns, trials, seed,
+                       partitions, tol_factor, _base_notes(fam))
 
 
 def md_probe(fam: FamilySpec, scaling: ScalingFamily, x_list, n_list,
@@ -242,36 +260,16 @@ def md_probe(fam: FamilySpec, scaling: ScalingFamily, x_list, n_list,
                 f"scaling {report.label} fails {', '.join(report.failures())} "
                 f"for {fam.name} over n in [{ns[0]}, {ns[-1]}]")
         notes.append(f"scaling {report.label} admissible over [{ns[0]}, {ns[-1]}]")
-    label = render_scaling_spec(scaling)
-    rows = []
-    for x in xs:
-        side = "upper" if x > 0.0 else "lower"
-        tail = fam.exact_log_upper_tail if side == "upper" else fam.exact_log_lower_tail
-        target = fam.rate_md(x)
-        for n in ns:
-            a = evaluate(scaling, n, fam.speed)
-            av = a * fam.speed(n)
-            threshold = x / math.sqrt(av) if fam.central else x / av
-            log_p = tail(n, threshold)
-            s_n = 1.0 / a
-            norm = -log_p * a
-            mc = stderr = None
-            if trials > 0:
-                est = mc_log_tail(fam, n, threshold, side, trials,
-                                  _row_seed(seed, fam.label, n, x, side), partitions)
-                mc, stderr = est.log_p_hat, est.stderr_log
-            rows.append(Row(
-                family=fam.label, regime="md", scaling=label, n=n, x=x,
-                log_p_exact=log_p, log_p_mc=mc, stderr_log=stderr, s_n=s_n,
-                normalized_rate=norm, rate_target=target,
-                residual=norm - target if math.isfinite(target) else math.nan,
-            ))
-    tolerances = {"factor": tol_factor, "slack": MONOTONE_SLACK}
-    return ConvergenceReport(
-        family=fam.label, regime="md", scaling=label, rows=tuple(rows),
-        tolerances=tolerances, verdict=evaluate_verdict(rows, tolerances),
-        notes=tuple(notes),
-    )
+
+    def point(tail, n: int, x: float):
+        a = evaluate(scaling, n, fam.speed)
+        av = a * fam.speed(n)
+        threshold = x / math.sqrt(av) if fam.central else x / av
+        log_p = tail(n, threshold)
+        return threshold, log_p, 1.0 / a, -log_p * a
+
+    return _rate_probe(fam, "md", render_scaling_spec(scaling), fam.rate_md, point,
+                       xs, ns, trials, seed, partitions, tol_factor, notes)
 
 
 def default_weak_grid(fam: FamilySpec, points: int = 61) -> list[float]:

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "stable_log_complement",
     "counter_uniforms",
-    "TrialStream",
     "UniformPanel",
     "McEstimate",
     "mc_log_tail",
@@ -93,25 +92,6 @@ class UniformPanel:
         return counter_uniforms(self.seed, self._idx, draw)
 
 
-@dataclass
-class TrialStream:
-    """Sequential view of one trial's uniforms (cursor over draw indices)."""
-
-    seed: int
-    trial: int = 0
-    _cursor: int = 0
-
-    def uniform(self) -> float:
-        u = counter_uniforms(self.seed, self.trial, self._cursor)
-        self._cursor += 1
-        return float(u)
-
-    def uniforms(self, count: int) -> np.ndarray:
-        u = counter_uniforms(self.seed, self.trial, np.arange(self._cursor, self._cursor + count))
-        self._cursor += count
-        return u
-
-
 @dataclass(frozen=True)
 class McEstimate:
     """Monte Carlo tail estimate in log space.
@@ -132,12 +112,6 @@ class McEstimate:
 
     def p(self) -> float:
         return math.exp(self.log_p_hat)
-
-    def ci95(self) -> tuple[float, float]:
-        """Normal-approximation 95% interval for p itself."""
-        phat = self.hits / self.trials
-        half = 1.96 * math.sqrt(max(phat * (1.0 - phat), 0.0) / self.trials)
-        return max(0.0, phat - half), min(1.0, phat + half)
 
 
 def _clopper_pearson_upper_log(hits: int, trials: int, alpha: float = 0.05) -> float:

@@ -2,9 +2,10 @@
 
 Each family packages a statistic C_n, its speed v_n, the two rate
 functions (large-deviation and moderate-deviation), the weak limit law,
-exact log-domain tail evaluators, and a deterministic sampler, behind
-one FamilySpec record. Everything downstream (probes, Monte Carlo, the
-command line) works off this record and never special-cases a family.
+exact log-domain tail evaluators, and one panel sampler, count_hits,
+behind one FamilySpec record. Everything downstream (probes, Monte
+Carlo, the command line) works off this record and never
+special-cases a family.
 
 Sign conventions: upper tail means P(C_n >= x), lower means P(C_n <= x),
 and both evaluators return log probabilities in [-inf, 0]. Rate
@@ -142,7 +143,15 @@ def power_tail_rate(mu: float) -> RateFunction:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Everything the probes need to know about one scaled statistic."""
+    """Everything the probes need to know about one scaled statistic.
+
+    count_hits(n, x, side, panel) is the family's only sampler. It draws
+    C_n once per trial of the panel by inverse transform and returns how
+    many draws fall in the tail (C_n >= x for side "upper", C_n <= x for
+    "lower"). It uses only len(panel), the trial count, and
+    panel.column(draw), which returns one uniform in (0, 1) per trial for
+    draw index draw = 0, 1, ...
+    """
 
     name: str
     label: str
@@ -153,26 +162,10 @@ class FamilySpec:
     limit_cdf: Callable[[float], float] = field(repr=False)
     exact_log_upper_tail: Callable[[int, float], float] = field(repr=False)
     exact_log_lower_tail: Callable[[int, float], float] = field(repr=False)
-    sample: Callable[[int, object], float] = field(repr=False)
     count_hits: Callable[[int, float, str, object], int] = field(repr=False)
     least_n: int = 1
     max_n: Optional[int] = None
     md_needs_alogn: bool = False
-
-
-def exact_log_upper_tail(fam: FamilySpec, n: int, x: float) -> float:
-    """log P(C_n >= x)."""
-    return fam.exact_log_upper_tail(n, x)
-
-
-def exact_log_lower_tail(fam: FamilySpec, n: int, x: float) -> float:
-    """log P(C_n <= x)."""
-    return fam.exact_log_lower_tail(n, x)
-
-
-def sample(fam: FamilySpec, n: int, rng) -> float:
-    """One draw of C_n from a TrialStream."""
-    return fam.sample(n, rng)
 
 
 def _check_n(n: int, least: int, cap: Optional[int], label: str) -> int:
@@ -220,10 +213,6 @@ def make_classical_sums(sigma: float = 1.0) -> FamilySpec:
         n = _check_n(n, 1, None, "classical_sums")
         return float(log_ndtr(x * math.sqrt(n) / sigma))
 
-    def draw(n: int, rng) -> float:
-        n = _check_n(n, 1, None, "classical_sums")
-        return sigma * float(ndtri(rng.uniform())) / math.sqrt(n)
-
     def count_hits(n: int, x: float, side: str, panel) -> int:
         n = _check_n(n, 1, None, "classical_sums")
         c = sigma * ndtri(panel.column(0)) / math.sqrt(n)
@@ -239,7 +228,6 @@ def make_classical_sums(sigma: float = 1.0) -> FamilySpec:
         limit_cdf=lambda x: float(ndtr(x / sigma)),
         exact_log_upper_tail=log_upper,
         exact_log_lower_tail=log_lower,
-        sample=draw,
         count_hits=count_hits,
         least_n=1,
     )
@@ -297,11 +285,6 @@ def make_minima(dist: Distribution) -> FamilySpec:
             return -math.inf
         return stable_log_complement(n * dist.log_sf(x))
 
-    def draw(n: int, rng) -> float:
-        n = _check_n(n, 1, None, "minima")
-        u = rng.uniform()
-        return dist.isf(math.exp(math.log1p(-u) / n))
-
     def count_hits(n: int, x: float, side: str, panel) -> int:
         n = _check_n(n, 1, None, "minima")
         u = panel.column(0)
@@ -324,7 +307,6 @@ def make_minima(dist: Distribution) -> FamilySpec:
         limit_cdf=limit_cdf,
         exact_log_upper_tail=log_upper,
         exact_log_lower_tail=log_lower,
-        sample=draw,
         count_hits=count_hits,
         least_n=1,
     )
@@ -391,11 +373,6 @@ def make_gumbel_maxima(source) -> FamilySpec:
     def log_lower(n: int, x: float) -> float:
         return n * dist.log_cdf(m_of(n) * (1.0 + x))
 
-    def draw(n: int, rng) -> float:
-        m = m_of(n)
-        u = rng.uniform()
-        return dist.isf(-math.expm1(math.log(u) / n)) / m - 1.0
-
     def count_hits(n: int, x: float, side: str, panel) -> int:
         m = m_of(n)
         u = panel.column(0)
@@ -415,7 +392,6 @@ def make_gumbel_maxima(source) -> FamilySpec:
         limit_cdf=lambda x: math.exp(-math.exp(-x)),
         exact_log_upper_tail=log_upper,
         exact_log_lower_tail=log_lower,
-        sample=draw,
         count_hits=count_hits,
         least_n=least,
         max_n=_GUMBEL_N_CAP,
@@ -618,15 +594,6 @@ def make_coupon() -> FamilySpec:
         m_lo, _ = coupon_threshold_pair(n, x)
         return _coupon_log_cdf(n, m_lo)
 
-    def draw(n: int, rng) -> float:
-        n = _check_n(n, 2, None, "coupon")
-        t = 1
-        for k in range(2, n + 1):
-            p = (n - k + 1) / n
-            u = rng.uniform()
-            t += math.ceil(math.log1p(-u) / math.log1p(-p))
-        return t / (n * math.log(n)) - 1.0
-
     def count_hits(n: int, x: float, side: str, panel) -> int:
         n = _check_n(n, 2, None, "coupon")
         t = np.ones(len(panel), dtype=np.int64)
@@ -655,7 +622,6 @@ def make_coupon() -> FamilySpec:
         limit_cdf=lambda x: math.exp(-math.exp(-x)),
         exact_log_upper_tail=log_upper,
         exact_log_lower_tail=log_lower,
-        sample=draw,
         count_hits=count_hits,
         least_n=2,
     )
@@ -767,15 +733,6 @@ def make_replacement(params: ReplacementParams) -> FamilySpec:
             return log_beta + n * (F.log_cdf(x + t) - log_f_t)
         return stable_log_complement(log_1mbeta + n * (G.log_sf(x + t) - log_sfg_t))
 
-    def draw(n: int, rng) -> float:
-        n = _check_n(n, 1, None, "replacement")
-        u = rng.uniform()
-        if u <= beta:
-            z = F.quantile(math.exp(log_f_t + (math.log(u) - log_beta) / n))
-        else:
-            z = G.isf(math.exp(log_sfg_t + (math.log1p(-u) - log_1mbeta) / n))
-        return z - t
-
     def count_hits(n: int, x: float, side: str, panel) -> int:
         n = _check_n(n, 1, None, "replacement")
         u = panel.column(0)
@@ -809,7 +766,6 @@ def make_replacement(params: ReplacementParams) -> FamilySpec:
         limit_cdf=limit_cdf,
         exact_log_upper_tail=log_upper,
         exact_log_lower_tail=log_lower,
-        sample=draw,
         count_hits=count_hits,
         least_n=1,
         md_needs_alogn=True,

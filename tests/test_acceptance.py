@@ -20,8 +20,6 @@ from mdlab import (
     coupon_threshold_pair,
     declared_profile,
     ell_probe,
-    exact_log_lower_tail,
-    exact_log_upper_tail,
     hn_trend,
     ldp_probe,
     logpower_scaling,
@@ -191,7 +189,7 @@ def test_criterion_07_replacement_exactness(fam_replacement):
         if abs(got - expect) > 1e-9:
             problems.append(f"md slope {label}: {got!r}, expected {expect!r}")
     for n in ns:
-        atom = math.exp(exact_log_lower_tail(fam, n, 0.0))
+        atom = math.exp(fam.exact_log_lower_tail(n, 0.0))
         if abs(atom - 0.4) > 1e-12:
             problems.append(f"P(C_n <= 0) at n={n}: {atom!r}")
     sups = weak_sup_distances(weak_probe(fam, (100, 10**4)))
@@ -258,8 +256,8 @@ def test_criterion_09_mc_integrity(fam_classical, fam_minima_exp,
     ]
     assert len(cases) == 20
     for fam, n, x, side in cases:
-        tail = exact_log_upper_tail if side == "upper" else exact_log_lower_tail
-        exact = tail(fam, n, x)
+        tail = fam.exact_log_upper_tail if side == "upper" else fam.exact_log_lower_tail
+        exact = tail(n, x)
         if exact < math.log(1e-3):
             problems.append(f"{fam.name} n={n} x={x} {side}: p below 1e-3, case invalid")
             continue
@@ -273,7 +271,7 @@ def test_criterion_09_mc_integrity(fam_classical, fam_minima_exp,
     x_half = 3.0 / (2.0 * math.log(2.0)) - 1.0
     if coupon_threshold_pair(2, x_half)[1] != 3:
         problems.append("coverage case does not land on the 3-draw threshold")
-    target = exact_log_upper_tail(fam_coupon, 2, x_half)
+    target = fam_coupon.exact_log_upper_tail(2, x_half)
     if abs(target - math.log(0.5)) > 1e-12:
         problems.append(f"coverage case tail is {target!r}, expected log 1/2")
     covered = 0

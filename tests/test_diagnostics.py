@@ -1,5 +1,7 @@
 """Convergence probes, verdicts, and report serialization."""
 
+import collections
+import dataclasses
 import io
 import json
 import math
@@ -127,6 +129,34 @@ def test_md_probe_boundary_regimes_fail(fam_gumbel_weibull2):
         report = md_probe(fam_gumbel_weibull2, regime.scaling, [1.0],
                           (100, 1000, 10**4, 10**5), enforce_admissible=False)
         assert report.verdict != "pass", regime.tag
+
+
+def test_probes_call_a_record_rebuilt_with_replace(fam_replacement):
+    # per-layer timing wraps these members through dataclasses.replace;
+    # the probes must call the rebuilt record, not closures of the original
+    members = ("exact_log_upper_tail", "exact_log_lower_tail", "speed", "count_hits")
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    fam = dataclasses.replace(
+        fam_replacement, **{m: counted(m, getattr(fam_replacement, m)) for m in members})
+    xs, ns = (-0.5, 0.5), (100, 1000, 10**5)
+    mc = dict(trials=64, seed=1, partitions=2)
+    for run in (lambda f: ldp_probe(f, xs, ns, **mc),
+                lambda f: md_probe(f, power_scaling(0.5), xs, ns, **mc)):
+        calls.clear()
+        report = run(fam)
+        # one exact tail per row on its side, one count per row and partition
+        assert calls["exact_log_upper_tail"] == len(ns), report.regime
+        assert calls["exact_log_lower_tail"] == len(ns), report.regime
+        assert calls["count_hits"] == 2 * len(report.rows), report.regime
+        assert calls["speed"] > 0, report.regime
+        assert report.rows == run(fam_replacement).rows
 
 
 def test_weak_probe_minima_exponential_is_exact(fam_minima_exp):

@@ -8,15 +8,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdlab import (
-    TrialStream,
-    UniformPanel,
     counter_uniforms,
     exponential,
     make_coupon,
     make_minima,
     mc_log_tail,
+    parse_family_spec,
     stable_log_complement,
 )
+
+# (spec, n, x, side) with a hit rate well inside (0, 1) at 4096 trials;
+# the five canonical families plus the gamma members, whose quantiles
+# take the bisection path
+PARTITION_CASES = [
+    ("classical:sigma=1", 25, 0.2, "upper"),
+    ("minima:exponential:1", 10, 0.1, "upper"),
+    ("gumbel_maxima:weibull:2", 100, 0.1, "upper"),
+    ("coupon", 5, 0.4, "upper"),
+    ("replacement:exponential:1,exponential:2,t=1,beta=0.4", 10, -0.1, "lower"),
+    ("gumbel_maxima:gamma:2", 100, 0.1, "upper"),
+    ("replacement:gamma:2,exponential:2,t=1,beta=0.4", 10, -0.1, "lower"),
+]
 
 
 @given(log_p=st.floats(min_value=-745.0, max_value=-1e-12))
@@ -61,20 +73,14 @@ def test_counter_uniforms_moments():
     assert abs(u.var() - 1.0 / 12.0) < 0.002
 
 
-def test_panel_and_stream_agree():
-    panel = UniformPanel(seed=21, start=5, stop=25)
-    stream = TrialStream(seed=21, trial=7)
-    first = [stream.uniform() for _ in range(4)]
-    for d in range(4):
-        assert panel.column(d)[2] == first[d]  # trial 7 = start 5 + offset 2
-    assert np.array_equal(stream.uniforms(3), TrialStream(seed=21, trial=7, _cursor=4).uniforms(3))
-
-
-def test_mc_partition_invariance():
-    fam = make_coupon()
-    base = mc_log_tail(fam, n=5, x=0.4, side="upper", trials=4096, seed=11, partitions=1)
+@pytest.mark.parametrize("spec,n,x,side", PARTITION_CASES,
+                         ids=[case[0] for case in PARTITION_CASES])
+def test_mc_partition_invariance(spec, n, x, side):
+    fam = parse_family_spec(spec)
+    base = mc_log_tail(fam, n=n, x=x, side=side, trials=4096, seed=11, partitions=1)
+    assert 0 < base.hits < base.trials
     for parts in (2, 8):
-        split = mc_log_tail(fam, n=5, x=0.4, side="upper", trials=4096, seed=11, partitions=parts)
+        split = mc_log_tail(fam, n=n, x=x, side=side, trials=4096, seed=11, partitions=parts)
         assert split.log_p_hat == base.log_p_hat
         assert split.hits == base.hits
 

@@ -1,4 +1,4 @@
-"""The five scaled families: exact tails, rates, samplers, spec strings.
+"""The five scaled families: exact tails, rates, count_hits, spec strings.
 
 Fractions and long decimals are frozen outputs of
 scripts/derive_constants.py; nothing here trusts the package to check
@@ -7,7 +7,6 @@ itself.
 
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,8 +20,6 @@ from mdlab import (
     coupon_cdf_inclusion_exclusion,
     coupon_tail_bounds,
     coupon_threshold_pair,
-    exact_log_lower_tail,
-    exact_log_upper_tail,
     exponential,
     lognormal,
     logistic,
@@ -33,13 +30,12 @@ from mdlab import (
     power_tail_rate,
     rate_grid_violations,
     render_family_spec,
-    sample,
     shift_rate,
     std_normal,
     uniform01,
     weibull,
 )
-from mdlab.estimators import TrialStream
+from mdlab.estimators import UniformPanel
 
 CANONICAL_SPECS = [
     "classical:sigma=1",
@@ -54,14 +50,14 @@ CANONICAL_SPECS = [
 
 def test_classical_exact_tail_anchor(fam_classical):
     # P(mean of 400 >= 0.25) = P(Z >= 5), mpmath reference
-    assert exact_log_upper_tail(fam_classical, 400, 0.25) == pytest.approx(
+    assert fam_classical.exact_log_upper_tail(400, 0.25) == pytest.approx(
         -15.064998393988726, rel=1e-12)
 
 
 def test_classical_symmetry(fam_classical):
     for n, x in [(10, 0.3), (100, 0.15), (10**4, 0.02)]:
-        up = exact_log_upper_tail(fam_classical, n, x)
-        lo = exact_log_lower_tail(fam_classical, n, -x)
+        up = fam_classical.exact_log_upper_tail(n, x)
+        lo = fam_classical.exact_log_lower_tail(n, -x)
         assert up == pytest.approx(lo, rel=1e-14)
 
 
@@ -72,14 +68,34 @@ def test_classical_rate_is_quadratic(fam_classical):
     assert fam_classical.central
 
 
+class _FixedPanel:
+    """A one-trial panel whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def __len__(self):
+        return 1
+
+    def column(self, draw):
+        return np.array([self.u])
+
+
+def _flips_between(fam, n, lo, hi, side, panel):
+    # with one trial, the count flips between lo and hi exactly when the
+    # single draw of C_n lies between them
+    below = fam.count_hits(n, lo, side, panel)
+    above = fam.count_hits(n, hi, side, panel)
+    return (below, above) == ((1, 0) if side == "upper" else (0, 1))
+
+
 def test_classical_sampler_is_quantile_transform(fam_classical):
     from scipy.special import ndtri
 
-    stream = TrialStream(seed=5, trial=0)
-    peek = TrialStream(seed=5, trial=0)
-    u = peek.uniform()
-    assert sample(fam_classical, 25, stream) == pytest.approx(
-        float(ndtri(u)) / 5.0, rel=1e-12)
+    panel = UniformPanel(seed=5, start=0, stop=1)
+    c = float(ndtri(panel.column(0)[0])) / 5.0
+    lo, hi = sorted((c * (1.0 - 1e-12), c * (1.0 + 1e-12)))
+    assert _flips_between(fam_classical, 25, lo, hi, "upper", panel)
 
 
 # --- minima ------------------------------------------------------------------
@@ -87,21 +103,21 @@ def test_classical_sampler_is_quantile_transform(fam_classical):
 def test_minima_exact_tail_is_n_log_sf(fam_minima_exp):
     for n in (1, 7, 100, 10**5):
         for x in (0.01, 0.4, 2.0):
-            assert exact_log_upper_tail(fam_minima_exp, n, x) == -n * x
-    assert exact_log_upper_tail(fam_minima_exp, 100, 0.4) == -40.0
+            assert fam_minima_exp.exact_log_upper_tail(n, x) == -n * x
+    assert fam_minima_exp.exact_log_upper_tail(100, 0.4) == -40.0
 
 
 def test_minima_below_support(fam_minima_exp):
-    assert exact_log_upper_tail(fam_minima_exp, 5, -0.1) == 0.0
-    assert exact_log_lower_tail(fam_minima_exp, 5, -0.1) == -math.inf
+    assert fam_minima_exp.exact_log_upper_tail(5, -0.1) == 0.0
+    assert fam_minima_exp.exact_log_lower_tail(5, -0.1) == -math.inf
 
 
 def test_minima_uniform_tail(fam_minima_uniform):
     for n, x in [(10, 0.3), (100, 0.9)]:
-        assert exact_log_upper_tail(fam_minima_uniform, n, x) == pytest.approx(
+        assert fam_minima_uniform.exact_log_upper_tail(n, x) == pytest.approx(
             n * math.log1p(-x), rel=1e-14)
     # the minimum cannot exceed the right endpoint
-    assert exact_log_upper_tail(fam_minima_uniform, 10, 1.5) == -math.inf
+    assert fam_minima_uniform.exact_log_upper_tail(10, 1.5) == -math.inf
 
 
 def test_minima_rates(fam_minima_exp):
@@ -126,27 +142,27 @@ def test_minima_rejects_unsuitable_sources():
 @settings(max_examples=80, deadline=None)
 def test_minima_exp_tail_property(n, x):
     fam = make_minima(exponential(1.0))
-    assert exact_log_upper_tail(fam, n, x) == pytest.approx(-n * x, rel=1e-12)
+    assert fam.exact_log_upper_tail(n, x) == pytest.approx(-n * x, rel=1e-12)
 
 
 # --- gumbel maxima -----------------------------------------------------------
 
 def test_gumbel_deep_tail_anchor(fam_gumbel_weibull2):
-    assert exact_log_upper_tail(fam_gumbel_weibull2, 10**6, 3.0) == pytest.approx(
+    assert fam_gumbel_weibull2.exact_log_upper_tail(10**6, 3.0) == pytest.approx(
         -207.23265836946411, rel=1e-12)
 
 
 def test_gumbel_lower_tail_anchor(fam_gumbel_weibull2):
     # P(M_n <= m_n) = (1 - 1/n)^n at x = 0
-    assert exact_log_lower_tail(fam_gumbel_weibull2, 100, 0.0) == pytest.approx(
+    assert fam_gumbel_weibull2.exact_log_lower_tail(100, 0.0) == pytest.approx(
         100.0 * math.log(0.99), rel=1e-12)
 
 
 def test_gumbel_tail_consistency(fam_gumbel_weibull2):
     # complement identity at moderate depth, where both sides are exact
     for n, x in [(50, 0.2), (1000, 0.1), (100, -0.2)]:
-        up = exact_log_upper_tail(fam_gumbel_weibull2, n, x)
-        lo = exact_log_lower_tail(fam_gumbel_weibull2, n, x)
+        up = fam_gumbel_weibull2.exact_log_upper_tail(n, x)
+        lo = fam_gumbel_weibull2.exact_log_lower_tail(n, x)
         assert math.exp(up) + math.exp(lo) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -174,9 +190,9 @@ def test_gumbel_n_bounds():
     fam = make_gumbel_maxima(std_normal())
     assert fam.least_n == 3
     with pytest.raises(ValueError):
-        exact_log_upper_tail(fam, 2, 0.5)
+        fam.exact_log_upper_tail(2, 0.5)
     with pytest.raises(ValueError):
-        exact_log_upper_tail(fam, 10**16, 0.5)
+        fam.exact_log_upper_tail(10**16, 0.5)
 
 
 def test_gumbel_rejects_bounded_support():
@@ -189,7 +205,7 @@ def test_gumbel_two_branch_tail_is_continuous(fam_gumbel_weibull2):
     # sides of the switch must agree through the complement identity
     n = 10**6
     for x in (0.5, 1.0, 2.0):
-        up = exact_log_upper_tail(fam_gumbel_weibull2, n, x)
+        up = fam_gumbel_weibull2.exact_log_upper_tail(n, x)
         m = weibull(2.0).isf(1.0 / n)
         ref = n * weibull(2.0).log_sf(m * (1.0 + x))  # log(n sf), first order
         assert up == pytest.approx(math.log(n) + ref / n, rel=1e-9)
@@ -236,7 +252,7 @@ def test_coupon_log_sf_agrees_with_complement(fam_coupon):
     # n=50 stresses the alternating-series branch against the DP
     for m in (260, 300, 400):
         x = m / (50 * math.log(50)) - 1.0
-        ls = exact_log_upper_tail(fam_coupon, 50, x)
+        ls = fam_coupon.exact_log_upper_tail(50, x)
         dp = coupon_cdf_dp(50, math.ceil((1.0 + x) * 50 * math.log(50) - 1e-9) - 1)
         assert ls == pytest.approx(math.log1p(-dp), rel=1e-10)
 
@@ -251,8 +267,8 @@ def test_coupon_threshold_pair():
 def test_coupon_exact_tails_use_integer_thresholds(fam_coupon):
     x = 3.0 / (2.0 * math.log(2.0)) - 1.0
     # P(T_2 >= 3) = 1/2, P(T_2 <= 3) = 3/4
-    assert exact_log_upper_tail(fam_coupon, 2, x) == pytest.approx(math.log(0.5), rel=1e-14)
-    assert exact_log_lower_tail(fam_coupon, 2, x) == pytest.approx(math.log(0.75), rel=1e-14)
+    assert fam_coupon.exact_log_upper_tail(2, x) == pytest.approx(math.log(0.5), rel=1e-14)
+    assert fam_coupon.exact_log_lower_tail(2, x) == pytest.approx(math.log(0.75), rel=1e-14)
 
 
 def test_coupon_tail_bounds_shapes():
@@ -278,17 +294,16 @@ def test_coupon_tail_bounds_dominate_exact_tail():
 
 def test_coupon_needs_two_types(fam_coupon):
     with pytest.raises(ValueError):
-        exact_log_upper_tail(fam_coupon, 1, 0.5)
+        fam_coupon.exact_log_upper_tail(1, 0.5)
 
 
 def test_coupon_sampler_matches_dp(fam_coupon):
     # empirical CDF of T_5 at m=12 against the exact 0.678002688
-    hits = 0
     trials = 20000
-    for trial in range(trials):
-        stream = TrialStream(seed=13, trial=trial)
-        t = (1.0 + sample(fam_coupon, 5, stream)) * 5 * math.log(5)
-        hits += round(t) <= 12
+    x = 12.0 / (5.0 * math.log(5.0)) - 1.0
+    panel = UniformPanel(seed=13, start=0, stop=trials)
+    # T_5 <= 12, the event the exact cdf below is taken at
+    hits = fam_coupon.count_hits(5, x, "lower", panel)
     p_hat = hits / trials
     assert abs(p_hat - 0.678002688) < 4.0 * math.sqrt(0.678 * 0.322 / trials)
 
@@ -296,25 +311,25 @@ def test_coupon_sampler_matches_dp(fam_coupon):
 # --- replacement model -------------------------------------------------------
 
 def test_replacement_frozen_tails(fam_replacement):
-    assert exact_log_lower_tail(fam_replacement, 3, -0.5) == pytest.approx(
+    assert fam_replacement.exact_log_lower_tail(3, -0.5) == pytest.approx(
         -2.3385216844144751, rel=1e-13)
-    assert exact_log_lower_tail(fam_replacement, 10, -0.3) == pytest.approx(
+    assert fam_replacement.exact_log_lower_tail(10, -0.3) == pytest.approx(
         -3.1929493060871873, rel=1e-13)
-    assert exact_log_upper_tail(fam_replacement, 10, 0.5) == pytest.approx(
+    assert fam_replacement.exact_log_upper_tail(10, 0.5) == pytest.approx(
         -10.510825623765991, rel=1e-13)
 
 
 def test_replacement_atom_at_zero(fam_replacement):
     for n in (1, 7, 100, 10**4):
-        assert exact_log_lower_tail(fam_replacement, n, 0.0) == pytest.approx(
+        assert fam_replacement.exact_log_lower_tail(n, 0.0) == pytest.approx(
             math.log(0.4), rel=1e-15)
 
 
 def test_replacement_quantile_anchor(fam_replacement):
     # u = 0.2 < beta lands in the F branch: F^{-1}(0.2 F(1)/0.4) - t
-    rng = SimpleNamespace(uniform=lambda: 0.2)
-    z = sample(fam_replacement, 1, rng) + 1.0
-    assert z == pytest.approx(0.37988549304172248, rel=1e-12)
+    z = 0.37988549304172248
+    lo, hi = z * (1.0 - 1e-12) - 1.0, z * (1.0 + 1e-12) - 1.0
+    assert _flips_between(fam_replacement, 1, lo, hi, "lower", _FixedPanel(0.2))
 
 
 def test_replacement_rates(fam_replacement):
@@ -347,11 +362,9 @@ def test_replacement_params_validation():
 
 def test_replacement_sampler_tracks_exact_cdf(fam_replacement):
     trials = 20000
-    hits = 0
-    for trial in range(trials):
-        stream = TrialStream(seed=29, trial=trial)
-        hits += sample(fam_replacement, 10, stream) <= -0.3
-    exact = math.exp(exact_log_lower_tail(fam_replacement, 10, -0.3))
+    panel = UniformPanel(seed=29, start=0, stop=trials)
+    hits = fam_replacement.count_hits(10, -0.3, "lower", panel)
+    exact = math.exp(fam_replacement.exact_log_lower_tail(10, -0.3))
     assert abs(hits / trials - exact) < 4.0 * math.sqrt(exact * (1 - exact) / trials)
 
 
