@@ -15,7 +15,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit, gammainc, gammaincc, gammaln, log_ndtr, ndtr, ndtri
+from scipy.special import (
+    expit,
+    gammainc,
+    gammaincc,
+    gammainccinv,
+    gammaincinv,
+    gammaln,
+    log_ndtr,
+    ndtr,
+    ndtri,
+)
 
 from .estimators import stable_log_complement
 
@@ -49,8 +59,9 @@ class Distribution:
     The private callables are the raw formulas on the interior of the
     support; the public methods add the boundary conventions (below the
     support: cdf 0, sf 1; above it: cdf 1, sf 0). Raw quantile/isf
-    callables are vectorized closed forms when available and None
-    otherwise, in which case bracketed bisection takes over.
+    callables are vectorized over levels in (0, 1): closed forms where the
+    catalog has them, otherwise (gamma) a safeguarded Newton on the log
+    tail. Scalar and array calls run the same raw callable.
     """
 
     name: str
@@ -95,16 +106,11 @@ class Distribution:
 
     def log_cdf(self, x: float) -> float:
         lo, hi = self.support
-        if x < lo:
+        if x <= lo:
             return -math.inf
         if x >= hi:
             return 0.0
-        if self._log_cdf is not None:
-            return float(self._log_cdf(x))
-        sf = self.sf(x)
-        if sf < 0.5:
-            return math.log1p(-sf)
-        return math.log(self.cdf(x))
+        return float(self._log_cdf(x))
 
     def log_sf(self, x: float) -> float:
         lo, hi = self.support
@@ -121,7 +127,12 @@ class Distribution:
         return float(self._log_pdf(x))
 
     def quantile(self, p: float) -> float:
-        """Smallest x with cdf(x) >= p, to within 1e-13 on the p scale."""
+        """Smallest x with cdf(x) >= p.
+
+        Accurate in the log domain: log_cdf(quantile(p)) matches log p to
+        within a few ulps of log p (closed forms to float roundoff), so
+        levels far below 1e-16 still invert to distinct points.
+        """
         if math.isnan(p) or not 0.0 <= p <= 1.0:
             raise ValueError(f"quantile needs p in [0, 1], got {p}")
         lo, hi = self.support
@@ -129,15 +140,13 @@ class Distribution:
             return lo
         if p == 1.0:
             return hi
-        if self._quantile is not None:
-            return float(self._quantile(p))
-        return _bisect_increasing(self.cdf, p, self.support)
+        return float(self._quantile(p))
 
     def isf(self, q: float) -> float:
         """Inverse survival: x with sf(x) = q, accurate for tiny q.
 
-        Closed forms where the catalog has them, otherwise bisection on
-        log_sf so that levels far below double-precision sf still invert.
+        The same log-domain contract as quantile, on log_sf: levels far
+        below double-precision sf still invert.
         """
         if math.isnan(q) or not 0.0 <= q <= 1.0:
             raise ValueError(f"isf needs q in [0, 1], got {q}")
@@ -146,71 +155,55 @@ class Distribution:
             return hi
         if q == 1.0:
             return lo
-        if self._isf is not None:
-            return float(self._isf(q))
-        return _bisect_decreasing(self.log_sf, math.log(q), self.support)
+        return float(self._isf(q))
 
 
-def _bisect_increasing(f, target, support, iters=200, tol=1e-13):
-    # bracket expansion from the support midpoint (or lower+1 when the
-    # upper end is infinite), then plain bisection
-    lo, hi = support
-    if math.isinf(lo) and math.isinf(hi):
-        a, b = -1.0, 1.0
-    elif math.isinf(hi):
-        a, b = lo, lo + 1.0
-    elif math.isinf(lo):
-        a, b = hi - 1.0, hi
-    else:
-        mid = 0.5 * (lo + hi)
-        a, b = lo, mid
-    step = max(1.0, abs(b - a))
-    while f(b) < target:
-        a = b
-        b = b + step
-        step *= 2.0
-        if b > 1e308:
-            break
-    while f(a) > target:
-        b = a
-        a = a - step
-        step *= 2.0
-        if a < -1e308:
-            break
-    for _ in range(iters):
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            break
-        fm = f(m)
-        if abs(fm - target) <= tol:
-            return m
-        if fm < target:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
+# Newton on a log tail: a point stops once its residual is within this many
+# ulps of its log target, or once its next step no longer moves it. From the
+# DiDonato-Morris seeds no point needs more than about ten steps; the step
+# cap only bounds the loop.
+_NEWTON_ULPS = 4.0
+_NEWTON_MAX_STEPS = 100
 
 
-def _bisect_decreasing(f, target, support, iters=200):
-    lo, hi = support
-    a = lo if not math.isinf(lo) else -1.0
-    b = a + 1.0
-    step = 1.0
-    while f(b) > target:
-        a = b
-        b = b + step
-        step *= 2.0
-        if b > 1e308:
+def _newton_log_tail(log_f, log_pdf, log_target, x0, increasing):
+    """Solve log_f(x) = log_target pointwise on the half line (0, inf).
+
+    log_f is a vectorized log cdf (increasing=True) or log sf
+    (increasing=False) on the interior of the support; its slope is
+    +-exp(log_pdf - log_f), so the Newton step is taken in the log domain
+    and stays well scaled however deep the target. Each point keeps a
+    bracket [lo, hi] that its own evaluations narrow, and a Newton step
+    that would leave it becomes a bisection step (a doubling while hi is
+    still infinite). A point stops once |log_f(x) - log_target| is within
+    _NEWTON_ULPS ulps of log_target, or once its Newton step or the step
+    that replaces it no longer moves x (or would reach 0). Points whose
+    seed lies outside (0, inf) are returned as seeded.
+    """
+    out = np.array(x0, dtype=float)
+    shape = out.shape
+    out = out.ravel()
+    targets = np.broadcast_to(np.asarray(log_target, dtype=float), shape).ravel()
+    idx = np.flatnonzero((out > 0.0) & (out < math.inf))
+    x, t = out[idx], targets[idx]
+    lo, hi = np.zeros_like(x), np.full_like(x, math.inf)
+    sign = 1.0 if increasing else -1.0
+    for _ in range(_NEWTON_MAX_STEPS):
+        if idx.size == 0:
             break
-    for _ in range(iters):
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            break
-        if f(m) > target:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
+        lf = log_f(x)
+        r = lf - t
+        root_above = r < 0.0 if increasing else r > 0.0
+        lo = np.where(root_above, x, lo)
+        hi = np.where(root_above, hi, x)
+        xn = x - sign * r * np.exp(lf - log_pdf(x))
+        live = (np.abs(r) > _NEWTON_ULPS * np.spacing(np.abs(t))) & (xn != x)
+        bisect = np.where(np.isinf(hi), 2.0 * x, 0.5 * (lo + hi))
+        xn = np.where((xn > lo) & (xn < hi), xn, bisect)
+        live &= (xn != x) & (xn > 0.0)
+        out[idx] = x
+        idx, x, t, lo, hi = idx[live], xn[live], t[live], lo[live], hi[live]
+    return out.reshape(shape)
 
 
 # catalog constructors
@@ -279,44 +272,96 @@ def weibull(shape: float) -> Distribution:
     )
 
 
-def _gamma_log_sf_cf(a: float, x: float) -> float:
+# gammainc/gammaincc results below this lose precision to gradual
+# underflow; the log forms switch to a series or continued fraction there
+_GAMMA_TINY = 1e-280
+
+
+def _gamma_log_sf_cf(a: float, x: np.ndarray) -> np.ndarray:
     # log of the regularized upper incomplete gamma via the Lentz
-    # continued fraction; valid (and only used) well into the x > a + 1
-    # regime where the direct gammaincc underflows
+    # continued fraction, elementwise; valid (and only used) well into the
+    # x > a + 1 regime where the direct gammaincc underflows
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
+    live = np.ones(x.shape, dtype=bool)
     for i in range(1, 400):
         an = -i * (i - a)
-        b += 2.0
+        b = b + 2.0
         d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d = np.where(np.abs(d) < tiny, tiny, d)
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
+        c = np.where(np.abs(c) < tiny, tiny, c)
         d = 1.0 / d
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        h = np.where(live, h * delta, h)
+        live &= np.abs(delta - 1.0) >= 1e-16
+        if not live.any():
             break
-    return -x + a * math.log(x) - gammaln(a) + math.log(h)
+    return -x + a * np.log(x) - gammaln(a) + np.log(h)
+
+
+def _gamma_log_cdf_series(a: float, x: np.ndarray) -> np.ndarray:
+    # log of the regularized lower incomplete gamma from
+    # x^a e^-x / Gamma(a+1) * sum_k x^k / ((a+1)...(a+k)); only used where
+    # gammainc underflows, so x << a and the terms fall off fast
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    k = 0.0
+    while np.any(term > 1e-17 * total):
+        k += 1.0
+        term = term * (x / (a + k))
+        total = total + term
+    return a * np.log(x) - x - gammaln(a + 1.0) + np.log(total)
 
 
 def gamma(shape: float) -> Distribution:
-    """Gamma with unit scale. Tail log_sf switches to a continued
-    fraction once the direct survival function nears the underflow floor."""
+    """Gamma with unit scale.
+
+    log_cdf and log_sf stay accurate past the underflow of gammainc and
+    gammaincc through the lower series and a continued fraction. quantile
+    and isf polish the DiDonato-Morris inverses gammaincinv/gammainccinv
+    with a safeguarded Newton on log_cdf and log_sf.
+    """
     if not shape > 0 or not math.isfinite(shape):
         raise SpecParseError(f"gamma shape must be positive, got {shape}")
     a = float(shape)
 
-    def log_sf(x):
+    def log_cdf(x):
+        x = np.asarray(x, dtype=float)
         s = gammaincc(a, x)
-        if s > 1e-280:
-            return math.log(s)
-        return _gamma_log_sf_cf(a, float(x))
+        p = gammainc(a, x)
+        upper = s < 0.5
+        out = np.where(upper, np.log1p(-np.where(upper, s, 0.0)),
+                       np.log(np.where(p > _GAMMA_TINY, p, 1.0)))
+        deep = ~upper & (p <= _GAMMA_TINY)
+        if deep.any():
+            out[deep] = _gamma_log_cdf_series(a, x[deep])
+        return out
+
+    def log_sf(x):
+        x = np.asarray(x, dtype=float)
+        s = gammaincc(a, x)
+        out = np.asarray(np.log(np.where(s > _GAMMA_TINY, s, 1.0)))
+        deep = s <= _GAMMA_TINY
+        if deep.any():
+            out[deep] = _gamma_log_sf_cf(a, x[deep])
+        return out
+
+    def log_pdf(x):
+        return (a - 1.0) * np.log(x) - x - gammaln(a)
+
+    def quantile(p):
+        p = np.asarray(p, dtype=float)
+        return _newton_log_tail(log_cdf, log_pdf, np.log(p), gammaincinv(a, p),
+                                increasing=True)
+
+    def isf(q):
+        q = np.asarray(q, dtype=float)
+        return _newton_log_tail(log_sf, log_pdf, np.log(q), gammainccinv(a, q),
+                                increasing=False)
 
     if a == 1.0:
         slope = 1.0
@@ -331,8 +376,11 @@ def gamma(shape: float) -> Distribution:
         cdf_slope_at_zero=slope,
         _cdf=lambda x: gammainc(a, x),
         _sf=lambda x: gammaincc(a, x),
+        _log_cdf=log_cdf,
         _log_sf=log_sf,
-        _log_pdf=lambda x: (a - 1.0) * np.log(x) - x - gammaln(a),
+        _log_pdf=log_pdf,
+        _quantile=quantile,
+        _isf=isf,
     )
 
 
@@ -438,17 +486,12 @@ def render_dist_spec(dist: Distribution) -> str:
 
 
 def quantile_values(dist: Distribution, p: np.ndarray) -> np.ndarray:
-    """Vectorized quantile; falls back to a scalar loop when the member
-    has no closed form (gamma)."""
-    p = np.asarray(p, dtype=float)
-    if dist._quantile is not None:
-        return np.asarray(dist._quantile(p), dtype=float)
-    return np.array([dist.quantile(v) for v in p.ravel()]).reshape(p.shape)
+    """Vectorized quantile for levels in (0, 1); the raw inverse that the
+    scalar quantile calls, so both agree bitwise."""
+    return np.asarray(dist._quantile(np.asarray(p, dtype=float)), dtype=float)
 
 
 def isf_values(dist: Distribution, q: np.ndarray) -> np.ndarray:
-    """Vectorized inverse survival, same fallback policy as quantile_values."""
-    q = np.asarray(q, dtype=float)
-    if dist._isf is not None:
-        return np.asarray(dist._isf(q), dtype=float)
-    return np.array([dist.isf(v) for v in q.ravel()]).reshape(q.shape)
+    """Vectorized inverse survival for levels in (0, 1); agrees bitwise
+    with the scalar isf, like quantile_values."""
+    return np.asarray(dist._isf(np.asarray(q, dtype=float)), dtype=float)

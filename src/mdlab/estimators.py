@@ -56,6 +56,20 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _trial_keys(seed: int, trials) -> np.ndarray:
+    # the key mix: one 64-bit key per (seed, trial)
+    t = np.atleast_1d(np.asarray(trials, dtype=np.uint64))
+    s = np.full(1, seed & _U64_MASK, dtype=np.uint64)
+    return _mix64(s + _GOLDEN * (t + np.uint64(1)))
+
+
+def _key_uniforms(keys: np.ndarray, draw) -> np.ndarray:
+    # the draw mix: uniforms in (0, 1) from trial keys and draw indices
+    d = np.atleast_1d(np.asarray(draw, dtype=np.uint64))
+    v = _mix64(keys + _GOLDEN * (d + np.uint64(1)))
+    return ((v >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
 def counter_uniforms(seed: int, trials, draw) -> np.ndarray:
     """Uniforms in (0, 1), one per (seed, trial, draw) triple.
 
@@ -63,18 +77,17 @@ def counter_uniforms(seed: int, trials, draw) -> np.ndarray:
     result depends only on the triple, never on evaluation order, which
     is what makes partitioned Monte Carlo runs merge exactly.
     """
-    t = np.atleast_1d(np.asarray(trials, dtype=np.uint64))
-    d = np.atleast_1d(np.asarray(draw, dtype=np.uint64))
-    s = np.full(1, seed & _U64_MASK, dtype=np.uint64)
-    key = _mix64(s + _GOLDEN * (t + np.uint64(1)))
-    v = _mix64(key + _GOLDEN * (d + np.uint64(1)))
-    u = ((v >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = _key_uniforms(_trial_keys(seed, trials), draw)
     shape = np.broadcast_shapes(np.shape(trials), np.shape(draw))
     return u.reshape(shape)
 
 
 class UniformPanel:
-    """Vectorized access to the uniforms of a contiguous block of trials."""
+    """Vectorized access to the uniforms of a contiguous block of trials.
+
+    The trial keys are mixed once here; each column only does the draw mix,
+    and equals counter_uniforms(seed, range(start, stop), draw) bitwise.
+    """
 
     def __init__(self, seed: int, start: int, stop: int):
         if stop < start:
@@ -82,14 +95,14 @@ class UniformPanel:
         self.seed = seed
         self.start = start
         self.stop = stop
-        self._idx = np.arange(start, stop, dtype=np.uint64)
+        self._keys = _trial_keys(seed, np.arange(start, stop, dtype=np.uint64))
 
     def __len__(self) -> int:
         return self.stop - self.start
 
     def column(self, draw: int) -> np.ndarray:
         """The draw-th uniform of every trial in the block."""
-        return counter_uniforms(self.seed, self._idx, draw)
+        return _key_uniforms(self._keys, draw)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ modeling slack.
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mdlab import (
@@ -98,6 +99,49 @@ def test_gamma_deep_tail_against_series():
         assert d.log_sf(x) == pytest.approx(ref, rel=1e-12)
 
 
+# every member, plus gamma shapes on both sides of 1 (the only members
+# without a closed-form inverse)
+INVERTIBLE = CATALOG + [gamma(0.5), gamma(2.0)]
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+def _usable(dist, x):
+    return abs(x) >= _SMALLEST_NORMAL and x not in dist.support
+
+
+@given(dist=st.sampled_from(INVERTIBLE),
+       log_p=st.floats(min_value=-690.0, max_value=-1e-6))
+@settings(max_examples=300, deadline=None)
+def test_inverses_round_trip_in_log_domain(dist, log_p):
+    p = math.exp(log_p)
+    tol = 1e-12 * max(1.0, abs(math.log(p)))
+    x = dist.quantile(p)
+    assume(_usable(dist, x))
+    assert abs(dist.log_cdf(x) - math.log(p)) <= tol
+    # near uniform01's finite upper end 1 - q is not representable; the
+    # deep-tail round trip above covers that member's isf
+    if dist.name == "uniform01":
+        return
+    x = dist.isf(p)
+    assume(_usable(dist, x))
+    assert abs(dist.log_sf(x) - math.log(p)) <= tol
+
+
+def test_gamma_quantile_is_accurate_far_below_eps():
+    g = gamma(2.0)
+    assert g.cdf(g.quantile(1e-20)) == pytest.approx(1e-20, rel=1e-12)
+    assert g.quantile(1e-40) < g.quantile(1e-20)
+
+
+def test_gamma_log_cdf_survives_underflow():
+    # gammainc(2, 1e-160) underflows; the lower series carries on, and
+    # there P(2, x) = x^2 / 2 (1 + O(x))
+    v = gamma(2.0).log_cdf(1e-160)
+    assert math.isfinite(v)
+    assert v == pytest.approx(2.0 * math.log(1e-160) - math.log(2.0), rel=1e-15)
+    assert gamma(2.0).log_cdf(0.0) == -math.inf
+
+
 def test_vectorized_helpers_match_scalars():
     d = std_normal()
     ps = [1e-6, 0.2, 0.5, 0.9]
@@ -106,9 +150,13 @@ def test_vectorized_helpers_match_scalars():
     qs = [1e-9, 1e-3, 0.4]
     for v, q in zip(isf_values(d, qs), qs):
         assert v == pytest.approx(d.isf(q), rel=1e-12)
+    # gamma runs one Newton routine for scalars and arrays alike
     g = gamma(2.5)
-    for v, q in zip(isf_values(g, qs), qs):
-        assert v == pytest.approx(g.isf(q), rel=1e-12)
+    levels = np.exp(-np.geomspace(1e-6, 690.0, 97))
+    assert np.array_equal(quantile_values(g, levels),
+                          np.array([g.quantile(v) for v in levels]))
+    assert np.array_equal(isf_values(g, levels),
+                          np.array([g.isf(v) for v in levels]))
 
 
 @pytest.mark.parametrize("spec", [

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdlab import (
+    UniformPanel,
     counter_uniforms,
     exponential,
     make_coupon,
@@ -19,7 +20,7 @@ from mdlab import (
 
 # (spec, n, x, side) with a hit rate well inside (0, 1) at 4096 trials;
 # the five canonical families plus the gamma members, whose quantiles
-# take the bisection path
+# take the Newton path
 PARTITION_CASES = [
     ("classical:sigma=1", 25, 0.2, "upper"),
     ("minima:exponential:1", 10, 0.1, "upper"),
@@ -52,6 +53,14 @@ def test_stable_log_complement_edges():
         stable_log_complement(0.5)
     with pytest.raises(ValueError):
         stable_log_complement(math.nan)
+
+
+@pytest.mark.parametrize("start,stop", [(0, 2000), (37, 1013)])
+def test_panel_columns_equal_counter_uniforms_bitwise(start, stop):
+    panel = UniformPanel(seed=5, start=start, stop=stop)
+    for draw in (0, 1, 7, 1998):
+        ref = counter_uniforms(5, np.arange(start, stop), draw)
+        assert np.array_equal(panel.column(draw), ref)
 
 
 def test_counter_uniforms_shape_and_range():

@@ -306,6 +306,12 @@ def test_coupon_sampler_matches_dp(fam_coupon):
     hits = fam_coupon.count_hits(5, x, "lower", panel)
     p_hat = hits / trials
     assert abs(p_hat - 0.678002688) < 4.0 * math.sqrt(0.678 * 0.322 / trials)
+    # T_5 >= 20 on the same uniforms: waits that all read one column are
+    # correlated and put this upper tail near 0.13, 33 sigma off
+    p_up = 0.0714485091755623
+    x_up = 20.0 / (5.0 * math.log(5.0)) - 1.0
+    p_hat = fam_coupon.count_hits(5, x_up, "upper", panel) / trials
+    assert abs(p_hat - p_up) < 4.0 * math.sqrt(p_up * (1.0 - p_up) / trials)
 
 
 # --- replacement model -------------------------------------------------------
