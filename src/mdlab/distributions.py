@@ -67,14 +67,14 @@ class Distribution:
     name: str
     params: tuple
     support: tuple
+    _cdf: Callable = field(repr=False)
+    _sf: Callable = field(repr=False)
+    _log_cdf: Callable = field(repr=False)
+    _log_sf: Callable = field(repr=False)
+    _log_pdf: Callable = field(repr=False)
+    _quantile: Callable = field(repr=False)
+    _isf: Callable = field(repr=False)
     cdf_slope_at_zero: Optional[float] = None
-    _cdf: Callable = field(default=None, repr=False)
-    _sf: Callable = field(default=None, repr=False)
-    _log_cdf: Callable = field(default=None, repr=False)
-    _log_sf: Callable = field(default=None, repr=False)
-    _log_pdf: Callable = field(default=None, repr=False)
-    _quantile: Callable = field(default=None, repr=False)
-    _isf: Callable = field(default=None, repr=False)
 
     # boundary-aware scalar evaluators
 
@@ -84,9 +84,7 @@ class Distribution:
             return 0.0
         if x >= hi:
             return 1.0
-        if self._cdf is not None:
-            return float(self._cdf(x))
-        return 1.0 - self.sf(x)
+        return float(self._cdf(x))
 
     def sf(self, x: float) -> float:
         lo, hi = self.support
@@ -94,9 +92,7 @@ class Distribution:
             return 1.0
         if x >= hi:
             return 0.0
-        if self._sf is not None:
-            return float(self._sf(x))
-        return math.exp(self.log_sf(x))
+        return float(self._sf(x))
 
     def pdf(self, x: float) -> float:
         lp = self.log_pdf(x)
@@ -485,13 +481,27 @@ def render_dist_spec(dist: Distribution) -> str:
     return dist.name + ":" + ",".join(repr(p) for p in dist.params)
 
 
+def _inverse_values(raw: Callable, levels, at_zero: float, at_one: float) -> np.ndarray:
+    # levels 0 and 1 map to support ends, as in the scalar quantile/isf;
+    # the raw inverse sees only interior levels
+    p = np.asarray(levels, dtype=float)
+    inner = (p > 0.0) & (p < 1.0)
+    if inner.all():
+        return np.asarray(raw(p), dtype=float)
+    out = np.where(p == 0.0, at_zero, np.where(p == 1.0, at_one, math.nan))
+    out[inner] = raw(p[inner])
+    return out
+
+
 def quantile_values(dist: Distribution, p: np.ndarray) -> np.ndarray:
-    """Vectorized quantile for levels in (0, 1); the raw inverse that the
-    scalar quantile calls, so both agree bitwise."""
-    return np.asarray(dist._quantile(np.asarray(p, dtype=float)), dtype=float)
+    """Vectorized quantile for levels in [0, 1]; interior levels run the
+    raw inverse that the scalar quantile calls, so both agree bitwise."""
+    lo, hi = dist.support
+    return _inverse_values(dist._quantile, p, lo, hi)
 
 
 def isf_values(dist: Distribution, q: np.ndarray) -> np.ndarray:
-    """Vectorized inverse survival for levels in (0, 1); agrees bitwise
+    """Vectorized inverse survival for levels in [0, 1]; agrees bitwise
     with the scalar isf, like quantile_values."""
-    return np.asarray(dist._isf(np.asarray(q, dtype=float)), dtype=float)
+    lo, hi = dist.support
+    return _inverse_values(dist._isf, q, hi, lo)

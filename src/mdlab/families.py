@@ -7,6 +7,13 @@ behind one FamilySpec record. Everything downstream (probes, Monte
 Carlo, the command line) works off this record and never
 special-cases a family.
 
+The coupon collection time has one evaluator for both tails: the exact
+alternating series of P(T_n <= m), summed in log-scaled form with a
+computed rounding bound, is returned wherever that bound certifies a
+relative error of 1e-10. Elsewhere, deep in the lower tail, an exact
+convolution dynamic program takes over; each family instance builds it
+at most once per n, far enough to cover every point the series misses.
+
 Sign conventions: upper tail means P(C_n >= x), lower means P(C_n <= x),
 and both evaluators return log probabilities in [-inf, 0]. Rate
 functions return +inf outside their effective domain, which is how a
@@ -405,15 +412,75 @@ def make_gumbel_maxima(source) -> FamilySpec:
 _DP_CELL_BUDGET = 10 ** 9
 _IE_CELL_BUDGET = 10 ** 7
 _DP_RESCALE_FLOOR = 1e-280
-_dp_rows: dict[int, tuple[np.ndarray, float]] = {}
+_DP_FLUSH = np.finfo(float).tiny  # smallest normal double
+# the series is used where its rounding bound certifies this relative error
+_SERIES_TARGET = 1e-10
+_U = 2.0 ** -53  # unit roundoff
+_ULP = 2.0 * _U  # log, log1p and exp are taken to be within one ulp
+_SUBNORMAL = 5e-324  # absolute error of an exp that lands below the normal range
 
 
-def _coupon_cdf_cumsum(n: int, m: int) -> tuple[np.ndarray, float]:
-    """Cumulative pmf of T_n on 0..>=m plus the log of the row rescale."""
-    cached = _dp_rows.get(n)
-    if cached is not None and m < len(cached[0]):
-        return cached
-    top = m if cached is None else max(m, 2 * (len(cached[0]) - 1))
+def _coupon_nm(n: int, m: int) -> tuple[int, int]:
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"coupon collection needs n >= 1, got {n}")
+    return n, int(m)
+
+
+def _coupon_series(n: int, m: int, upper: bool) -> tuple[float, float]:
+    """One coupon tail from its alternating series: (log value, error bound).
+
+    P(T_n <= m) = sum_{k=0}^{n-1} (-1)^k C(n,k) (1-k/n)^m exactly
+    (Erdos & Renyi 1961); P(T_n > m) is the same sum over k = 1..n-1 with
+    the signs flipped. Needs n >= 2 for the upper tail.
+
+    log C(n,k) is the cumulative sum of log((n-j)/(j+1)) and the term's
+    log adds m log1p(-k/n). delta_k bounds each term's relative error,
+    propagated to first order through every rounding on the way to its
+    log and through the exp. The terms are scaled by their maximum,
+    a_k = exp(log t_k - max), and summed; summation in any order errs
+    by at most (N-1) u sum a_k, where N counts the nonzero a_k since
+    adding an exact zero rounds nothing (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 4). The bound
+        (sum_k a_k delta_k + N u sum_k a_k) / |S| + log rounding
+    therefore bounds |log(computed) - log(exact)|, the relative error of
+    the probability. A sum that cancels to S <= 0 returns (-inf, inf).
+    """
+    j = np.arange(n - 1, dtype=float)
+    g = np.log((n - j) / (j + 1.0))  # log C(n, j+1) - log C(n, j)
+    log_binom = np.cumsum(g)  # log C(n, k) for k = 1..n-1
+    # the ratio (u) and its log (one ulp), then each partial sum (u)
+    err = np.cumsum(_U + _ULP * np.abs(g) + _U * np.abs(log_binom))
+    x = (j + 1.0) / n  # k/n
+    lg = np.log1p(-x)
+    log_t = log_binom + m * lg
+    # k/n (u, magnified by x/(1-x) in log1p), log1p, the product, the sum
+    err += m * (_U * x / (1.0 - x) + (_ULP + _U) * np.abs(lg)) + _U * np.abs(log_t)
+    if not upper:
+        log_t = np.concatenate(([0.0], log_t))  # the k = 0 term, exactly 1
+        err = np.concatenate(([0.0], err))
+    top = float(log_t.max())
+    y = log_t - top
+    a = np.exp(y)
+    delta = np.expm1(err + _U * np.abs(y) + _ULP)
+    s = float(a[0::2].sum() - a[1::2].sum())
+    if not s > 0.0:
+        return -math.inf, math.inf
+    rounding = float(a @ delta) + np.count_nonzero(a) * _U * float(a.sum()) + n * _SUBNORMAL
+    log_s = math.log(s)
+    value = top + log_s
+    bound = rounding / s + _ULP * abs(log_s) + _U * abs(value)
+    return (value if upper else min(value, 0.0)), bound
+
+
+def _coupon_dp(n: int, top: int) -> tuple[np.ndarray, float]:
+    """Cumulative pmf of T_n on 0..top plus the log of the row rescale.
+
+    P(S_k = m) = p_k P(S_{k-1} = m-1) + (1-p_k) P(S_k = m-1), one lfilter
+    pass per new coupon. A row whose maximum falls below 1e-280 is
+    rescaled; entries below the smallest normal double are zeroed after
+    every stage, because subnormal arithmetic is what makes the pass slow.
+    """
     if n * (top + 1) > _DP_CELL_BUDGET:
         raise ValueError(
             f"coupon table n={n}, m={top} exceeds the n*m <= 1e9 cell budget")
@@ -425,26 +492,16 @@ def _coupon_cdf_cumsum(n: int, m: int) -> tuple[np.ndarray, float]:
         p = (n - k + 1) / n
         shifted[0] = 0.0
         shifted[1:] = row[:-1]
-        # P(S_k = m) = p_k P(S_{k-1} = m-1) + (1-p_k) P(S_k = m-1)
         row = lfilter([p], [1.0, -(1.0 - p)], shifted)
         mx = row.max()
         if 0.0 < mx < _DP_RESCALE_FLOOR:
             row /= mx
             log_scale += math.log(mx)
-    out = (np.cumsum(row), log_scale)
-    _dp_rows[n] = out
-    return out
+        row[row < _DP_FLUSH] = 0.0
+    return np.cumsum(row), log_scale
 
 
-def _coupon_log_cdf(n: int, m: int) -> float:
-    """log P(T_n <= m), exact dynamic program with underflow rescue."""
-    n = int(n)
-    m = int(m)
-    if n < 1:
-        raise ValueError(f"coupon collection needs n >= 1, got {n}")
-    if m < n:
-        return -math.inf
-    cum, log_scale = _coupon_cdf_cumsum(n, m)
+def _dp_log_cdf(cum: np.ndarray, log_scale: float, m: int) -> float:
     s = float(cum[m])
     if s <= 0.0:
         return -math.inf
@@ -453,47 +510,76 @@ def _coupon_log_cdf(n: int, m: int) -> float:
     return math.log(s) + log_scale
 
 
-def _coupon_log_sf(n: int, m: int) -> float:
-    """log P(T_n > m).
+def _coupon_dp_top(n: int, m: int) -> int:
+    """How far to build the DP after the lower series misses at m.
 
-    Far beyond n log n the bounded-boxes expansion
-    sum_k (-1)^{k+1} C(n,k)(1-k/n)^m has strictly decreasing terms and
-    is evaluated directly in log-scaled form; otherwise the complement
-    of the dynamic program is accurate because the cdf is not near 1.
+    m*(n), the least m' in [m, floor(n log n) + 2n] that the series
+    certifies, found by bisection, so that one row serves every later miss
+    at this n; m itself when the series certifies nowhere in that range
+    or when a row to m* would break the cell budget.
     """
-    n = int(n)
-    m = int(m)
-    if n < 1:
-        raise ValueError(f"coupon collection needs n >= 1, got {n}")
+    def certified(mm: int) -> bool:
+        return _coupon_series(n, mm, upper=False)[1] <= _SERIES_TARGET
+
+    lo, hi = m, math.floor(n * math.log(n)) + 2 * n
+    if hi <= lo or not certified(hi):
+        return m
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if certified(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi if n * (hi + 1) <= _DP_CELL_BUDGET else m
+
+
+def _coupon_log_cdf(n: int, m: int, rows: dict) -> float:
+    """log P(T_n <= m): the alternating series where its rounding bound
+    certifies 1e-10 relative, else the exact dynamic program.
+
+    rows caches one DP row per n, {n: (cumulative pmf, log rescale)}. The
+    first miss at n builds it to m*(n) (see _coupon_dp_top), so every
+    later miss at that n reads the same row; only a miss beyond the row
+    builds it again.
+    """
+    n, m = _coupon_nm(n, m)
+    if m < n:
+        return -math.inf
+    log_p, bound = _coupon_series(n, m, upper=False)
+    if bound <= _SERIES_TARGET:
+        return log_p
+    row = rows.get(n)
+    if row is None or m >= len(row[0]):
+        row = rows[n] = _coupon_dp(n, _coupon_dp_top(n, m))
+    return _dp_log_cdf(*row, m)
+
+
+def _coupon_log_sf(n: int, m: int, rows: dict) -> float:
+    """log P(T_n > m): the alternating series where its rounding bound
+    certifies 1e-10 relative, else the complement of _coupon_log_cdf.
+
+    The upper series is the better conditioned of the two, so it misses
+    only deep in the lower tail, where P(T_n <= m) is small and its
+    complement loses nothing.
+    """
+    n, m = _coupon_nm(n, m)
     if m < n:
         return 0.0
     if n == 1:
         return -math.inf
-    lt1 = math.log(n) + m * math.log1p(-1.0 / n)
-    prev = lt1
-    total = 1.0
-    sign = -1.0
-    usable = True
-    for k in range(2, n):
-        lt = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-              + m * math.log1p(-k / n))
-        if lt >= prev:
-            usable = False
-            break
-        rel = lt - lt1
-        if rel < -40.0:
-            break
-        total += sign * math.exp(rel)
-        sign = -sign
-        prev = lt
-    if usable and total > 1e-6:
-        return lt1 + math.log(total)
-    return stable_log_complement(_coupon_log_cdf(n, m))
+    log_p, bound = _coupon_series(n, m, upper=True)
+    if bound <= _SERIES_TARGET:
+        return log_p
+    return stable_log_complement(_coupon_log_cdf(n, m, rows))
 
 
 def coupon_cdf_dp(n: int, m: int) -> float:
-    """P(T_n <= m) by the exact convolution dynamic program."""
-    lc = _coupon_log_cdf(n, m)
+    """P(T_n <= m) by the exact convolution dynamic program, built at
+    exactly m and not cached: the reference the series is checked against."""
+    n, m = _coupon_nm(n, m)
+    if m < n:
+        return 0.0
+    lc = _dp_log_cdf(*_coupon_dp(n, m), m)
     if lc == -math.inf:
         return 0.0
     return math.exp(lc)
@@ -507,10 +593,7 @@ def coupon_cdf_inclusion_exclusion(n: int, m: int) -> float:
     cell budget keeps the big-integer work bounded; the dynamic program
     is the engine for anything larger.
     """
-    n = int(n)
-    m = int(m)
-    if n < 1:
-        raise ValueError(f"coupon collection needs n >= 1, got {n}")
+    n, m = _coupon_nm(n, m)
     if m < n:
         return 0.0
     if n * m > _IE_CELL_BUDGET:
@@ -576,8 +659,10 @@ def make_coupon() -> FamilySpec:
 
     T_n is a sum of geometric waits with success (n-k+1)/n for the k-th
     new coupon, so T_n >= n and both tails reduce to integer thresholds
-    on T_n.
+    on T_n. Each instance owns its cache of dynamic-program rows, one per
+    n; instances share nothing.
     """
+    rows: dict[int, tuple[np.ndarray, float]] = {}
 
     def rate_fn(x: float) -> float:
         if x < 0.0:
@@ -587,12 +672,12 @@ def make_coupon() -> FamilySpec:
     def log_upper(n: int, x: float) -> float:
         n = _check_n(n, 2, None, "coupon")
         _, m_up = coupon_threshold_pair(n, x)
-        return _coupon_log_sf(n, m_up - 1)
+        return _coupon_log_sf(n, m_up - 1, rows)
 
     def log_lower(n: int, x: float) -> float:
         n = _check_n(n, 2, None, "coupon")
         m_lo, _ = coupon_threshold_pair(n, x)
-        return _coupon_log_cdf(n, m_lo)
+        return _coupon_log_cdf(n, m_lo, rows)
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
         n = _check_n(n, 2, None, "coupon")

@@ -159,6 +159,16 @@ def test_vectorized_helpers_match_scalars():
                           np.array([g.isf(v) for v in levels]))
 
 
+@pytest.mark.parametrize("dist", [weibull(2.0), gamma(2.0)], ids=["weibull", "gamma"])
+def test_vectorized_inverses_map_levels_zero_and_one_to_the_support(dist):
+    # the suite turns a divide-by-zero warning from log(0) into an error
+    levels = [0.0, 0.5, 1.0]
+    assert quantile_values(dist, levels).tolist() == [dist.quantile(p) for p in levels]
+    assert isf_values(dist, levels).tolist() == [dist.isf(q) for q in levels]
+    assert quantile_values(dist, levels).tolist()[::2] == [0.0, math.inf]
+    assert isf_values(dist, levels).tolist()[::2] == [math.inf, 0.0]
+
+
 @pytest.mark.parametrize("spec", [
     "exponential:1", "exponential:0.5", "uniform01", "weibull:2",
     "gamma:3", "std_normal", "logistic", "lognormal",

@@ -6,6 +6,7 @@ itself.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from mdlab import (
     exponential,
     lognormal,
     logistic,
+    make_coupon,
     make_gumbel_maxima,
     make_minima,
     make_replacement,
@@ -35,7 +37,10 @@ from mdlab import (
     uniform01,
     weibull,
 )
+from mdlab import families
+from mdlab.diagnostics import weak_probe
 from mdlab.estimators import UniformPanel
+from mdlab.families import _coupon_log_cdf, _coupon_log_sf, _coupon_series
 
 CANONICAL_SPECS = [
     "classical:sigma=1",
@@ -312,6 +317,88 @@ def test_coupon_sampler_matches_dp(fam_coupon):
     x_up = 20.0 / (5.0 * math.log(5.0)) - 1.0
     p_hat = fam_coupon.count_hits(5, x_up, "upper", panel) / trials
     assert abs(p_hat - p_up) < 4.0 * math.sqrt(p_up * (1.0 - p_up) / trials)
+
+
+def _surjection_count(n, m):
+    return sum((-1) ** k * math.comb(n, k) * (n - k) ** m for k in range(n + 1))
+
+
+def test_coupon_series_bound_holds_against_inclusion_exclusion():
+    # every certified (n, m) for n in 2..40, m from n to n log n + 6n; the
+    # oracle's own rounding (the float of an exact fraction, then its log)
+    # adds at most 2u (1 + |log p|)
+    u = 2.0 ** -53
+    certified = 0
+    for n in range(2, 41):
+        for m in range(n, int(n * math.log(n) + 6 * n) + 1, max(1, n // 15)):
+            count = _surjection_count(n, m)
+            lower = coupon_cdf_inclusion_exclusion(n, m)
+            assert lower == float(Fraction(count, n ** m))
+            for upper, exact in ((False, lower), (True, float(Fraction(n ** m - count, n ** m)))):
+                value, bound = _coupon_series(n, m, upper)
+                if bound > families._SERIES_TARGET:
+                    continue
+                certified += 1
+                ref = math.log(exact)
+                assert abs(value - ref) <= bound + 2.0 * u * (1.0 + abs(ref)), (n, m, upper)
+    assert certified > 5000
+
+
+def test_coupon_two_types_takes_the_series_in_small_memory():
+    fam = make_coupon()
+    for m in (5, 60, 5 * 10 ** 6):
+        x = m / (2.0 * math.log(2.0)) - 1.0
+        assert coupon_threshold_pair(2, x)[0] == m
+        tracemalloc.start()
+        try:
+            log_p = fam.exact_log_lower_tail(2, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(log_p - math.log1p(-2.0 ** (1 - m))) <= 1e-15
+        assert peak < 2 ** 20
+
+
+class _CountingLfilter:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self._inner = families.lfilter
+        monkeypatch.setattr(families, "lfilter", self)
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self._inner(*args)
+
+
+def test_coupon_weak_probe_builds_its_dp_once(monkeypatch):
+    lf = _CountingLfilter(monkeypatch)
+    report = weak_probe(make_coupon(), (1000,))
+    assert len(report.rows) == 61
+    assert lf.calls == 999  # one pass per new coupon, k = 2..1000
+
+
+def test_coupon_instances_share_no_dp_cache(monkeypatch):
+    lf = _CountingLfilter(monkeypatch)
+    first, second = make_coupon(), make_coupon()
+    first.exact_log_lower_tail(200, -0.3)  # m = 741, below m*(200) = 780
+    assert lf.calls == 199
+    first.exact_log_lower_tail(200, -0.35)  # m = 688: the same row serves it
+    assert lf.calls == 199
+    second.exact_log_lower_tail(200, -0.3)
+    assert lf.calls == 2 * 199
+
+
+@pytest.mark.parametrize("n", [50, 200, 1000])
+def test_coupon_tails_sum_to_one_across_the_switch(n):
+    rows = {}
+    m_star = families._coupon_dp_top(n, n)
+    # m* is where the lower series starts to certify; below it the DP runs
+    assert _coupon_series(n, m_star, upper=False)[1] <= families._SERIES_TARGET
+    assert _coupon_series(n, m_star - 1, upper=False)[1] > families._SERIES_TARGET
+    for m in (m_star - n // 2, m_star - 2, m_star - 1, m_star, m_star + 1, m_star + n):
+        total = math.exp(_coupon_log_cdf(n, m, rows)) + math.exp(_coupon_log_sf(n, m, rows))
+        assert total == pytest.approx(1.0, abs=1e-12), m
+    assert len(rows[n][0]) == m_star + 1
 
 
 # --- replacement model -------------------------------------------------------
