@@ -10,9 +10,13 @@ special-cases a family.
 The coupon collection time has one evaluator for both tails: the exact
 alternating series of P(T_n <= m), summed in log-scaled form with a
 computed rounding bound, is returned wherever that bound certifies a
-relative error of 1e-10. Elsewhere, deep in the lower tail, an exact
-convolution dynamic program takes over; each family instance builds it
-at most once per n, far enough to cover every point the series misses.
+relative error of 1e-10; it stops summing once the terms left provably
+fall below rounding, so its cost follows the terms that matter, not n.
+Elsewhere, deep in the lower tail, an exact convolution dynamic program
+takes over; each family instance builds it at most once per n, far
+enough to cover every point the series misses. Below what that
+program's row resolves (about 1e-290) an extended-exponent chain over
+the number of distinct coupons answers instead.
 
 Sign conventions: upper tail means P(C_n >= x), lower means P(C_n <= x),
 and both evaluators return log probabilities in [-inf, 0]. Rate
@@ -418,6 +422,8 @@ _SERIES_TARGET = 1e-10
 _U = 2.0 ** -53  # unit roundoff
 _ULP = 2.0 * _U  # log, log1p and exp are taken to be within one ulp
 _SUBNORMAL = 5e-324  # absolute error of an exp that lands below the normal range
+_NO_EXPONENT = -(2 ** 40)  # the exponent of an exact zero in _coupon_chain_log_cdf
+_SERIES_CHUNK = 64  # terms in the first chunk of the series; each next one doubles
 
 
 def _coupon_nm(n: int, m: int) -> tuple[int, int]:
@@ -441,32 +447,61 @@ def _coupon_series(n: int, m: int, upper: bool) -> tuple[float, float]:
     a_k = exp(log t_k - max), and summed; summation in any order errs
     by at most (N-1) u sum a_k, where N counts the nonzero a_k since
     adding an exact zero rounds nothing (Higham, Accuracy and Stability
-    of Numerical Algorithms, ch. 4). The bound
-        (sum_k a_k delta_k + N u sum_k a_k) / |S| + log rounding
+    of Numerical Algorithms, ch. 4).
+
+    The terms are evaluated in chunks of doubling size. log t_k is
+    concave in k (both log C(n,k) and m log1p(-k/n) are), so past the
+    peak each ratio t_{k+1}/t_k is at most the last one, rho; once rho
+    <= 1/2, the terms not yet evaluated sum to at most t_K rho/(1-rho).
+    Evaluation stops when that bound drops below u times the largest
+    term, and the bound joins the rounding. The bound
+        (sum_k a_k delta_k + N u sum_k a_k + tail) / |S| + log rounding
     therefore bounds |log(computed) - log(exact)|, the relative error of
     the probability. A sum that cancels to S <= 0 returns (-inf, inf).
     """
-    j = np.arange(n - 1, dtype=float)
-    g = np.log((n - j) / (j + 1.0))  # log C(n, j+1) - log C(n, j)
-    log_binom = np.cumsum(g)  # log C(n, k) for k = 1..n-1
-    # the ratio (u) and its log (one ulp), then each partial sum (u)
-    err = np.cumsum(_U + _ULP * np.abs(g) + _U * np.abs(log_binom))
-    x = (j + 1.0) / n  # k/n
-    lg = np.log1p(-x)
-    log_t = log_binom + m * lg
-    # k/n (u, magnified by x/(1-x) in log1p), log1p, the product, the sum
-    err += m * (_U * x / (1.0 - x) + (_ULP + _U) * np.abs(lg)) + _U * np.abs(log_t)
-    if not upper:
-        log_t = np.concatenate(([0.0], log_t))  # the k = 0 term, exactly 1
-        err = np.concatenate(([0.0], err))
-    top = float(log_t.max())
+    parts = [np.zeros(1)] if not upper else []  # the k = 0 term, exactly 1
+    errs = [np.zeros(1)] if not upper else []
+    top = 0.0 if not upper else -math.inf
+    log_c = err_c = 0.0  # log C(n, k-1) at the chunk start, and its error
+    tail = 0.0
+    start, size = 1, _SERIES_CHUNK
+    while start < n:
+        j = np.arange(start - 1, min(n, start + size) - 1, dtype=float)
+        g = np.log((n - j) / (j + 1.0))  # log C(n, j+1) - log C(n, j)
+        # prefixing the carried value keeps the chunked cumsum bitwise sequential
+        log_binom = np.cumsum(np.concatenate(([log_c], g)))[1:]  # log C(n, k)
+        # the ratio (u) and its log (one ulp), then each partial sum (u)
+        err_b = np.cumsum(np.concatenate(
+            ([err_c], _U + _ULP * np.abs(g) + _U * np.abs(log_binom))))[1:]
+        log_c, err_c = float(log_binom[-1]), float(err_b[-1])
+        x = (j + 1.0) / n  # k/n
+        lg = np.log1p(-x)
+        log_t = log_binom + m * lg
+        # k/n (u, magnified by x/(1-x) in log1p), log1p, the product, the sum
+        err = err_b + m * (_U * x / (1.0 - x) + (_ULP + _U) * np.abs(lg)) + _U * np.abs(log_t)
+        parts.append(log_t)
+        errs.append(err)
+        top = max(top, float(log_t.max()))
+        start += len(j)
+        size *= 2
+        if start < n and len(j) > 1:
+            d = float(log_t[-1] - log_t[-2])
+            log_rho = d + _U * abs(d) + float(err[-1] + err[-2])
+            if log_rho <= -math.log(2.0):
+                log_tail = float(log_t[-1] + err[-1]) + log_rho - math.log(-math.expm1(log_rho))
+                if log_tail - top <= math.log(_U):
+                    tail = math.exp(log_tail - top)
+                    break
+    log_t = np.concatenate(parts)
+    err = np.concatenate(errs)
     y = log_t - top
     a = np.exp(y)
     delta = np.expm1(err + _U * np.abs(y) + _ULP)
     s = float(a[0::2].sum() - a[1::2].sum())
     if not s > 0.0:
         return -math.inf, math.inf
-    rounding = float(a @ delta) + np.count_nonzero(a) * _U * float(a.sum()) + n * _SUBNORMAL
+    rounding = (float(a @ delta) + np.count_nonzero(a) * _U * float(a.sum())
+                + len(a) * _SUBNORMAL + tail)
     log_s = math.log(s)
     value = top + log_s
     bound = rounding / s + _ULP * abs(log_s) + _U * abs(value)
@@ -510,6 +545,50 @@ def _dp_log_cdf(cum: np.ndarray, log_scale: float, m: int) -> float:
     return math.log(s) + log_scale
 
 
+def _dp_log_floor(n: int, size: int) -> float:
+    """log of the least P(T_n <= m) that a row of this size resolves to
+    1e-10 relative.
+
+    Each of the n-1 stages zeroes at most size entries below the smallest
+    normal double, each worth at most that much probability since the
+    rescale only shrinks the unit, and no stage adds mass, so the row
+    loses at most (n-1) size tiny of any cumulative value.
+    """
+    return math.log((n - 1) * size * _DP_FLUSH / _SERIES_TARGET)
+
+
+def _coupon_chain_log_cdf(n: int, m: int) -> float:
+    """log P(T_n <= m) = log P(D_m = n), where D_t counts the distinct
+    coupons after t draws: from d it stays with probability d/n and
+    moves to d+1 with probability (n-d+1)/n at the next draw.
+
+    Every value is a mantissa in [1/2, 1) and its own power of two, so
+    nothing underflows however deep the tail; draw t updates only the d
+    that can still reach n by draw m. Each draw rounds at most three
+    times, so the result is within 3 m u relative of the exact value,
+    under 1e-10 for every m the cell budget admits in the deep tail.
+    """
+    if n * (m + 1) > _DP_CELL_BUDGET:
+        raise ValueError(
+            f"coupon table n={n}, m={m} exceeds the n*m <= 1e9 cell budget")
+    mant = np.zeros(n + 1)
+    expo = np.full(n + 1, _NO_EXPONENT, dtype=np.int64)
+    mant[1], expo[1] = 0.5, 1  # D_1 = 1 surely: 1 = 0.5 * 2^1
+    d = np.arange(n + 1, dtype=float)
+    stay, move = d / n, (n + 1.0 - d) / n
+    for t in range(1, m):
+        lo, hi = max(1, n - m + t + 1), min(t + 1, n) + 1  # D_{t+1} in [lo, hi)
+        e_stay, e_move = expo[lo:hi], expo[lo - 1:hi - 1]
+        big = np.maximum(e_stay, e_move)
+        total = (np.ldexp(mant[lo:hi] * stay[lo:hi], e_stay - big)
+                 + np.ldexp(mant[lo - 1:hi - 1] * move[lo:hi], e_move - big))
+        mant[lo:hi], shift = np.frexp(total)
+        expo[lo:hi] = np.where(mant[lo:hi] > 0.0, big + shift, _NO_EXPONENT)
+    if mant[n] == 0.0:
+        return -math.inf
+    return math.log(mant[n]) + float(expo[n]) * math.log(2.0)
+
+
 def _coupon_dp_top(n: int, m: int) -> int:
     """How far to build the DP after the lower series misses at m.
 
@@ -540,7 +619,9 @@ def _coupon_log_cdf(n: int, m: int, rows: dict) -> float:
     rows caches one DP row per n, {n: (cumulative pmf, log rescale)}. The
     first miss at n builds it to m*(n) (see _coupon_dp_top), so every
     later miss at that n reads the same row; only a miss beyond the row
-    builds it again.
+    builds it again. A value below the row's floor (_dp_log_floor), where
+    the zeroed subnormals could cost more than 1e-10 relative, comes from
+    _coupon_chain_log_cdf, which is not cached.
     """
     n, m = _coupon_nm(n, m)
     if m < n:
@@ -551,7 +632,10 @@ def _coupon_log_cdf(n: int, m: int, rows: dict) -> float:
     row = rows.get(n)
     if row is None or m >= len(row[0]):
         row = rows[n] = _coupon_dp(n, _coupon_dp_top(n, m))
-    return _dp_log_cdf(*row, m)
+    log_p = _dp_log_cdf(*row, m)
+    if log_p >= _dp_log_floor(n, len(row[0])):
+        return log_p
+    return _coupon_chain_log_cdf(n, m)
 
 
 def _coupon_log_sf(n: int, m: int, rows: dict) -> float:

@@ -323,10 +323,13 @@ def _surjection_count(n, m):
     return sum((-1) ** k * math.comb(n, k) * (n - k) ** m for k in range(n + 1))
 
 
-def test_coupon_series_bound_holds_against_inclusion_exclusion():
+@pytest.mark.parametrize("chunk", [64, 2])
+def test_coupon_series_bound_holds_against_inclusion_exclusion(chunk, monkeypatch):
     # every certified (n, m) for n in 2..40, m from n to n log n + 6n; the
     # oracle's own rounding (the float of an exact fraction, then its log)
-    # adds at most 2u (1 + |log p|)
+    # adds at most 2u (1 + |log p|). Chunks of 2 terms make the series stop
+    # early at these n, so the bound on the terms it drops is checked too.
+    monkeypatch.setattr(families, "_SERIES_CHUNK", chunk)
     u = 2.0 ** -53
     certified = 0
     for n in range(2, 41):
@@ -380,7 +383,7 @@ def test_coupon_weak_probe_builds_its_dp_once(monkeypatch):
 def test_coupon_instances_share_no_dp_cache(monkeypatch):
     lf = _CountingLfilter(monkeypatch)
     first, second = make_coupon(), make_coupon()
-    first.exact_log_lower_tail(200, -0.3)  # m = 741, below m*(200) = 780
+    first.exact_log_lower_tail(200, -0.3)  # m = 741, below m*(200) = 774
     assert lf.calls == 199
     first.exact_log_lower_tail(200, -0.35)  # m = 688: the same row serves it
     assert lf.calls == 199
@@ -399,6 +402,72 @@ def test_coupon_tails_sum_to_one_across_the_switch(n):
         total = math.exp(_coupon_log_cdf(n, m, rows)) + math.exp(_coupon_log_sf(n, m, rows))
         assert total == pytest.approx(1.0, abs=1e-12), m
     assert len(rows[n][0]) == m_star + 1
+
+
+def _log_surjection_fraction(n, m):
+    # log P(T_n <= m) from the exact integers; math.log takes big ints whole
+    return math.log(_surjection_count(n, m)) - math.log(n ** m)
+
+
+def test_coupon_deep_lower_tail_is_exact():
+    # m = n = 1000: P(T_n <= n) = n!/n^n, about e^-995.6, far below the
+    # range of a double; a fresh instance and one whose row a weak probe
+    # built both return it
+    x = 1.0 / math.log(1000) - 1.0
+    assert coupon_threshold_pair(1000, x)[0] == 1000
+    exact = math.lgamma(1001) - 1000 * math.log(1000)
+    assert make_coupon().exact_log_lower_tail(1000, x) == pytest.approx(exact, abs=1e-10)
+    fam = make_coupon()
+    weak_probe(fam, (1000,))
+    assert fam.exact_log_lower_tail(1000, x) == pytest.approx(exact, abs=1e-10)
+
+
+def test_coupon_lower_tail_across_the_row_floor():
+    # the DP row answers down to its floor, the chain below it
+    n, rows = 1000, {}
+    values = {m: _coupon_log_cdf(n, m, rows) for m in (1000, 1050, 1100, 1150, 1250, 1500)}
+    floor = families._dp_log_floor(n, len(rows[n][0]))
+    assert min(values.values()) < floor < max(values.values())
+    for m, value in values.items():
+        assert value == pytest.approx(_log_surjection_fraction(n, m), abs=1e-10), m
+
+
+def test_coupon_chain_matches_inclusion_exclusion():
+    # each draw rounds at most three times: 3 m u relative, plus the
+    # oracle's own 2u (1 + |log p|)
+    u = 2.0 ** -53
+    for n in range(2, 31):
+        for m in range(n, int(n * math.log(n) + 6 * n) + 1, max(1, n // 10)):
+            ref = math.log(Fraction(_surjection_count(n, m), n ** m))
+            value = families._coupon_chain_log_cdf(n, m)
+            assert abs(value - ref) <= 3 * m * u + 2 * u * (1.0 + abs(ref)), (n, m)
+
+
+def test_coupon_cdf_dp_below_the_normal_range_of_its_neighbours():
+    # probabilities between 1e-308 and 1e-290: the plain DP rescales its
+    # row and keeps them to full relative accuracy
+    for n, m in ((700, 700), (1000, 1125)):
+        ref = coupon_cdf_inclusion_exclusion(n, m)
+        assert 1e-308 < ref < 1e-290
+        assert coupon_cdf_dp(n, m) == pytest.approx(ref, rel=1e-12)
+
+
+def test_coupon_upper_tail_at_large_n_stops_early():
+    mp = pytest.importorskip("mpmath")
+    n, x = 10 ** 7, 0.5
+    tracemalloc.start()
+    try:
+        log_p = make_coupon().exact_log_upper_tail(n, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    m = coupon_threshold_pair(n, x)[1] - 1
+    with mp.workdps(40):
+        # the terms fall like lambda^k/k!, lambda = n (1 - 1/n)^m < 1e-3
+        ref = mp.log(mp.fsum((-1) ** (k + 1) * mp.binomial(n, k) * (1 - mp.mpf(k) / n) ** m
+                             for k in range(1, 20)))
+    assert log_p == pytest.approx(float(ref), abs=1e-12)
 
 
 # --- replacement model -------------------------------------------------------
