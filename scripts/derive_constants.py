@@ -86,6 +86,20 @@ for (cn, cm) in [(2, 2), (2, 3), (3, 3), (3, 4), (3, 5), (4, 8), (5, 12)]:
 assert coupon_cdf_brute(2, 2) == Fraction(1, 2)
 show("P(T_2 >= 3) = 1 - P(T_2 <= 2)", Fraction(1, 1) - coupon_cdf_brute(2, 2))
 
+# the deep lower tail at n = 20000, x = -0.3 (m = floor(0.7 n log n)):
+# P(T_n <= m) = sum_k (-1)^k C(n,k) (1 - k/n)^m. |term k| <= lam^k/k! with
+# lam = n e^{-m/n} = 19.6, so the terms reach about 3e7 against a sum of
+# 3e-9 (50 digits keep more than 30), and those past k = 300 add less than
+# 1e-200 in all.
+with mp.workdps(50):
+    cn, cm = 20000, 138648
+    assert cm == int(mp.floor(mp.mpf("0.7") * cn * mp.log(cn)))
+    terms, c = [], mp.mpf(1)
+    for k in range(301):
+        terms.append((-1) ** k * c * (1 - mp.mpf(k) / cn) ** cm)
+        c = c * (cn - k) / (k + 1)
+    show(f"log P(T_{cn} <= {cm})", mp.log(mp.fsum(terms)))
+
 # --- replacement model (F = Exp(1), G = Exp(2), t = 1, beta = 0.4) ---------
 
 F = lambda v: -mp.expm1(-mp.mpf(v))      # Exp(1) cdf

@@ -10,6 +10,8 @@ and convergence probes that turn finite-n behavior into
 pass/fail/inconclusive verdicts.
 """
 
+from types import ModuleType as _ModuleType
+
 from .distributions import (
     Distribution,
     SpecParseError,
@@ -103,30 +105,6 @@ from .cli import RunConfig, main
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Distribution", "SpecParseError", "exponential", "uniform01", "weibull",
-    "gamma", "std_normal", "logistic", "lognormal", "parse_dist_spec",
-    "render_dist_spec", "quantile_values", "isf_values",
-    "GumbelMdaProfile", "MdaViolationError", "declared_profile",
-    "characteristic_level", "default_tail_grid", "ell_probe",
-    "estimate_rv_index", "hn_trend", "normalizing_rate",
-    "LemmaCheck", "LemmaBattery", "lemma_battery",
-    "FamilySpec", "RateFunction", "ReplacementParams", "CouponBounds",
-    "make_classical_sums", "make_minima", "make_gumbel_maxima",
-    "make_coupon", "make_replacement", "parse_family_spec",
-    "render_family_spec", "shift_rate", "power_tail_rate", "rate_grid_violations",
-    "coupon_cdf_dp", "coupon_cdf_inclusion_exclusion", "coupon_tail_bounds",
-    "coupon_threshold_pair",
-    "ScalingFamily", "ScalingRejectedError", "ScalingReport",
-    "BoundaryRegime", "power_scaling", "logpower_scaling", "table_scaling",
-    "parse_scaling_spec", "render_scaling_spec", "evaluate", "validate",
-    "boundary_regimes",
-    "McEstimate", "UniformPanel", "counter_uniforms",
-    "mc_log_tail", "stable_log_complement",
-    "Row", "ConvergenceReport", "CSV_COLUMNS", "DEFAULT_TOL_FACTOR",
-    "ldp_probe", "md_probe", "weak_probe", "default_weak_grid",
-    "weak_sup_distances", "evaluate_verdict", "slope_identity_check",
-    "SlopeIdentityReport", "write_csv", "write_json", "read_json",
-    "render_svg", "write_svg",
-    "RunConfig", "main",
-]
+# every public name imported above, and no submodule
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

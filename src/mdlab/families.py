@@ -12,11 +12,9 @@ alternating series of P(T_n <= m), summed in log-scaled form with a
 computed rounding bound, is returned wherever that bound certifies a
 relative error of 1e-10; it stops summing once the terms left provably
 fall below rounding, so its cost follows the terms that matter, not n.
-Elsewhere, deep in the lower tail, an exact convolution dynamic program
-takes over; each family instance builds it at most once per n, far
-enough to cover every point the series misses. Below what that
-program's row resolves (about 1e-290) an extended-exponent chain over
-the number of distinct coupons answers instead.
+Deep in the lower tail, where it cannot certify, a tilted Fourier
+inversion with its own computed bound answers; it keeps no state, and
+its grid, hence its time and memory, follows from (n, m) alone.
 
 Sign conventions: upper tail means P(C_n >= x), lower means P(C_n <= x),
 and both evaluators return log probabilities in [-inf, 0]. Rate
@@ -32,8 +30,10 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
+# only the reference coupon_cdf_dp uses lfilter; perfbench/run.py requires
+# `import mdlab` to load scipy.signal, so the import stays until it changes
 from scipy.signal import lfilter
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import cosdg, log_ndtr, ndtr, ndtri, sindg
 
 from .distributions import (
     Distribution,
@@ -422,7 +422,6 @@ _SERIES_TARGET = 1e-10
 _U = 2.0 ** -53  # unit roundoff
 _ULP = 2.0 * _U  # log, log1p and exp are taken to be within one ulp
 _SUBNORMAL = 5e-324  # absolute error of an exp that lands below the normal range
-_NO_EXPONENT = -(2 ** 40)  # the exponent of an exact zero in _coupon_chain_log_cdf
 _SERIES_CHUNK = 64  # terms in the first chunk of the series; each next one doubles
 
 
@@ -508,6 +507,115 @@ def _coupon_series(n: int, m: int, upper: bool) -> tuple[float, float]:
     return (value if upper else min(value, 0.0)), bound
 
 
+def _ztp_lambda(r: float) -> float:
+    """The lam > 0 whose zero-truncated Poisson mean lam/(1 - e^-lam) is
+    r > 1: Newton on the convex lam + r expm1(-lam) falls onto it from r."""
+    lam, last = r, math.inf
+    while lam < last:  # until a step no longer lowers it
+        last, lam = lam, lam - (lam + r * math.expm1(-lam)) / (1.0 - r * math.exp(-lam))
+    return last
+
+
+def _log_chernoff(n: int, m: int, lam: float, a: int) -> float:
+    """log of a Chernoff bound on P(S_n >= a), a > m, or P(S_n <= a), a < m:
+    E e^{theta (S_n - a)} with e^theta = lam_a/lam, lam_a tilting to mean a."""
+    def log_g(x):  # log((e^x - 1)/x)
+        return x + math.log(-math.expm1(-x) / x)
+    if a <= n:  # P(S_n = n) = g(lam)^-n exactly
+        return -n * log_g(lam) if a == n else -math.inf
+    lam_a = _ztp_lambda(a / n)
+    if (lam_a - lam) * (a - m) <= 0.0:  # theta of the wrong sign bounds nothing
+        return 0.0
+    return n * (log_g(lam_a) - log_g(lam)) - (a - n) * math.log(lam_a / lam)
+
+
+def _clog1p(v: np.ndarray, err_v) -> tuple[np.ndarray, np.ndarray]:
+    """Complex log(1 + v), |v| <= 1, and its first-order error given err_v."""
+    out, small = np.log(1.0 + v), np.abs(v) < 0.5
+    x, y = v[small].real, v[small].imag
+    out[small] = 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
+    d = np.abs(1.0 + v)
+    err = np.where(small, 9 * _U * np.abs(v) / d ** 2, 10 * _U + _U / d)
+    return out, err + 2 * _ULP * np.abs(out) + err_v / d
+
+
+def _coupon_tilt(n: int, m: int) -> tuple[float, float]:
+    """log P(T_n <= m), m >= n, by tilted Fourier inversion: (log value,
+    error bound), or (nan, a-priori bound) if that fails before allocating.
+
+    Counting surjections (Flajolet & Sedgewick, Analytic Combinatorics,
+    II.3) gives P(T_n <= m) = m! (e^lam - 1)^n P(S_n = m) / (n lam)^m for
+    every lam > 0, S_n a sum of n iid zero-truncated Poisson(lam); lam
+    tilts E S_n to m, and its own error does not enter. With w = lam e^{it}
+    and g(w) = (e^w - 1)/w, P(S_n = m) is the mean of (g(w)/g(lam))^n
+    e^{-it(m-n)} over t = 2 pi j/L, plus the aliasing sum_{k != 0}
+    P(S_n = m + kL), which two Chernoff bounds hold below 1e-12 relative
+    (Abate & Whitt 1992). log g(w) is a power series for lam <= 1, else
+    w - log w + log(1 - e^-w), or i pi - log w + log(1 - e^w) if cos t < 0.
+    The prefactor has no m log m term: Stirling gives log m! - m log m + m
+    and n lam - m is exact. As in _coupon_series each term's exponent has a
+    first-order rounding bound (the nodes are exact, as sin and cos take
+    degrees), and the sum errs by (N-1) u sum |a_j|: L u/2 caps the grid.
+    """
+    if m < 50:  # b = log m! - m log m + m
+        b = math.lgamma(m + 1.0) - m * math.log(m) + m
+        err = 8 * _ULP * m * (math.log(m) + 1.0)
+    else:  # the Stirling series to m^-7, whose remainder is below 1/(1188 m^9)
+        x, y = 1.0 / m, m ** -2.0
+        b = 0.5 * math.log(math.tau * m) + x * (1 / 12 - y * (1 / 360 - y * (1 / 1260 - y / 1680)))
+        err = 4 * _ULP * b + x ** 9 / 1188
+    if m == n:  # n!/n^n
+        return b - n, err + _U * (n - b)
+    lam = _ztp_lambda(m / n)
+    if lam > 1.0:
+        nl = n * Fraction(lam)
+        pre = [b, m * math.log1p(float((m - nl) / nl)), float(nl - m)]
+        err += 4 * _U * abs(pre[1]) + _U * abs(pre[2])
+    else:
+        pre = [b, -m, m * math.log1p((m - n) / n), -(m - n) * math.log(lam)]
+        err += 4 * _U * abs(pre[2]) + 3 * _U * abs(pre[3])
+    sd = math.sqrt(max(m * (1.0 + lam) - m * m / n, 0.25))  # of S_n
+    size, alias = 1, math.inf
+    while alias > 1e-12 and size * _U <= _SERIES_TARGET:  # relative to P(S_n = m)
+        size *= 2
+        log_alias = float(np.logaddexp(_log_chernoff(n, m, lam, m + size),
+                                       _log_chernoff(n, m, lam, m - size)))
+        alias = math.exp(log_alias) * math.sqrt(2.0 * math.pi) * sd  # P ~ 1/(sqrt(2 pi) sd)
+    a_priori = alias + size / 2 * _U + 7 * _U * m / sd + err  # the phase errs by ~9 u m |t|
+    if a_priori > _SERIES_TARGET:
+        return math.nan, a_priori
+    s = np.arange(size // 2 + 1) / size  # t = 2 pi s; the other half mirrors
+    sin_t, cos_t, phase = sindg(360.0 * s), cosdg(360.0 * s), 2.0 * math.pi * (s * m)
+    if lam > 1.0:
+        pos = cos_t >= 0.0
+        arg = lam * np.where(pos, -sin_t, sin_t)
+        v = -np.exp(-lam * np.abs(cos_t) + 1j * arg)  # -e^{-w}, or -e^{w} where cos t < 0
+        err_v = 5 * _U * np.abs(v) * (1.0 + lam * np.abs(cos_t) + np.abs(arg))
+        re = np.where(pos, -2.0 * n * lam * sindg(180.0 * s) ** 2, -n * lam)
+        im = np.where(pos, n * lam * sin_t, math.pi * (n % 2))
+    else:
+        w, q = lam * (cos_t + 1j * sin_t), 0.0
+        for k in range(19, 1, -1):  # q(w) = (g(w) - 1)/w to 1/20!
+            q = q * w + 1.0 / math.factorial(k)
+        v, err_v, re, im = w * q, 16 * _U * lam, 0.0, 2.0 * math.pi * (s * n)
+    ell, err_ell = _clog1p(v, err_v)
+    d = n * (ell - ell[0])
+    expo = re + d.real + 1j * (im - phase + d.imag)
+    term = np.exp(expo)
+    err_term = np.expm1(11 * _U * np.abs(re) + 6 * _U * np.abs(im) + 3 * _U * phase + n * err_ell
+                        + 2 * _U * (np.abs(d) + np.abs(expo)) + 10 * _U)
+    weight = np.where((s == 0.0) | (s == 0.5), 1.0, 2.0)
+    p = float(weight @ term.real) / size
+    slack = (float(weight @ (np.abs(term) * err_term)) + (len(s) - 1) * _U
+             * float(weight @ np.abs(term.real))) / size + math.exp(log_alias)
+    if not p > slack:
+        return math.nan, math.inf
+    c0 = n * float(ell[0].real)  # the n log g(lam) that d leaves out; its rounding cancels
+    value = math.fsum(pre + [c0, math.log(p)])
+    bound = slack / (p - slack) + _ULP * abs(math.log(p)) + err + _U * (abs(c0) + abs(value))
+    return min(value, 0.0), bound
+
+
 def _coupon_dp(n: int, top: int) -> tuple[np.ndarray, float]:
     """Cumulative pmf of T_n on 0..top plus the log of the row rescale.
 
@@ -536,116 +644,31 @@ def _coupon_dp(n: int, top: int) -> tuple[np.ndarray, float]:
     return np.cumsum(row), log_scale
 
 
-def _dp_log_cdf(cum: np.ndarray, log_scale: float, m: int) -> float:
-    s = float(cum[m])
-    if s <= 0.0:
-        return -math.inf
-    if log_scale == 0.0:
-        return math.log(min(s, 1.0))
-    return math.log(s) + log_scale
-
-
-def _dp_log_floor(n: int, size: int) -> float:
-    """log of the least P(T_n <= m) that a row of this size resolves to
-    1e-10 relative.
-
-    Each of the n-1 stages zeroes at most size entries below the smallest
-    normal double, each worth at most that much probability since the
-    rescale only shrinks the unit, and no stage adds mass, so the row
-    loses at most (n-1) size tiny of any cumulative value.
-    """
-    return math.log((n - 1) * size * _DP_FLUSH / _SERIES_TARGET)
-
-
-def _coupon_chain_log_cdf(n: int, m: int) -> float:
-    """log P(T_n <= m) = log P(D_m = n), where D_t counts the distinct
-    coupons after t draws: from d it stays with probability d/n and
-    moves to d+1 with probability (n-d+1)/n at the next draw.
-
-    Every value is a mantissa in [1/2, 1) and its own power of two, so
-    nothing underflows however deep the tail; draw t updates only the d
-    that can still reach n by draw m. Each draw rounds at most three
-    times, so the result is within 3 m u relative of the exact value,
-    under 1e-10 for every m the cell budget admits in the deep tail.
-    """
-    if n * (m + 1) > _DP_CELL_BUDGET:
-        raise ValueError(
-            f"coupon table n={n}, m={m} exceeds the n*m <= 1e9 cell budget")
-    mant = np.zeros(n + 1)
-    expo = np.full(n + 1, _NO_EXPONENT, dtype=np.int64)
-    mant[1], expo[1] = 0.5, 1  # D_1 = 1 surely: 1 = 0.5 * 2^1
-    d = np.arange(n + 1, dtype=float)
-    stay, move = d / n, (n + 1.0 - d) / n
-    for t in range(1, m):
-        lo, hi = max(1, n - m + t + 1), min(t + 1, n) + 1  # D_{t+1} in [lo, hi)
-        e_stay, e_move = expo[lo:hi], expo[lo - 1:hi - 1]
-        big = np.maximum(e_stay, e_move)
-        total = (np.ldexp(mant[lo:hi] * stay[lo:hi], e_stay - big)
-                 + np.ldexp(mant[lo - 1:hi - 1] * move[lo:hi], e_move - big))
-        mant[lo:hi], shift = np.frexp(total)
-        expo[lo:hi] = np.where(mant[lo:hi] > 0.0, big + shift, _NO_EXPONENT)
-    if mant[n] == 0.0:
-        return -math.inf
-    return math.log(mant[n]) + float(expo[n]) * math.log(2.0)
-
-
-def _coupon_dp_top(n: int, m: int) -> int:
-    """How far to build the DP after the lower series misses at m.
-
-    m*(n), the least m' in [m, floor(n log n) + 2n] that the series
-    certifies, found by bisection, so that one row serves every later miss
-    at this n; m itself when the series certifies nowhere in that range
-    or when a row to m* would break the cell budget.
-    """
-    def certified(mm: int) -> bool:
-        return _coupon_series(n, mm, upper=False)[1] <= _SERIES_TARGET
-
-    lo, hi = m, math.floor(n * math.log(n)) + 2 * n
-    if hi <= lo or not certified(hi):
-        return m
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if certified(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi if n * (hi + 1) <= _DP_CELL_BUDGET else m
-
-
-def _coupon_log_cdf(n: int, m: int, rows: dict) -> float:
-    """log P(T_n <= m): the alternating series where its rounding bound
-    certifies 1e-10 relative, else the exact dynamic program.
-
-    rows caches one DP row per n, {n: (cumulative pmf, log rescale)}. The
-    first miss at n builds it to m*(n) (see _coupon_dp_top), so every
-    later miss at that n reads the same row; only a miss beyond the row
-    builds it again. A value below the row's floor (_dp_log_floor), where
-    the zeroed subnormals could cost more than 1e-10 relative, comes from
-    _coupon_chain_log_cdf, which is not cached.
-    """
+def _coupon_log_cdf(n: int, m: int) -> float:
+    """log P(T_n <= m): the series where its bound certifies 1e-10, else
+    _coupon_tilt where its bound does, else a ValueError. log1p(-P(T_n > m))
+    from the upper series, where that is below 1/2, keeps log p relative."""
     n, m = _coupon_nm(n, m)
     if m < n:
         return -math.inf
     log_p, bound = _coupon_series(n, m, upper=False)
-    if bound <= _SERIES_TARGET:
-        return log_p
-    row = rows.get(n)
-    if row is None or m >= len(row[0]):
-        row = rows[n] = _coupon_dp(n, _coupon_dp_top(n, m))
-    log_p = _dp_log_cdf(*row, m)
-    if log_p >= _dp_log_floor(n, len(row[0])):
-        return log_p
-    return _coupon_chain_log_cdf(n, m)
+    if bound > _SERIES_TARGET:
+        log_p, bound = _coupon_tilt(n, m)
+    elif n > 1 and log_p > -math.log(2.0):
+        log_q, bound_q = _coupon_series(n, m, upper=True)
+        if bound_q <= _SERIES_TARGET:
+            return stable_log_complement(log_q)
+    if not bound <= _SERIES_TARGET:
+        raise ValueError(
+            f"coupon lower tail n={n}, m={m}: the tilted inversion's error "
+            f"bound {bound:.3g} exceeds {_SERIES_TARGET:g}")
+    return log_p
 
 
-def _coupon_log_sf(n: int, m: int, rows: dict) -> float:
-    """log P(T_n > m): the alternating series where its rounding bound
-    certifies 1e-10 relative, else the complement of _coupon_log_cdf.
-
-    The upper series is the better conditioned of the two, so it misses
-    only deep in the lower tail, where P(T_n <= m) is small and its
-    complement loses nothing.
-    """
+def _coupon_log_sf(n: int, m: int) -> float:
+    """log P(T_n > m): the series where its bound certifies 1e-10, else the
+    complement of _coupon_log_cdf. The upper series misses only deep in
+    the lower tail, where that complement loses nothing."""
     n, m = _coupon_nm(n, m)
     if m < n:
         return 0.0
@@ -654,7 +677,7 @@ def _coupon_log_sf(n: int, m: int, rows: dict) -> float:
     log_p, bound = _coupon_series(n, m, upper=True)
     if bound <= _SERIES_TARGET:
         return log_p
-    return stable_log_complement(_coupon_log_cdf(n, m, rows))
+    return stable_log_complement(_coupon_log_cdf(n, m))
 
 
 def coupon_cdf_dp(n: int, m: int) -> float:
@@ -663,10 +686,11 @@ def coupon_cdf_dp(n: int, m: int) -> float:
     n, m = _coupon_nm(n, m)
     if m < n:
         return 0.0
-    lc = _dp_log_cdf(*_coupon_dp(n, m), m)
-    if lc == -math.inf:
+    cum, log_scale = _coupon_dp(n, m)
+    s = float(cum[m])
+    if s <= 0.0:
         return 0.0
-    return math.exp(lc)
+    return math.exp(math.log(min(s, 1.0)) if log_scale == 0.0 else math.log(s) + log_scale)
 
 
 def coupon_cdf_inclusion_exclusion(n: int, m: int) -> float:
@@ -674,8 +698,8 @@ def coupon_cdf_inclusion_exclusion(n: int, m: int) -> float:
 
     Evaluated in integer arithmetic, so the alternating cancellation is
     lossless and the only rounding is the final conversion to float. A
-    cell budget keeps the big-integer work bounded; the dynamic program
-    is the engine for anything larger.
+    cell budget keeps the big-integer work bounded; coupon_cdf_dp is the
+    reference beyond it.
     """
     n, m = _coupon_nm(n, m)
     if m < n:
@@ -743,11 +767,9 @@ def make_coupon() -> FamilySpec:
 
     T_n is a sum of geometric waits with success (n-k+1)/n for the k-th
     new coupon, so T_n >= n and both tails reduce to integer thresholds
-    on T_n. Each instance owns its cache of dynamic-program rows, one per
-    n; instances share nothing.
+    on T_n. The exact tails keep no state, so every instance answers a
+    query with the same bits and the same memory.
     """
-    rows: dict[int, tuple[np.ndarray, float]] = {}
-
     def rate_fn(x: float) -> float:
         if x < 0.0:
             return math.inf
@@ -756,12 +778,12 @@ def make_coupon() -> FamilySpec:
     def log_upper(n: int, x: float) -> float:
         n = _check_n(n, 2, None, "coupon")
         _, m_up = coupon_threshold_pair(n, x)
-        return _coupon_log_sf(n, m_up - 1, rows)
+        return _coupon_log_sf(n, m_up - 1)
 
     def log_lower(n: int, x: float) -> float:
         n = _check_n(n, 2, None, "coupon")
         m_lo, _ = coupon_threshold_pair(n, x)
-        return _coupon_log_cdf(n, m_lo, rows)
+        return _coupon_log_cdf(n, m_lo)
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
         n = _check_n(n, 2, None, "coupon")

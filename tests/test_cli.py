@@ -35,6 +35,16 @@ def test_verify_weak_coupon_passes(capsys):
     assert sups[0] > sups[1] > sups[2]
 
 
+def test_verify_weak_coupon_beyond_the_tilt_is_usage_error(capsys):
+    # at n = 1e9 the lower series misses the left end of the grid and the
+    # tilted inversion cannot certify it: a message, not a hang
+    code = main(["verify", "weak", "--family", "coupon", "--n", "1e9"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "coupon lower tail n=1000000000" in err
+    assert "bound" in err
+
+
 def test_lemmas_exit_codes(capsys):
     assert main(["lemmas", "--dist", "weibull:2"]) == EXIT_PASS
     assert "verdict pass" in capsys.readouterr().out

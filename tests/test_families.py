@@ -6,6 +6,7 @@ itself.
 """
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -38,9 +39,9 @@ from mdlab import (
     weibull,
 )
 from mdlab import families
-from mdlab.diagnostics import weak_probe
+from mdlab.diagnostics import ldp_probe, weak_probe
 from mdlab.estimators import UniformPanel
-from mdlab.families import _coupon_log_cdf, _coupon_log_sf, _coupon_series
+from mdlab.families import _coupon_log_cdf, _coupon_log_sf, _coupon_series, _coupon_tilt
 
 CANONICAL_SPECS = [
     "classical:sigma=1",
@@ -362,46 +363,57 @@ def test_coupon_two_types_takes_the_series_in_small_memory():
         assert peak < 2 ** 20
 
 
-class _CountingLfilter:
-    def __init__(self, monkeypatch):
-        self.calls = 0
-        self._inner = families.lfilter
-        monkeypatch.setattr(families, "lfilter", self)
-
-    def __call__(self, *args):
-        self.calls += 1
-        return self._inner(*args)
+_STATELESS_XS = (-0.5, -0.35, -0.3, 0.0)
 
 
-def test_coupon_weak_probe_builds_its_dp_once(monkeypatch):
-    lf = _CountingLfilter(monkeypatch)
-    report = weak_probe(make_coupon(), (1000,))
-    assert len(report.rows) == 61
-    assert lf.calls == 999  # one pass per new coupon, k = 2..1000
+def _lower_tails(fam, n):
+    values, peaks = [], []
+    for x in _STATELESS_XS:
+        tracemalloc.start()
+        try:
+            value = fam.exact_log_lower_tail(n, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        values.append(value.hex())
+        peaks.append(peak)
+    return values, peaks
 
 
-def test_coupon_instances_share_no_dp_cache(monkeypatch):
-    lf = _CountingLfilter(monkeypatch)
-    first, second = make_coupon(), make_coupon()
-    first.exact_log_lower_tail(200, -0.3)  # m = 741, below m*(200) = 774
-    assert lf.calls == 199
-    first.exact_log_lower_tail(200, -0.35)  # m = 688: the same row serves it
-    assert lf.calls == 199
-    second.exact_log_lower_tail(200, -0.3)
-    assert lf.calls == 2 * 199
+@pytest.mark.parametrize("n", [200, 1000])
+def test_coupon_lower_tail_is_stateless(n):
+    # a fresh instance, a second one and one a weak probe has warmed give
+    # the same bits and the same allocation peak, on the tilt (x < 0 here)
+    # and on the series (x = 0). Peaks agree to within single small
+    # interpreter objects (59 bytes apart between runs); a kept row of the
+    # 5510 draws the series misses at n = 1000 would be 44 KB.
+    certified = [_coupon_series(n, coupon_threshold_pair(n, x)[0], upper=False)[1]
+                 <= families._SERIES_TARGET for x in _STATELESS_XS]
+    assert certified == [False, False, False, True]
+    fresh, second, warmed = make_coupon(), make_coupon(), make_coupon()
+    weak_probe(warmed, (1000,))
+    values, peaks = _lower_tails(fresh, n)
+    for fam in (second, warmed, fresh):
+        again, again_peaks = _lower_tails(fam, n)
+        assert again == values
+        assert np.all(np.abs(np.subtract(again_peaks, peaks)) <= 512), (again_peaks, peaks)
+
+
+def _series_switch(n):
+    # the least m at which the lower series certifies; the tilt runs below
+    m = n
+    while _coupon_series(n, m, upper=False)[1] > families._SERIES_TARGET:
+        m += 1
+    return m
 
 
 @pytest.mark.parametrize("n", [50, 200, 1000])
 def test_coupon_tails_sum_to_one_across_the_switch(n):
-    rows = {}
-    m_star = families._coupon_dp_top(n, n)
-    # m* is where the lower series starts to certify; below it the DP runs
-    assert _coupon_series(n, m_star, upper=False)[1] <= families._SERIES_TARGET
-    assert _coupon_series(n, m_star - 1, upper=False)[1] > families._SERIES_TARGET
+    m_star = _series_switch(n)
+    assert m_star > n + n // 2
     for m in (m_star - n // 2, m_star - 2, m_star - 1, m_star, m_star + 1, m_star + n):
-        total = math.exp(_coupon_log_cdf(n, m, rows)) + math.exp(_coupon_log_sf(n, m, rows))
+        total = math.exp(_coupon_log_cdf(n, m)) + math.exp(_coupon_log_sf(n, m))
         assert total == pytest.approx(1.0, abs=1e-12), m
-    assert len(rows[n][0]) == m_star + 1
 
 
 def _log_surjection_fraction(n, m):
@@ -422,25 +434,73 @@ def test_coupon_deep_lower_tail_is_exact():
     assert fam.exact_log_lower_tail(1000, x) == pytest.approx(exact, abs=1e-10)
 
 
-def test_coupon_lower_tail_across_the_row_floor():
-    # the DP row answers down to its floor, the chain below it
-    n, rows = 1000, {}
-    values = {m: _coupon_log_cdf(n, m, rows) for m in (1000, 1050, 1100, 1150, 1250, 1500)}
-    floor = families._dp_log_floor(n, len(rows[n][0]))
-    assert min(values.values()) < floor < max(values.values())
-    for m, value in values.items():
+def test_coupon_lower_tail_deep_against_inclusion_exclusion():
+    # m = n is the closed form n!/n^n; the rest go through the tilt
+    n = 1000
+    for m in (1000, 1050, 1100, 1150, 1250, 1500):
+        assert _coupon_series(n, m, upper=False)[1] > families._SERIES_TARGET
+        value = _coupon_log_cdf(n, m)
         assert value == pytest.approx(_log_surjection_fraction(n, m), abs=1e-10), m
 
 
-def test_coupon_chain_matches_inclusion_exclusion():
-    # each draw rounds at most three times: 3 m u relative, plus the
-    # oracle's own 2u (1 + |log p|)
+def test_coupon_tilt_bound_holds_against_inclusion_exclusion():
+    # every (n, m) the lower series leaves uncertified for n in 2..40, m
+    # from n to n log n + 6n, on the grid of the series test: the tilt
+    # certifies each, and its bound holds up to the oracle's 2u (1 + |log p|)
     u = 2.0 ** -53
-    for n in range(2, 31):
-        for m in range(n, int(n * math.log(n) + 6 * n) + 1, max(1, n // 10)):
-            ref = math.log(Fraction(_surjection_count(n, m), n ** m))
-            value = families._coupon_chain_log_cdf(n, m)
-            assert abs(value - ref) <= 3 * m * u + 2 * u * (1.0 + abs(ref)), (n, m)
+    checked = 0
+    for n in range(2, 41):
+        for m in range(n, int(n * math.log(n) + 6 * n) + 1, max(1, n // 15)):
+            if _coupon_series(n, m, upper=False)[1] <= families._SERIES_TARGET:
+                continue
+            value, bound = _coupon_tilt(n, m)
+            assert bound <= families._SERIES_TARGET, (n, m)
+            ref = math.log(coupon_cdf_inclusion_exclusion(n, m))
+            assert abs(value - ref) <= bound + 2.0 * u * (1.0 + abs(ref)), (n, m)
+            checked += 1
+    assert checked > 400
+
+
+def test_coupon_lower_tail_near_one_keeps_relative_accuracy(fam_coupon):
+    # log P(T_n <= m) = log1p(-P(T_n > m)) from the certified upper series,
+    # where the lower series alone rounds log1p(-2^-59) to 0. The relative
+    # error of log p is that of q = P(T_n > m), i.e. the absolute error of
+    # log q: one ulp of log q = -40.9 is 7e-15, so 1e-14 relative is what a
+    # log-domain q can promise (3.8e-15 here)
+    x = 60 / (2.0 * math.log(2.0)) - 1.0
+    assert coupon_threshold_pair(2, x)[0] == 60
+    exact = math.log1p(-(2.0 ** -59))
+    assert fam_coupon.exact_log_lower_tail(2, x) == pytest.approx(exact, rel=1e-14, abs=0.0)
+    # n = 3: P(T_3 > m) = 3 (2/3)^m - 3 (1/3)^m, exactly
+    q = Fraction(3 * (2 ** 150 - 1), 3 ** 150)
+    assert _coupon_log_cdf(3, 150) == pytest.approx(math.log1p(-float(q)), rel=1e-14, abs=0.0)
+
+
+def test_coupon_lower_tail_at_twenty_thousand_types(fam_coupon):
+    # log P(T_20000 <= 138648) from scripts/derive_constants.py (mpmath
+    # alternating sum); the lower series cannot certify it
+    assert coupon_threshold_pair(20000, -0.3)[0] == 138648
+    assert _coupon_series(20000, 138648, upper=False)[1] > families._SERIES_TARGET
+    assert fam_coupon.exact_log_lower_tail(20000, -0.3) == pytest.approx(
+        -19.585765600273233, abs=1e-10)
+    report = ldp_probe(fam_coupon, (-0.3,), (20, 200, 2000, 20000))
+    assert [r.n for r in report.rows] == [20, 200, 2000, 20000]
+    assert all(math.isfinite(r.log_p_exact) for r in report.rows)
+
+
+def test_coupon_uncertifiable_lower_tail_fails_fast_and_small(fam_coupon):
+    # n = 1e9: the grid the tilt would need cannot certify 1e-10, which the
+    # a-priori bound shows before anything is allocated
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match=r"n=1000000000, m=14506286085: .* bound"):
+            fam_coupon.exact_log_lower_tail(10 ** 9, -0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < 2 ** 20
 
 
 def test_coupon_cdf_dp_below_the_normal_range_of_its_neighbours():

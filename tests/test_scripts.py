@@ -24,6 +24,12 @@ def test_derive_constants_runs():
     assert proc.stdout.strip()
 
 
+def test_lemma_survey_runs():
+    proc = _run("scripts/lemma_survey.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "8/10 members pass the battery" in proc.stdout
+
+
 def test_run_all_regimes_writes_reports_that_re_judge_the_same(tmp_path):
     proc = _run("scripts/run_all_regimes.py", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
