@@ -6,6 +6,13 @@ uniform generator: every variate is a pure function of
 (seed, trial index, draw index), so a run can be partitioned across any
 number of workers and the merged counts are bit-identical to a serial
 run. There is no sequential generator state anywhere.
+
+UniformPanel mixes the draws a sampler reads in order as blocks of
+columns, 256 KB at most (or one column, if that is larger), so a sampler
+that reads thousands of columns pays numpy's per-call cost once per
+block, not once per column. What a panel serves is the same stream
+counter_uniforms gives, bit for bit, through the same FamilySpec
+contract: len(panel) and panel.column(draw).
 """
 from __future__ import annotations
 
@@ -40,34 +47,63 @@ def stable_log_complement(log_p: float) -> float:
     return math.log1p(-math.exp(log_p))
 
 
-# Counter-based uniforms. splitmix64 finalizer with golden-ratio key
-# folding. numpy uint64 arrays wrap silently on overflow (scalars warn),
-# so all arithmetic below stays in array form.
+# Counter-based uniforms: splitmix64's finalizer (Steele, Lea & Flood
+# 2014) used as a counter-based generator (Salmon et al. 2011), with
+# golden-ratio key folding. Every step writes in place through `out=`, one
+# cache-sized chunk at a time, so a call allocates its result and one
+# scratch chunk and no temporaries. numpy uint64 arrays wrap silently on
+# overflow (scalars warn), so all arithmetic below stays in array form.
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
+_BLOCK = 1 << 15  # uint64 words per chunk (256 KB) and per read-ahead block
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX_A
-    z = (z ^ (z >> np.uint64(27))) * _MIX_B
-    return z ^ (z >> np.uint64(31))
+def _chunks(z: np.ndarray):
+    """(chunk, scratch) pairs covering the C-contiguous z, _BLOCK words each."""
+    flat = z.reshape(-1)
+    scratch = np.empty(min(flat.size, _BLOCK), dtype=np.uint64)
+    for lo in range(0, flat.size, _BLOCK):
+        c = flat[lo:lo + _BLOCK]
+        yield c, scratch[:c.size]
+
+
+def _mix64(c: np.ndarray, s: np.ndarray) -> None:
+    # splitmix64's finalizer on the chunk c, in place; s is scratch
+    for shift, mult in ((30, _MIX_A), (27, _MIX_B), (31, None)):
+        np.right_shift(c, np.uint64(shift), out=s)
+        np.bitwise_xor(c, s, out=c)
+        if mult is not None:
+            np.multiply(c, mult, out=c)
 
 
 def _trial_keys(seed: int, trials) -> np.ndarray:
-    # the key mix: one 64-bit key per (seed, trial)
-    t = np.atleast_1d(np.asarray(trials, dtype=np.uint64))
-    s = np.full(1, seed & _U64_MASK, dtype=np.uint64)
-    return _mix64(s + _GOLDEN * (t + np.uint64(1)))
+    # the key mix: one 64-bit key per (seed, trial); trials is not written
+    keys = np.add(np.atleast_1d(np.asarray(trials, dtype=np.uint64)), np.uint64(1))
+    np.multiply(keys, _GOLDEN, out=keys)
+    np.add(keys, np.uint64(seed & _U64_MASK), out=keys)
+    for c, s in _chunks(keys):
+        _mix64(c, s)
+    return keys
 
 
 def _key_uniforms(keys: np.ndarray, draw) -> np.ndarray:
-    # the draw mix: uniforms in (0, 1) from trial keys and draw indices
+    # the draw mix: uniforms in (0, 1) from trial keys and draw indices,
+    # broadcast together. Each chunk of mixed words is turned into its
+    # doubles in the same memory: the top 53 bits go to the scratch first.
     d = np.atleast_1d(np.asarray(draw, dtype=np.uint64))
-    v = _mix64(keys + _GOLDEN * (d + np.uint64(1)))
-    return ((v >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    offset = _GOLDEN * (d + np.uint64(1))
+    z = np.empty(np.broadcast_shapes(keys.shape, d.shape), dtype=np.uint64)
+    np.add(keys, offset, out=z)
+    for c, s in _chunks(z):
+        _mix64(c, s)
+        np.right_shift(c, np.uint64(11), out=s)
+        u = c.view(np.float64)
+        np.add(s, 0.5, out=u)
+        np.multiply(u, 2.0**-53, out=u)
+    return z.view(np.float64)
 
 
 def counter_uniforms(seed: int, trials, draw) -> np.ndarray:
@@ -85,8 +121,14 @@ def counter_uniforms(seed: int, trials, draw) -> np.ndarray:
 class UniformPanel:
     """Vectorized access to the uniforms of a contiguous block of trials.
 
-    The trial keys are mixed once here; each column only does the draw mix,
-    and equals counter_uniforms(seed, range(start, stop), draw) bitwise.
+    The trial keys are mixed once here. column(draw) equals
+    counter_uniforms(seed, range(start, stop), draw) bitwise, whatever the
+    order of the calls, and is read-only. Draws are mixed in blocks: a
+    column that follows the last block mixes the next 1, 2, 4, ... draws
+    as one (draws, trials) block of at most _BLOCK words (256 KB), or one
+    draw where a column is larger, and the columns are rows of it; any
+    other column mixes alone. Each refill is a new array, so a column
+    already returned never changes.
     """
 
     def __init__(self, seed: int, start: int, stop: int):
@@ -96,13 +138,24 @@ class UniformPanel:
         self.start = start
         self.stop = stop
         self._keys = _trial_keys(seed, np.arange(start, stop, dtype=np.uint64))
+        self._cap = max(1, _BLOCK // max(1, len(self)))  # draws per block
+        self._first = 0  # draw index of the block's first row
+        self._block = np.empty((0, len(self)))
 
     def __len__(self) -> int:
         return self.stop - self.start
 
     def column(self, draw: int) -> np.ndarray:
         """The draw-th uniform of every trial in the block."""
-        return _key_uniforms(self._keys, draw)
+        i = draw - self._first
+        rows = len(self._block)
+        if not 0 <= i < rows:
+            width = min(2 * rows or 1, self._cap) if i == rows else 1
+            draws = np.arange(draw, draw + width, dtype=np.uint64)
+            self._block = _key_uniforms(self._keys, draws[:, None])
+            self._block.flags.writeable = False
+            self._first, i = draw, 0
+        return self._block[i]
 
 
 @dataclass(frozen=True)

@@ -422,6 +422,7 @@ _SERIES_TARGET = 1e-10
 _U = 2.0 ** -53  # unit roundoff
 _ULP = 2.0 * _U  # log, log1p and exp are taken to be within one ulp
 _SUBNORMAL = 5e-324  # absolute error of an exp that lands below the normal range
+_TILT_CHUNK = 1 << 14  # trapezoid nodes summed per pass of _coupon_tilt
 _SERIES_CHUNK = 64  # terms in the first chunk of the series; each next one doubles
 
 
@@ -584,33 +585,40 @@ def _coupon_tilt(n: int, m: int) -> tuple[float, float]:
     a_priori = alias + size / 2 * _U + 7 * _U * m / sd + err  # the phase errs by ~9 u m |t|
     if a_priori > _SERIES_TARGET:
         return math.nan, a_priori
-    s = np.arange(size // 2 + 1) / size  # t = 2 pi s; the other half mirrors
-    sin_t, cos_t, phase = sindg(360.0 * s), cosdg(360.0 * s), 2.0 * math.pi * (s * m)
-    if lam > 1.0:
-        pos = cos_t >= 0.0
-        arg = lam * np.where(pos, -sin_t, sin_t)
-        v = -np.exp(-lam * np.abs(cos_t) + 1j * arg)  # -e^{-w}, or -e^{w} where cos t < 0
-        err_v = 5 * _U * np.abs(v) * (1.0 + lam * np.abs(cos_t) + np.abs(arg))
-        re = np.where(pos, -2.0 * n * lam * sindg(180.0 * s) ** 2, -n * lam)
-        im = np.where(pos, n * lam * sin_t, math.pi * (n % 2))
-    else:
-        w, q = lam * (cos_t + 1j * sin_t), 0.0
-        for k in range(19, 1, -1):  # q(w) = (g(w) - 1)/w to 1/20!
-            q = q * w + 1.0 / math.factorial(k)
-        v, err_v, re, im = w * q, 16 * _U * lam, 0.0, 2.0 * math.pi * (s * n)
-    ell, err_ell = _clog1p(v, err_v)
-    d = n * (ell - ell[0])
-    expo = re + d.real + 1j * (im - phase + d.imag)
-    term = np.exp(expo)
-    err_term = np.expm1(11 * _U * np.abs(re) + 6 * _U * np.abs(im) + 3 * _U * phase + n * err_ell
-                        + 2 * _U * (np.abs(d) + np.abs(expo)) + 10 * _U)
-    weight = np.where((s == 0.0) | (s == 0.5), 1.0, 2.0)
-    p = float(weight @ term.real) / size
-    slack = (float(weight @ (np.abs(term) * err_term)) + (len(s) - 1) * _U
-             * float(weight @ np.abs(term.real))) / size + math.exp(log_alias)
+    nodes = size // 2 + 1  # t = 2 pi s, s = j/size; the other half mirrors
+    total = total_err = total_abs = 0.0
+    for lo in range(0, nodes, _TILT_CHUNK):  # the sums, chunk by chunk
+        s = np.arange(lo, min(lo + _TILT_CHUNK, nodes)) / size
+        sin_t, cos_t, phase = sindg(360.0 * s), cosdg(360.0 * s), 2.0 * math.pi * (s * m)
+        if lam > 1.0:
+            pos = cos_t >= 0.0
+            arg = lam * np.where(pos, -sin_t, sin_t)
+            v = -np.exp(-lam * np.abs(cos_t) + 1j * arg)  # -e^{-w}, or -e^{w} where cos t < 0
+            err_v = 5 * _U * np.abs(v) * (1.0 + lam * np.abs(cos_t) + np.abs(arg))
+            re = np.where(pos, -2.0 * n * lam * sindg(180.0 * s) ** 2, -n * lam)
+            im = np.where(pos, n * lam * sin_t, math.pi * (n % 2))
+        else:
+            w, q = lam * (cos_t + 1j * sin_t), 0.0
+            for k in range(19, 1, -1):  # q(w) = (g(w) - 1)/w to 1/20!
+                q = q * w + 1.0 / math.factorial(k)
+            v, err_v, re, im = w * q, 16 * _U * lam, 0.0, 2.0 * math.pi * (s * n)
+        ell, err_ell = _clog1p(v, err_v)
+        if lo == 0:
+            ell0 = ell[0]
+        d = n * (ell - ell0)
+        expo = re + d.real + 1j * (im - phase + d.imag)
+        term = np.exp(expo)
+        err_term = np.expm1(11 * _U * np.abs(re) + 6 * _U * np.abs(im) + 3 * _U * phase
+                            + n * err_ell + 2 * _U * (np.abs(d) + np.abs(expo)) + 10 * _U)
+        weight = np.where((s == 0.0) | (s == 0.5), 1.0, 2.0)
+        total += float(weight @ term.real)
+        total_err += float(weight @ (np.abs(term) * err_term))
+        total_abs += float(weight @ np.abs(term.real))
+    p = total / size
+    slack = (total_err + (nodes - 1) * _U * total_abs) / size + math.exp(log_alias)
     if not p > slack:
         return math.nan, math.inf
-    c0 = n * float(ell[0].real)  # the n log g(lam) that d leaves out; its rounding cancels
+    c0 = n * float(ell0.real)  # the n log g(lam) that d leaves out; its rounding cancels
     value = math.fsum(pre + [c0, math.log(p)])
     bound = slack / (p - slack) + _ULP * abs(math.log(p)) + err + _U * (abs(c0) + abs(value))
     return min(value, 0.0), bound

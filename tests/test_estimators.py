@@ -1,6 +1,8 @@
 """Log-domain helpers and the counter-based Monte Carlo engine."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +31,22 @@ PARTITION_CASES = [
     ("replacement:exponential:1,exponential:2,t=1,beta=0.4", 10, -0.1, "lower"),
     ("gumbel_maxima:gamma:2", 100, 0.1, "upper"),
     ("replacement:gamma:2,exponential:2,t=1,beta=0.4", 10, -0.1, "lower"),
+    # 199 columns: panels of 4096, 2048 and 512 trials read ahead 8, 16
+    # and 64 draws at a time
+    ("coupon", 200, 0.4, "upper"),
 ]
+# the spec names a case; a spec seen before adds its n
+PARTITION_IDS = [spec if [c[0] for c in PARTITION_CASES].index(spec) == i else f"{spec}-n{n}"
+                 for i, (spec, n, _, _) in enumerate(PARTITION_CASES)]
+
+# access orders for the panel's read-ahead: in order, repeated, backwards
+# and with jumps that leave and re-enter a block
+COLUMN_ORDERS = {
+    "sequential": list(range(300)),
+    "repeats": [0, 0, 1, 1, 2, 0, 2, 3, 3, 1],
+    "backwards": list(range(40, -1, -1)),
+    "jumps": [1000, 7, 8, 9, 10, 1000, 1001, 3, 64, 65, 66, 0],
+}
 
 
 @given(log_p=st.floats(min_value=-745.0, max_value=-1e-12))
@@ -63,6 +80,56 @@ def test_panel_columns_equal_counter_uniforms_bitwise(start, stop):
         assert np.array_equal(panel.column(draw), ref)
 
 
+@pytest.mark.parametrize("seed,grid,columns", [
+    (5, "cc91a0a3f5e18283786833d9604bf082ce08f56ccb2128a003b51727d551dc06",
+     "71523c83bfdd5c64a38436a796e856f8ddbe3b28c907704e7238639eb726ba86"),
+    (2**63 + 5, "a36bbb95e215eeaa6f782a2b2b2585a7ac0fc09d25fc2189569f3f75e7b3481d",
+     "f84d6a70362683af0e2d3854af8e06364b71191745182a130eb3cc5d071345bd"),
+])
+def test_counter_stream_matches_frozen_digests(seed, grid, columns):
+    # SHA-256 of the stream as first released: any change to the key or
+    # draw mix, the float conversion or the panel shows here
+    u = counter_uniforms(seed, np.arange(70001)[:, None], np.arange(4)[None, :])
+    assert hashlib.sha256(np.ascontiguousarray(u).tobytes()).hexdigest() == grid
+    panel = UniformPanel(seed, 37, 2037)
+    got = b"".join(panel.column(d).tobytes() for d in range(300))
+    assert hashlib.sha256(got).hexdigest() == columns
+
+
+@pytest.mark.parametrize("order", COLUMN_ORDERS)
+@pytest.mark.parametrize("trials", [1, 2000, 70001])
+def test_panel_read_ahead_serves_the_counter_stream(trials, order):
+    # 70001 trials span three mixing chunks and read ahead one draw
+    panel = UniformPanel(seed=5, start=37, stop=37 + trials)
+    keys = panel._keys.copy()
+    idx = np.arange(37, 37 + trials)
+    first = prev = None
+    for draw in COLUMN_ORDERS[order]:
+        col = panel.column(draw)
+        assert col.shape == (trials,)
+        assert np.array_equal(col, counter_uniforms(5, idx, draw))
+        if prev is not None:  # a refill leaves what was returned alone
+            assert np.array_equal(prev[1], counter_uniforms(5, idx, prev[0]))
+        first = first or (draw, col)
+        prev = (draw, col)
+    assert np.array_equal(first[1], counter_uniforms(5, idx, first[0]))
+    assert np.array_equal(panel._keys, keys)
+    with pytest.raises(ValueError):
+        col[0] = 0.5
+
+
+def test_coupon_sampler_reads_ahead_in_bounded_memory():
+    # 1999 columns of 2000 trials; the read-ahead holds at most two blocks
+    fam = make_coupon()
+    tracemalloc.start()
+    try:
+        fam.count_hits(2000, -0.3, "lower", UniformPanel(1, 0, 2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_counter_uniforms_shape_and_range():
     u = counter_uniforms(seed=9, trials=np.arange(1000), draw=3)
     assert u.shape == (1000,)
@@ -82,8 +149,7 @@ def test_counter_uniforms_moments():
     assert abs(u.var() - 1.0 / 12.0) < 0.002
 
 
-@pytest.mark.parametrize("spec,n,x,side", PARTITION_CASES,
-                         ids=[case[0] for case in PARTITION_CASES])
+@pytest.mark.parametrize("spec,n,x,side", PARTITION_CASES, ids=PARTITION_IDS)
 def test_mc_partition_invariance(spec, n, x, side):
     fam = parse_family_spec(spec)
     base = mc_log_tail(fam, n=n, x=x, side=side, trials=4096, seed=11, partitions=1)

@@ -503,6 +503,32 @@ def test_coupon_uncertifiable_lower_tail_fails_fast_and_small(fam_coupon):
     assert peak < 2 ** 20
 
 
+def test_coupon_tilt_sums_its_grid_in_bounded_memory():
+    # n = 1e8 takes 2^18 + 1 trapezoid nodes, summed _TILT_CHUNK at a time;
+    # the grid in one piece peaked at 46 MB. -251.193010704944 is what the
+    # one-piece sum gave; the (N - 1) u sum |a_j| term of the bound holds
+    # for any order of summation
+    m = coupon_threshold_pair(10 ** 8, -0.3)[0]
+    tracemalloc.start()
+    try:
+        value, bound = _coupon_tilt(10 ** 8, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert bound <= families._SERIES_TARGET
+    assert abs(value - -251.193010704944) <= bound
+
+
+@pytest.mark.parametrize("n,m", [(1000, 1100), (2000, 10641)])  # lam below and above 1
+def test_coupon_tilt_chunks_agree_with_one_pass(n, m, monkeypatch):
+    value, bound = _coupon_tilt(n, m)
+    monkeypatch.setattr(families, "_TILT_CHUNK", 7)
+    chunked, chunked_bound = _coupon_tilt(n, m)
+    assert abs(chunked - value) <= bound
+    assert chunked_bound == pytest.approx(bound, rel=1e-9)
+
+
 def test_coupon_cdf_dp_below_the_normal_range_of_its_neighbours():
     # probabilities between 1e-308 and 1e-290: the plain DP rescales its
     # row and keeps them to full relative accuracy
