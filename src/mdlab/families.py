@@ -556,7 +556,9 @@ def _coupon_tilt(n: int, m: int) -> tuple[float, float]:
     The prefactor has no m log m term: Stirling gives log m! - m log m + m
     and n lam - m is exact. As in _coupon_series each term's exponent has a
     first-order rounding bound (the nodes are exact, as sin and cos take
-    degrees), and the sum errs by (N-1) u sum |a_j|: L u/2 caps the grid.
+    degrees), and the sum errs by (N-1) u sum |a_j| in whatever order it
+    is taken, which lets the grid be summed _TILT_CHUNK nodes at a time
+    in bounded memory. L u/2 caps the grid.
     """
     if m < 50:  # b = log m! - m log m + m
         b = math.lgamma(m + 1.0) - m * math.log(m) + m

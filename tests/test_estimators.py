@@ -87,8 +87,8 @@ def test_panel_columns_equal_counter_uniforms_bitwise(start, stop):
      "f84d6a70362683af0e2d3854af8e06364b71191745182a130eb3cc5d071345bd"),
 ])
 def test_counter_stream_matches_frozen_digests(seed, grid, columns):
-    # SHA-256 of the stream as first released: any change to the key or
-    # draw mix, the float conversion or the panel shows here
+    # frozen SHA-256 digests of the stream: any change to the key or draw
+    # mix, the float conversion or the panel's read-ahead shows here
     u = counter_uniforms(seed, np.arange(70001)[:, None], np.arange(4)[None, :])
     assert hashlib.sha256(np.ascontiguousarray(u).tobytes()).hexdigest() == grid
     panel = UniformPanel(seed, 37, 2037)
