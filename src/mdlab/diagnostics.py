@@ -98,13 +98,13 @@ def _rate_group_verdict(rows: Sequence[Row], factor: float, slack: float) -> str
     target = rows[0].rate_target
     if math.isinf(target):
         # a +inf rate means the tail is superexponential at this speed:
-        # exact zeros pass outright, otherwise the normalized rate has
-        # to climb monotonically without ever coming back down
-        if all(r.log_p_exact == -math.inf for r in rows):
-            return "pass"
-        rates = [r.normalized_rate for r in rows]
+        # exact zeros agree with it and are skipped; the finite rates pass
+        # the final test when the last one tops every earlier one and the
+        # monotone test when they climb
+        rates = [r.normalized_rate for r in rows if r.log_p_exact != -math.inf]
+        final_ok = all(r < rates[-1] for r in rates[:-1])
         climbing = all(b >= a for a, b in zip(rates, rates[1:]))
-        return "pass" if climbing and rates[-1] > rates[0] else "fail"
+        return _judge(final_ok, climbing)
     tol = factor * (1.0 + target)
     res = [abs(r.residual) for r in rows]
     final_ok = res[-1] <= tol

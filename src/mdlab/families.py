@@ -7,6 +7,15 @@ behind one FamilySpec record. Everything downstream (probes, Monte
 Carlo, the command line) works off this record and never
 special-cases a family.
 
+Four samplers (classical, minima, gumbel_maxima, replacement) draw C_n
+from one uniform per trial through a transform f nondecreasing in u. Their
+count_hits brackets the crossing f(u) = x on two successive 255-point
+grids in u, keeping a margin of 1e-9 max(1, |x|) from x, classifies the
+trials outside the bracket by comparing u with its ends, and applies f
+only to the few inside, so the count equals the one f on every trial
+gives. The bracket comes from f alone, never from the exact tails, so
+Monte Carlo stays an independent check of them.
+
 The coupon collection time has one evaluator for both tails: the exact
 alternating series of P(T_n <= m), summed in log-scaled form with a
 computed rounding bound, is returned wherever that bound certifies a
@@ -156,12 +165,12 @@ def power_tail_rate(mu: float) -> RateFunction:
 class FamilySpec:
     """Everything the probes need to know about one scaled statistic.
 
-    count_hits(n, x, side, panel) is the family's only sampler. It draws
-    C_n once per trial of the panel by inverse transform and returns how
-    many draws fall in the tail (C_n >= x for side "upper", C_n <= x for
-    "lower"). It uses only len(panel), the trial count, and
-    panel.column(draw), which returns one uniform in (0, 1) per trial for
-    draw index draw = 0, 1, ...
+    count_hits(n, x, side, panel) is the family's only sampler. It returns
+    the count that drawing C_n by inverse transform on every trial of the
+    panel would give: how many draws fall in the tail (C_n >= x for side
+    "upper", C_n <= x for "lower"), whether or not each draw is formed. It
+    uses only len(panel), the trial count, and panel.column(draw), which
+    returns one uniform in (0, 1) per trial for draw index draw = 0, 1, ...
     """
 
     name: str
@@ -192,6 +201,38 @@ def _count(values: np.ndarray, x: float, side: str) -> int:
     if side == "upper":
         return int(np.count_nonzero(values >= x))
     return int(np.count_nonzero(values <= x))
+
+
+# two rounds of this many interior grid points bracket the crossing f(u) = x
+_BRACKET_GRID = np.arange(1, 256) / 256.0
+
+
+def _count_by_bracket(u: np.ndarray, f, x: float, side: str) -> int:
+    """_count(f(u), x, side) for a transform f nondecreasing in u.
+
+    f is evaluated on a 255-point grid over (0, 1) and again on one over
+    the bracket the first grid leaves. A grid point with f <= x - eta
+    (f >= x + eta) becomes the low (high) end; eta = 1e-9 max(1, |x|) is
+    orders of magnitude above the rounding of f, so every trial at or
+    below the low end has f(u) < x and every one at or above the high end
+    has f(u) > x. Only the trials strictly inside get the full transform.
+    """
+    eta = 1e-9 * max(1.0, abs(x))
+    lo, hi = -math.inf, math.inf
+    a, b = 0.0, 1.0
+    for _ in range(2):
+        g = a + (b - a) * _BRACKET_GRID
+        v = f(g)
+        below = np.flatnonzero(v <= x - eta)
+        above = np.flatnonzero(v >= x + eta)
+        if below.size:
+            lo = a = g[below[-1]]
+        if above.size:
+            hi = b = g[above[0]]
+    hits = _count(f(u[(u > lo) & (u < hi)]), x, side)
+    if side == "upper":
+        return hits + int(np.count_nonzero(u >= hi))
+    return hits + int(np.count_nonzero(u <= lo))
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +267,8 @@ def make_classical_sums(sigma: float = 1.0) -> FamilySpec:
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
         n = _check_n(n, 1, None, "classical_sums")
-        c = sigma * ndtri(panel.column(0)) / math.sqrt(n)
-        return _count(c, x, side)
+        return _count_by_bracket(panel.column(0),
+                                 lambda u: sigma * ndtri(u) / math.sqrt(n), x, side)
 
     return FamilySpec(
         name="classical_sums",
@@ -298,9 +339,9 @@ def make_minima(dist: Distribution) -> FamilySpec:
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
         n = _check_n(n, 1, None, "minima")
-        u = panel.column(0)
-        c = isf_values(dist, np.exp(np.log1p(-u) / n))
-        return _count(c, x, side)
+        return _count_by_bracket(panel.column(0),
+                                 lambda u: isf_values(dist, np.exp(np.log1p(-u) / n)),
+                                 x, side)
 
     return FamilySpec(
         name="minima",
@@ -386,9 +427,9 @@ def make_gumbel_maxima(source) -> FamilySpec:
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
         m = m_of(n)
-        u = panel.column(0)
-        c = isf_values(dist, -np.expm1(np.log(u) / n)) / m - 1.0
-        return _count(c, x, side)
+        return _count_by_bracket(
+            panel.column(0),
+            lambda u: isf_values(dist, -np.expm1(np.log(u) / n)) / m - 1.0, x, side)
 
     return FamilySpec(
         name="gumbel_maxima",
@@ -797,11 +838,16 @@ def make_coupon() -> FamilySpec:
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
         n = _check_n(n, 2, None, "coupon")
-        t = np.ones(len(panel), dtype=np.int64)
+        # every partial sum is an integer below 2^53, so float64 holds T_n exactly
+        t = np.ones(len(panel))
+        s = np.empty(len(panel))
         for k in range(2, n + 1):
             p = (n - k + 1) / n
-            u = panel.column(k - 2)
-            t += np.ceil(np.log1p(-u) / math.log1p(-p)).astype(np.int64)
+            np.negative(panel.column(k - 2), out=s)
+            np.log1p(s, out=s)
+            np.divide(s, math.log1p(-p), out=s)
+            np.ceil(s, out=s)
+            np.add(t, s, out=t)
         m_lo, m_up = coupon_threshold_pair(n, x)
         if side == "upper":
             return int(np.count_nonzero(t >= m_up))
@@ -936,16 +982,19 @@ def make_replacement(params: ReplacementParams) -> FamilySpec:
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
         n = _check_n(n, 1, None, "replacement")
-        u = panel.column(0)
-        z = np.empty_like(u)
-        low = u <= beta
-        if low.any():
-            z[low] = quantile_values(
-                F, np.exp(log_f_t + (np.log(u[low]) - log_beta) / n))
-        if (~low).any():
-            z[~low] = isf_values(
-                G, np.exp(log_sfg_t + (np.log1p(-u[~low]) - log_1mbeta) / n))
-        return _count(z - t, x, side)
+
+        def c_of(u):
+            z = np.empty_like(u)
+            low = u <= beta
+            if low.any():
+                z[low] = quantile_values(
+                    F, np.exp(log_f_t + (np.log(u[low]) - log_beta) / n))
+            if (~low).any():
+                z[~low] = isf_values(
+                    G, np.exp(log_sfg_t + (np.log1p(-u[~low]) - log_1mbeta) / n))
+            return z - t
+
+        return _count_by_bracket(panel.column(0), c_of, x, side)
 
     label = (f"replacement:{render_dist_spec(F)},{render_dist_spec(G)},"
              f"t={t!r},beta={beta!r}")

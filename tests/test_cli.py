@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from mdlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, RunConfig, main
+from mdlab.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE, RunConfig, main
 
 
 def test_verify_ld_minima_passes(capsys):
@@ -43,6 +43,15 @@ def test_verify_weak_coupon_beyond_the_tilt_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert "coupon lower tail n=1000000000" in err
     assert "bound" in err
+
+
+def test_verify_ld_coupon_dip_is_inconclusive(capsys):
+    # normalized rates 1.042, 0.979, 1.305, 1.978 against a +inf target:
+    # the last tops every earlier one, the n = 200 dip breaks monotonicity
+    code = main(["verify", "ld", "--family", "coupon", "--x=-0.3",
+                 "--n", "20,200,2000,20000"])
+    assert code == EXIT_INCONCLUSIVE
+    assert "verdict inconclusive" in capsys.readouterr().out
 
 
 def test_lemmas_exit_codes(capsys):

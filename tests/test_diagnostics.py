@@ -71,6 +71,27 @@ def test_verdict_infinite_target_branch():
     assert evaluate_verdict(sagging, {}) == "fail"
 
 
+def test_verdict_infinite_target_judges_finite_rates():
+    def group(points):
+        return [_row(n=n, rate_target=math.inf, log_p_exact=lp, normalized_rate=v,
+                     residual=math.nan) for n, lp, v in points]
+
+    # the coupon ld probe at x = -0.3 on n = 20..20000: a finite-n dip at
+    # n = 200, then the rate grows past every earlier one
+    dip = group([(20, -3.0, 1.042), (200, -5.0, 0.979), (2000, -9.9, 1.305),
+                 (20000, -19.6, 1.978)])
+    assert evaluate_verdict(dip, {}) == "inconclusive"
+    # an impossible event at n = 2 agrees with a +inf rate and is skipped
+    zero_first = group([(2, -math.inf, math.inf), (20, -3.0, 1.042),
+                        (200, -7.0, 1.3), (2000, -9.9, 1.305)])
+    assert evaluate_verdict(zero_first, {}) == "pass"
+    zero_then_dip = [zero_first[0]] + dip
+    assert evaluate_verdict(zero_then_dip, {}) == "inconclusive"
+    climbs_then_falls = group([(2, -math.inf, math.inf), (20, -3.0, 1.0),
+                               (200, -7.0, 2.0), (2000, -9.9, 1.5)])
+    assert evaluate_verdict(climbs_then_falls, {}) == "fail"
+
+
 def test_verdict_weak_groups_by_n():
     rows = [_row(regime="weak", n=n, x=x, residual=r)
             for n, x, r in [(10, 0.1, 0.04), (10, 0.2, 0.02),

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from mdlab import (
     ReplacementParams,
@@ -41,6 +42,7 @@ from mdlab import (
 from mdlab import families
 from mdlab.diagnostics import ldp_probe, weak_probe
 from mdlab.estimators import UniformPanel
+from mdlab.distributions import gamma, isf_values, quantile_values
 from mdlab.families import _coupon_log_cdf, _coupon_log_sf, _coupon_series, _coupon_tilt
 
 CANONICAL_SPECS = [
@@ -75,16 +77,16 @@ def test_classical_rate_is_quadratic(fam_classical):
 
 
 class _FixedPanel:
-    """A one-trial panel whose every uniform is u."""
+    """A panel whose trials draw the uniforms u (a scalar is one trial)."""
 
     def __init__(self, u):
-        self.u = u
+        self.u = np.atleast_1d(np.asarray(u, dtype=float))
 
     def __len__(self):
-        return 1
+        return len(self.u)
 
     def column(self, draw):
-        return np.array([self.u])
+        return self.u
 
 
 def _flips_between(fam, n, lo, hi, side, panel):
@@ -614,6 +616,110 @@ def test_replacement_sampler_tracks_exact_cdf(fam_replacement):
     hits = fam_replacement.count_hits(10, -0.3, "lower", panel)
     exact = math.exp(fam_replacement.exact_log_lower_tail(10, -0.3))
     assert abs(hits / trials - exact) < 4.0 * math.sqrt(exact * (1 - exact) / trials)
+
+
+# --- count_hits against the full inverse transform ---------------------------
+
+def _classical_transform(fam, n):
+    return lambda u: 1.0 * ndtri(u) / math.sqrt(n)  # sigma = 1
+
+
+def _minima_transform(dist):
+    return lambda fam, n: lambda u: isf_values(dist, np.exp(np.log1p(-u) / n))
+
+
+def _gumbel_transform(dist):
+    def transform(fam, n):
+        m = dist.isf(1.0 / n)
+        return lambda u: isf_values(dist, -np.expm1(np.log(u) / n)) / m - 1.0
+    return transform
+
+
+def _replacement_transform(F, G, t, beta):
+    def transform(fam, n):
+        def c(u):
+            z = np.empty_like(u)
+            low = u <= beta
+            if low.any():
+                z[low] = quantile_values(
+                    F, np.exp(F.log_cdf(t) + (np.log(u[low]) - math.log(beta)) / n))
+            if (~low).any():
+                z[~low] = isf_values(
+                    G, np.exp(G.log_sf(t) + (np.log1p(-u[~low]) - math.log1p(-beta)) / n))
+            return z - t
+        return c
+    return transform
+
+
+# (spec, n, the inverse transform every trial used to go through)
+TRANSFORM_CASES = [
+    ("classical:sigma=1", 100, _classical_transform),
+    ("minima:exponential:1", 10, _minima_transform(exponential(1.0))),
+    # minima needs F'(0+) > 0, so gamma:1 stands in for gamma's Newton isf
+    ("minima:gamma:1", 10, _minima_transform(gamma(1.0))),
+    ("gumbel_maxima:weibull:2", 1000, _gumbel_transform(weibull(2.0))),
+    ("gumbel_maxima:gamma:2", 1000, _gumbel_transform(gamma(2.0))),
+    ("replacement:exponential:1,exponential:2,t=1,beta=0.4", 10,
+     _replacement_transform(exponential(1.0), exponential(2.0), 1.0, 0.4)),
+    ("replacement:gamma:2,exponential:2,t=1,beta=0.4", 10,
+     _replacement_transform(gamma(2.0), exponential(2.0), 1.0, 0.4)),
+]
+
+
+@pytest.mark.parametrize("spec,n,transform", TRANSFORM_CASES,
+                         ids=[c[0].split(",")[0] for c in TRANSFORM_CASES])
+def test_count_hits_equals_the_full_transform(spec, n, transform):
+    fam = parse_family_spec(spec)
+    c_of = transform(fam, n)
+    # counter uniforms, plus the dyadic points k/256 and their neighbours,
+    # where a grid-bracketed count is most fragile
+    grid = np.arange(1, 256) / 256.0
+    u = np.concatenate([UniformPanel(seed=41, start=0, stop=3000).column(0), grid,
+                        np.nextafter(grid, 0.0), np.nextafter(grid, 1.0)])
+    c = c_of(u)
+    xs = [c.min() - 1.0, c.max() + 1.0]
+    for v in (c[7], c[3000 + 127], c[3000 + 255 + 31]):  # a trial, 1/2, below 32/256
+        xs += [v, np.nextafter(v, -math.inf), np.nextafter(v, math.inf)]
+    for parts in (1, 3):
+        bounds = [i * len(u) // parts for i in range(parts + 1)]
+        for x in xs:
+            for side in ("upper", "lower"):
+                for lo, hi in zip(bounds, bounds[1:]):
+                    got = fam.count_hits(n, float(x), side, _FixedPanel(u[lo:hi]))
+                    assert got == families._count(c_of(u[lo:hi]), x, side), (x, side, lo)
+
+
+def test_coupon_count_hits_equals_integer_waits(fam_coupon):
+    # the float64 running sum against T_n summed as int64 geometric waits
+    n, trials = 60, 3000
+    panel = UniformPanel(seed=47, start=0, stop=trials)
+    t = np.ones(trials, dtype=np.int64)
+    for k in range(2, n + 1):
+        u = panel.column(k - 2)
+        t += np.ceil(np.log1p(-u) / math.log1p(-(n - k + 1) / n)).astype(np.int64)
+    for q in (0.01, 0.5, 0.99):
+        m = int(np.quantile(t, q))
+        x = m / (n * math.log(n)) - 1.0
+        m_lo, m_up = coupon_threshold_pair(n, x)
+        assert fam_coupon.count_hits(n, x, "upper", panel) == np.count_nonzero(t >= m_up)
+        assert fam_coupon.count_hits(n, x, "lower", panel) == np.count_nonzero(t <= m_lo)
+
+
+def test_count_hits_transforms_only_near_the_threshold(monkeypatch):
+    fam = parse_family_spec("minima:exponential:1")
+    panel = UniformPanel(seed=43, start=0, stop=200_000)
+    x = 0.005  # P(C_100 >= x) = e^-0.5
+    expect = families._count(
+        isf_values(exponential(1.0), np.exp(np.log1p(-panel.column(0)) / 100)), x, "upper")
+    points = []
+
+    def counting(dist, q):
+        points.append(np.size(q))
+        return isf_values(dist, q)
+
+    monkeypatch.setattr(families, "isf_values", counting)
+    assert fam.count_hits(100, x, "upper", panel) == expect
+    assert sum(points) <= 2 * 255 + 200
 
 
 # --- rate function machinery -------------------------------------------------
