@@ -41,8 +41,8 @@ from mdlab import (
 )
 from mdlab import families
 from mdlab.diagnostics import ldp_probe, weak_probe
-from mdlab.estimators import UniformPanel
 from mdlab.distributions import gamma, isf_values, quantile_values
+from mdlab.estimators import UniformPanel
 from mdlab.families import _coupon_log_cdf, _coupon_log_sf, _coupon_series, _coupon_tilt
 
 CANONICAL_SPECS = [
@@ -620,23 +620,23 @@ def test_replacement_sampler_tracks_exact_cdf(fam_replacement):
 
 # --- count_hits against the full inverse transform ---------------------------
 
-def _classical_transform(fam, n):
+def _classical_transform(n):
     return lambda u: 1.0 * ndtri(u) / math.sqrt(n)  # sigma = 1
 
 
 def _minima_transform(dist):
-    return lambda fam, n: lambda u: isf_values(dist, np.exp(np.log1p(-u) / n))
+    return lambda n: lambda u: isf_values(dist, np.exp(np.log1p(-u) / n))
 
 
 def _gumbel_transform(dist):
-    def transform(fam, n):
+    def transform(n):
         m = dist.isf(1.0 / n)
         return lambda u: isf_values(dist, -np.expm1(np.log(u) / n)) / m - 1.0
     return transform
 
 
 def _replacement_transform(F, G, t, beta):
-    def transform(fam, n):
+    def transform(n):
         def c(u):
             z = np.empty_like(u)
             low = u <= beta
@@ -651,7 +651,7 @@ def _replacement_transform(F, G, t, beta):
     return transform
 
 
-# (spec, n, the inverse transform every trial used to go through)
+# (spec, n, the inverse transform whose count count_hits must return)
 TRANSFORM_CASES = [
     ("classical:sigma=1", 100, _classical_transform),
     ("minima:exponential:1", 10, _minima_transform(exponential(1.0))),
@@ -670,7 +670,7 @@ TRANSFORM_CASES = [
                          ids=[c[0].split(",")[0] for c in TRANSFORM_CASES])
 def test_count_hits_equals_the_full_transform(spec, n, transform):
     fam = parse_family_spec(spec)
-    c_of = transform(fam, n)
+    c_of = transform(n)
     # counter uniforms, plus the dyadic points k/256 and their neighbours,
     # where a grid-bracketed count is most fragile
     grid = np.arange(1, 256) / 256.0
