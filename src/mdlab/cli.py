@@ -139,8 +139,7 @@ class RunConfig:
 
 
 # keys shared between CLI flags and config files
-_MERGE_KEYS = ("family", "scaling", "n_list", "x_list", "grid", "trials",
-               "seed", "partitions", "tol_factor", "csv", "json", "svg")
+_MERGE_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "regime")
 
 
 def _merged_config(args, regime: str) -> RunConfig:

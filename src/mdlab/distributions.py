@@ -61,7 +61,8 @@ class Distribution:
     support: cdf 0, sf 1; above it: cdf 1, sf 0). Raw quantile/isf
     callables are vectorized over levels in (0, 1): closed forms where the
     catalog has them, otherwise (gamma) a safeguarded Newton on the log
-    tail. Scalar and array calls run the same raw callable.
+    tail. The scalar quantile and isf run the vectorized quantile_values
+    and isf_values, so both give the same bits.
     """
 
     name: str
@@ -131,12 +132,7 @@ class Distribution:
         """
         if math.isnan(p) or not 0.0 <= p <= 1.0:
             raise ValueError(f"quantile needs p in [0, 1], got {p}")
-        lo, hi = self.support
-        if p == 0.0:
-            return lo
-        if p == 1.0:
-            return hi
-        return float(self._quantile(p))
+        return float(quantile_values(self, p))
 
     def isf(self, q: float) -> float:
         """Inverse survival: x with sf(x) = q, accurate for tiny q.
@@ -146,12 +142,7 @@ class Distribution:
         """
         if math.isnan(q) or not 0.0 <= q <= 1.0:
             raise ValueError(f"isf needs q in [0, 1], got {q}")
-        lo, hi = self.support
-        if q == 0.0:
-            return hi
-        if q == 1.0:
-            return lo
-        return float(self._isf(q))
+        return float(isf_values(self, q))
 
 
 # Newton on a log tail: a point stops once its residual is within this many
@@ -205,6 +196,13 @@ def _newton_log_tail(log_f, log_pdf, log_target, x0, increasing):
 # catalog constructors
 
 
+def _power_slope_at_zero(shape: float) -> float:
+    """F'(0+) of a law whose cdf behaves like x^shape at 0 (weibull, gamma)."""
+    if shape == 1.0:
+        return 1.0
+    return 0.0 if shape > 1.0 else math.inf
+
+
 def exponential(rate: float) -> Distribution:
     """Exponential with the given rate; sf(x) = e^{-rate x}."""
     if not rate > 0 or not math.isfinite(rate):
@@ -247,17 +245,11 @@ def weibull(shape: float) -> Distribution:
     if not shape > 0 or not math.isfinite(shape):
         raise SpecParseError(f"weibull shape must be positive, got {shape}")
     a = float(shape)
-    if a == 1.0:
-        slope = 1.0
-    elif a > 1.0:
-        slope = 0.0
-    else:
-        slope = math.inf
     return Distribution(
         name="weibull",
         params=(a,),
         support=(0.0, math.inf),
-        cdf_slope_at_zero=slope,
+        cdf_slope_at_zero=_power_slope_at_zero(a),
         _cdf=lambda x: -np.expm1(-np.power(x, a)),
         _sf=lambda x: np.exp(-np.power(x, a)),
         _log_cdf=lambda x: stable_log_complement(-float(np.power(x, a))),
@@ -359,17 +351,11 @@ def gamma(shape: float) -> Distribution:
         return _newton_log_tail(log_sf, log_pdf, np.log(q), gammainccinv(a, q),
                                 increasing=False)
 
-    if a == 1.0:
-        slope = 1.0
-    elif a > 1.0:
-        slope = 0.0
-    else:
-        slope = math.inf
     return Distribution(
         name="gamma",
         params=(a,),
         support=(0.0, math.inf),
-        cdf_slope_at_zero=slope,
+        cdf_slope_at_zero=_power_slope_at_zero(a),
         _cdf=lambda x: gammainc(a, x),
         _sf=lambda x: gammaincc(a, x),
         _log_cdf=log_cdf,
@@ -482,8 +468,8 @@ def render_dist_spec(dist: Distribution) -> str:
 
 
 def _inverse_values(raw: Callable, levels, at_zero: float, at_one: float) -> np.ndarray:
-    # levels 0 and 1 map to support ends, as in the scalar quantile/isf;
-    # the raw inverse sees only interior levels
+    # levels 0 and 1 map to support ends; the raw inverse sees only
+    # interior levels
     p = np.asarray(levels, dtype=float)
     inner = (p > 0.0) & (p < 1.0)
     if inner.all():
@@ -494,8 +480,8 @@ def _inverse_values(raw: Callable, levels, at_zero: float, at_one: float) -> np.
 
 
 def quantile_values(dist: Distribution, p: np.ndarray) -> np.ndarray:
-    """Vectorized quantile for levels in [0, 1]; interior levels run the
-    raw inverse that the scalar quantile calls, so both agree bitwise."""
+    """Vectorized quantile for levels in [0, 1]; the scalar quantile
+    returns this, so both agree bitwise."""
     lo, hi = dist.support
     return _inverse_values(dist._quantile, p, lo, hi)
 

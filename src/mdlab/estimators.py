@@ -93,6 +93,7 @@ def _key_uniforms(keys: np.ndarray, draw) -> np.ndarray:
     # the draw mix: uniforms in (0, 1) from trial keys and draw indices,
     # broadcast together. Each chunk of mixed words is turned into its
     # doubles in the same memory: the top 53 bits go to the scratch first.
+    # (2^53 - 1) + 0.5 rounds to 2^53, so the top word is clamped below 1.
     d = np.atleast_1d(np.asarray(draw, dtype=np.uint64))
     offset = _GOLDEN * (d + np.uint64(1))
     z = np.empty(np.broadcast_shapes(keys.shape, d.shape), dtype=np.uint64)
@@ -103,6 +104,7 @@ def _key_uniforms(keys: np.ndarray, draw) -> np.ndarray:
         u = c.view(np.float64)
         np.add(s, 0.5, out=u)
         np.multiply(u, 2.0**-53, out=u)
+        np.minimum(u, 1.0 - 2.0**-53, out=u)
     return z.view(np.float64)
 
 

@@ -25,6 +25,13 @@ Deep in the lower tail, where it cannot certify, a tilted Fourier
 inversion with its own computed bound answers; it keeps no state, and
 its grid, hence its time and memory, follows from (n, m) alone.
 
+The non-central moderate rates are linear on each side of 0 (x for the
+Gumbel maxima and the coupon, F'(0+) x for the minima, two slopes for
+replacement), so each is built by _linear_rate from its two slopes, which
+the rate stores for slope_identity_check. The Gumbel maxima family takes
+m_n and h_n from rvtoolkit's characteristic_level and normalizing_rate on
+every call and keeps no state.
+
 Sign conventions: upper tail means P(C_n >= x), lower means P(C_n <= x),
 and both evaluators return log probabilities in [-inf, 0]. Rate
 functions return +inf outside their effective domain, which is how a
@@ -53,7 +60,12 @@ from .distributions import (
     render_dist_spec,
 )
 from .estimators import stable_log_complement
-from .rvtoolkit import GumbelMdaProfile, declared_profile, least_valid_n
+from .rvtoolkit import (
+    characteristic_level,
+    declared_profile,
+    least_valid_n,
+    normalizing_rate,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -65,9 +77,9 @@ class RateFunction:
     """A nonnegative rate x -> I(x), +inf where the tail is thinner than
     the exponential scale being probed.
 
-    The one-sided slopes at zero are stored because the moderate rate of
-    a family is linear with exactly these slopes; -inf/+inf mark a side
-    where the rate jumps straight to infinity.
+    A non-central moderate rate is linear on each side of 0 and carries
+    its two slopes (_linear_rate sets them); -inf/+inf mark a side where
+    the rate jumps straight to infinity. Other rates leave them nan.
     """
 
     fn: Callable[[float], float] = field(repr=False)
@@ -86,32 +98,25 @@ class RateFunction:
         return v
 
 
-def _one_sided_slope(fn: Callable[[float], float], sign: int, h: float = 1e-6) -> float:
-    """Slope of fn at 0 from the `sign` side; +-inf when that side is a wall."""
-    f0 = fn(0.0)
-    v1 = fn(sign * h)
-    if math.isinf(v1):
-        return math.inf if sign > 0 else -math.inf
-    v2 = fn(2.0 * sign * h)
-    if math.isinf(v2):
-        return (v1 - f0) / (sign * h)
-    # second-order one-sided difference, O(h^2) truncation
-    return (4.0 * v1 - v2 - 3.0 * f0) / (2.0 * sign * h)
+def _linear_rate(right: float, left: float) -> RateFunction:
+    """x -> right x above 0 and left x below it: a non-central moderate
+    rate. An infinite slope makes its side +inf (left is -inf there)."""
+    def fn(x: float) -> float:
+        if x > 0.0:
+            return right * x
+        if x < 0.0:
+            return left * x
+        return 0.0
+
+    return RateFunction(fn=fn, domain_note=f"slope {right!r} above 0, {left!r} below",
+                        right_slope_at_zero=right, left_slope_at_zero=left)
 
 
 def shift_rate(rate: RateFunction, c: float) -> RateFunction:
-    """The rate x -> rate(x + c), with slopes at zero recomputed."""
+    """The rate x -> rate(x + c)."""
     base = rate.fn
-
-    def fn(x: float) -> float:
-        return base(x + c)
-
-    return RateFunction(
-        fn=fn,
-        domain_note=f"{rate.domain_note} shifted left by {c!r}",
-        right_slope_at_zero=_one_sided_slope(fn, +1),
-        left_slope_at_zero=_one_sided_slope(fn, -1),
-    )
+    return RateFunction(fn=lambda x: base(x + c),
+                        domain_note=f"{rate.domain_note} shifted left by {c!r}")
 
 
 def rate_grid_violations(rate: RateFunction, xs) -> list[str]:
@@ -142,8 +147,7 @@ def power_tail_rate(mu: float) -> RateFunction:
     """J(y) = (y^mu - 1)/mu on [1, inf), +inf below 1.
 
     This is the rate of the ratio statistic before recentering; the
-    maxima family shifts it by 1. Zero lies outside its domain, so the
-    stored slopes are the wall markers.
+    maxima family shifts it by 1.
     """
     if not mu > 0.0:
         raise ValueError(f"power tail rate needs mu > 0, got {mu}")
@@ -153,8 +157,7 @@ def power_tail_rate(mu: float) -> RateFunction:
             return math.inf
         return (y ** mu - 1.0) / mu
 
-    return RateFunction(fn=fn, domain_note="(y^mu - 1)/mu on [1, inf)",
-                        right_slope_at_zero=math.inf, left_slope_at_zero=-math.inf)
+    return RateFunction(fn=fn, domain_note="(y^mu - 1)/mu on [1, inf)")
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +257,7 @@ def make_classical_sums(sigma: float = 1.0) -> FamilySpec:
     def quad(x: float) -> float:
         return x * x / two_var
 
-    rate = RateFunction(fn=quad, domain_note="x^2 / (2 sigma^2) on all reals",
-                        right_slope_at_zero=0.0, left_slope_at_zero=0.0)
+    rate = RateFunction(fn=quad, domain_note="x^2 / (2 sigma^2) on all reals")
 
     def log_upper(n: int, x: float) -> float:
         n = _check_n(n, 1, None, "classical_sums")
@@ -315,11 +317,6 @@ def make_minima(dist: Distribution) -> FamilySpec:
             return 0.0
         return -dist.log_sf(x)
 
-    def rate_md_fn(x: float) -> float:
-        if x < 0.0:
-            return math.inf
-        return slope0 * x
-
     def limit_cdf(x: float) -> float:
         if x <= 0.0:
             return 0.0
@@ -349,13 +346,8 @@ def make_minima(dist: Distribution) -> FamilySpec:
         central=False,
         speed=lambda n: float(n),
         rate_ld=RateFunction(fn=rate_ld_fn,
-                             domain_note="-log sf(x) on [0, omega), +inf elsewhere",
-                             right_slope_at_zero=slope0,
-                             left_slope_at_zero=-math.inf),
-        rate_md=RateFunction(fn=rate_md_fn,
-                             domain_note="F'(0+) x on [0, inf), +inf below 0",
-                             right_slope_at_zero=slope0,
-                             left_slope_at_zero=-math.inf),
+                             domain_note="-log sf(x) on [0, omega), +inf elsewhere"),
+        rate_md=_linear_rate(slope0, -math.inf),
         limit_cdf=limit_cdf,
         exact_log_upper_tail=log_upper,
         exact_log_lower_tail=log_lower,
@@ -374,44 +366,23 @@ _GUMBEL_N_CAP = 10 ** 15
 _LOG_NS_SMALL = math.log(1e-8)
 
 
-def make_gumbel_maxima(source) -> FamilySpec:
+def make_gumbel_maxima(dist: Distribution) -> FamilySpec:
     """C_n = M_n / m_n - 1 with m_n = isf(1/n); v_n = h_n = m_n n pdf(m_n).
 
-    source is a Distribution (its declared tail profile is looked up) or
-    a ready GumbelMdaProfile. Only unbounded tails with a positive power
-    index qualify; the profile constructor enforces that.
+    m_n and h_n are rvtoolkit's characteristic_level and normalizing_rate.
+    Only unbounded tails with a declared positive power index qualify.
     """
-    profile = source if isinstance(source, GumbelMdaProfile) else declared_profile(source)
-    dist = profile.dist
+    mu = declared_profile(dist).mu
     if dist.support[1] != math.inf:
         raise ValueError(f"maxima scaling needs an unbounded upper tail, "
                          f"got {dist.name}")
-    mu = profile.mu
     least = least_valid_n(dist)
-    m_cache: dict[int, float] = {}
-    h_cache: dict[int, float] = {}
 
     def m_of(n: int) -> float:
-        n = _check_n(n, least, _GUMBEL_N_CAP, "gumbel_maxima")
-        m = m_cache.get(n)
-        if m is None:
-            m = dist.isf(1.0 / n)
-            m_cache[n] = m
-        return m
+        return characteristic_level(dist, _check_n(n, least, _GUMBEL_N_CAP, "gumbel_maxima"))
 
     def speed(n: int) -> float:
-        n = _check_n(n, least, _GUMBEL_N_CAP, "gumbel_maxima")
-        h = h_cache.get(n)
-        if h is None:
-            m = m_of(n)
-            h = math.exp(math.log(m) + math.log(n) + dist.log_pdf(m))
-            h_cache[n] = h
-        return h
-
-    def rate_md_fn(x: float) -> float:
-        if x < 0.0:
-            return math.inf
-        return x
+        return normalizing_rate(dist, _check_n(n, least, _GUMBEL_N_CAP, "gumbel_maxima"))
 
     def log_upper(n: int, x: float) -> float:
         y = m_of(n) * (1.0 + x)
@@ -437,10 +408,7 @@ def make_gumbel_maxima(source) -> FamilySpec:
         central=False,
         speed=speed,
         rate_ld=shift_rate(power_tail_rate(mu), 1.0),
-        rate_md=RateFunction(fn=rate_md_fn,
-                             domain_note="x on [0, inf), +inf below 0",
-                             right_slope_at_zero=1.0,
-                             left_slope_at_zero=-math.inf),
+        rate_md=_linear_rate(1.0, -math.inf),
         limit_cdf=lambda x: math.exp(-math.exp(-x)),
         exact_log_upper_tail=log_upper,
         exact_log_lower_tail=log_lower,
@@ -821,10 +789,7 @@ def make_coupon() -> FamilySpec:
     on T_n. The exact tails keep no state, so every instance answers a
     query with the same bits and the same memory.
     """
-    def rate_fn(x: float) -> float:
-        if x < 0.0:
-            return math.inf
-        return x
+    rate = _linear_rate(1.0, -math.inf)
 
     def log_upper(n: int, x: float) -> float:
         n = _check_n(n, 2, None, "coupon")
@@ -858,14 +823,8 @@ def make_coupon() -> FamilySpec:
         label="coupon",
         central=False,
         speed=lambda n: math.log(n),
-        rate_ld=RateFunction(fn=rate_fn,
-                             domain_note="x on [0, inf), +inf below 0",
-                             right_slope_at_zero=1.0,
-                             left_slope_at_zero=-math.inf),
-        rate_md=RateFunction(fn=rate_fn,
-                             domain_note="x on [0, inf), +inf below 0",
-                             right_slope_at_zero=1.0,
-                             left_slope_at_zero=-math.inf),
+        rate_ld=rate,
+        rate_md=rate,
         limit_cdf=lambda x: math.exp(-math.exp(-x)),
         exact_log_upper_tail=log_upper,
         exact_log_lower_tail=log_lower,
@@ -954,11 +913,6 @@ def make_replacement(params: ReplacementParams) -> FamilySpec:
             return -(F.log_cdf(x + t) - log_f_t)
         return -(G.log_sf(x + t) - log_sfg_t)
 
-    def rate_md_fn(x: float) -> float:
-        if x <= 0.0:
-            return -slope_left * x
-        return slope_right * x
-
     def limit_cdf(x: float) -> float:
         if x <= 0.0:
             return beta * math.exp(slope_left * x)
@@ -1005,14 +959,8 @@ def make_replacement(params: ReplacementParams) -> FamilySpec:
         speed=lambda n: float(n),
         rate_ld=RateFunction(
             fn=rate_ld_fn,
-            domain_note="log-ratio of F below t, of sf_G above; +inf at and below -t",
-            right_slope_at_zero=slope_right,
-            left_slope_at_zero=-slope_left),
-        rate_md=RateFunction(
-            fn=rate_md_fn,
-            domain_note="piecewise linear on all reals",
-            right_slope_at_zero=slope_right,
-            left_slope_at_zero=-slope_left),
+            domain_note="log-ratio of F below t, of sf_G above; +inf at and below -t"),
+        rate_md=_linear_rate(slope_right, -slope_left),
         limit_cdf=limit_cdf,
         exact_log_upper_tail=log_upper,
         exact_log_lower_tail=log_lower,

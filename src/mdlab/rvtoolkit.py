@@ -56,15 +56,12 @@ class MdaViolationError(ValueError):
 class GumbelMdaProfile:
     """A distribution together with its tail index mu > 0.
 
-    mu_source records whether mu was declared from the catalog table or
-    estimated from data; downstream consumers may treat estimated values
-    more cautiously. L_closed_form, when present, is the exact slowly
-    varying factor and enables the representation identity check.
+    L_closed_form, when present, is the exact slowly varying factor and
+    enables the representation identity check.
     """
 
     dist: Distribution
     mu: float
-    mu_source: str = "declared"
     L_closed_form: Optional[Callable] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -73,8 +70,6 @@ class GumbelMdaProfile:
                 f"tail index must be positive and finite, got mu={self.mu} "
                 f"for {self.dist.name}"
             )
-        if self.mu_source not in ("declared", "estimated"):
-            raise ValueError(f"unknown mu_source {self.mu_source!r}")
 
 
 def declared_profile(dist: Distribution) -> GumbelMdaProfile:

@@ -144,10 +144,7 @@ class ScalingReport:
 
     @property
     def ok(self) -> bool:
-        checks = [self.cond_a_to_0, self.cond_av_to_inf]
-        if self.cond_alogn_to_0 is not None:
-            checks.append(self.cond_alogn_to_0)
-        return all(c.ok for c in checks)
+        return not self.failures()
 
     def failures(self) -> list[str]:
         checks = [self.cond_a_to_0, self.cond_av_to_inf]

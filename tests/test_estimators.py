@@ -19,6 +19,7 @@ from mdlab import (
     parse_family_spec,
     stable_log_complement,
 )
+from mdlab.estimators import _key_uniforms, _mix64
 
 # (spec, n, x, side) with a hit rate well inside (0, 1) at 4096 trials;
 # the five canonical families plus the gamma members, whose quantiles
@@ -141,6 +142,41 @@ def test_counter_uniforms_shape_and_range():
     assert not np.array_equal(u, counter_uniforms(seed=10, trials=np.arange(1000), draw=3))
     assert not np.array_equal(u, counter_uniforms(seed=9, trials=np.arange(1000), draw=4))
     assert not np.array_equal(u[:-1], counter_uniforms(seed=9, trials=np.arange(1, 1001), draw=3)[:-1])
+
+
+def _unmix64(word: int) -> int:
+    # the inverse of splitmix64's finalizer: each xorshift undone by
+    # iterating it, each multiplier by its inverse mod 2^64
+    mask = (1 << 64) - 1
+
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    x = unshift(word, 31)
+    x = (x * pow(0x94D049BB133111EB, -1, 1 << 64)) & mask
+    x = unshift(x, 27)
+    x = (x * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask
+    return unshift(x, 30)
+
+
+def test_top_mixed_word_stays_below_one():
+    # keys whose draw-0 word mixes to the given top 53 bits: all ones would
+    # round (2^53 - 1) + 0.5 up to 2^53 and give u = 1 without the clamp
+    offset = 0x9E3779B97F4A7C15  # the golden-ratio offset of draw 0
+    tops = [(1 << 53) - 1, (1 << 53) - 2, (1 << 52) + 7, 0]
+    keys = np.array([(_unmix64(t << 11 | 0x5A5) - offset) % (1 << 64) for t in tops],
+                    dtype=np.uint64)
+    mixed = keys + np.uint64(offset)
+    _mix64(mixed, np.empty_like(mixed))
+    assert [int(w) >> 11 for w in mixed] == tops
+    u = _key_uniforms(keys, 0)
+    assert u[0] == 1.0 - 2.0**-53
+    # every other word keeps its value (t + 1/2) 2^-53
+    assert u[1:].tolist() == [(float(t) + 0.5) * 2.0**-53 for t in tops[1:]]
+    assert np.all((u > 0.0) & (u < 1.0))
 
 
 def test_counter_uniforms_moments():

@@ -43,6 +43,7 @@ from mdlab import families
 from mdlab.diagnostics import ldp_probe, weak_probe
 from mdlab.distributions import gamma, isf_values, quantile_values
 from mdlab.estimators import UniformPanel
+from mdlab.rvtoolkit import characteristic_level, normalizing_rate
 from mdlab.families import _coupon_log_cdf, _coupon_log_sf, _coupon_series, _coupon_tilt
 
 CANONICAL_SPECS = [
@@ -201,6 +202,31 @@ def test_gumbel_n_bounds():
         fam.exact_log_upper_tail(2, 0.5)
     with pytest.raises(ValueError):
         fam.exact_log_upper_tail(10**16, 0.5)
+
+
+_GUMBEL_NS = [10**3, 10**4, 10**5, 10**6]
+
+
+def _gumbel_bits(fam):
+    return [(fam.speed(n).hex(), fam.exact_log_upper_tail(n, x).hex(),
+             fam.exact_log_lower_tail(n, x).hex())
+            for n in _GUMBEL_NS for x in (-0.2, 0.0, 0.5, 1.0)]
+
+
+def test_gumbel_maxima_is_stateless():
+    # a fresh instance and one a weak probe has warmed give the same bits
+    fresh, warmed = make_gumbel_maxima(weibull(2.0)), make_gumbel_maxima(weibull(2.0))
+    weak_probe(warmed, (1000, 10**5))
+    assert _gumbel_bits(warmed) == _gumbel_bits(fresh)
+
+
+@pytest.mark.parametrize("dist", [weibull(2.0), gamma(2.0)], ids=["weibull:2", "gamma:2"])
+def test_gumbel_maxima_takes_m_n_and_h_n_from_the_toolkit(dist):
+    fam = make_gumbel_maxima(dist)
+    for n in _GUMBEL_NS:
+        assert fam.speed(n).hex() == normalizing_rate(dist, n).hex()
+        m = characteristic_level(dist, n)
+        assert fam.exact_log_lower_tail(n, 0.3) == n * dist.log_cdf(m * 1.3)
 
 
 def test_gumbel_rejects_bounded_support():
@@ -759,6 +785,14 @@ def test_family_rate_grids_are_clean(fam_classical, fam_minima_exp,
                 fam_coupon, fam_replacement):
         assert rate_grid_violations(fam.rate_ld, grid) == [], fam.name
         assert rate_grid_violations(fam.rate_md, grid) == [], fam.name
+        if fam.central:
+            continue
+        # a non-central moderate rate is its stored slope times x on each side
+        right = fam.rate_md.right_slope_at_zero
+        left = fam.rate_md.left_slope_at_zero
+        for x in grid:
+            want = 0.0 if x == 0.0 else (right if x > 0.0 else left) * x
+            assert fam.rate_md(x) == want, (fam.name, x)
 
 
 # --- spec strings ------------------------------------------------------------
