@@ -12,6 +12,14 @@ The row schema is shared by all regimes. Weak-limit rows repurpose the
 rate columns: normalized_rate holds the finite-n cdf value at x,
 rate_target the limit cdf, and residual their difference, so the same
 CSV machinery serves every probe.
+
+Report files. CSV and JSON rows both list their cells in CSV_COLUMNS
+order. Non-finite values are the strings "nan", "inf" and "-inf" in JSON
+and bare nan, inf and -inf in CSV; a missing Monte Carlo cell is null in
+JSON and empty in CSV. The JSON is indent-1 text whose layout is stable
+byte for byte. read_json rejects a file whose reports lack a field, whose
+rows miss or add a column, or whose cells have the wrong kind, naming the
+file, the report index and the row index.
 """
 
 from __future__ import annotations
@@ -21,7 +29,9 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+import operator
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .estimators import mc_log_tail
@@ -409,18 +419,15 @@ def slope_identity_check(fam: FamilySpec, h: float = 1e-5) -> SlopeIdentityRepor
 # serialization
 
 
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, int):
-        return repr(v)
-    return repr(float(v))
+_row_cells = operator.attrgetter(*CSV_COLUMNS)
 
 
 def write_csv(reports, path_or_handle) -> None:
-    """One CSV with the shared column schema, reports concatenated."""
+    """One CSV with the shared column schema, reports concatenated.
+
+    Cells are str, int, float (numpy float64 included) or None, which the
+    csv module writes as the text, repr, repr and an empty field.
+    """
     if isinstance(reports, ConvergenceReport):
         reports = [reports]
     own = isinstance(path_or_handle, (str, bytes))
@@ -429,8 +436,7 @@ def write_csv(reports, path_or_handle) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for rep in reports:
-            for row in rep.rows:
-                writer.writerow([_csv_cell(getattr(row, col)) for col in CSV_COLUMNS])
+            writer.writerows(map(_row_cells, rep.rows))
     finally:
         if own:
             fh.close()
@@ -442,61 +448,139 @@ def csv_text(reports) -> str:
     return buf.getvalue()
 
 
-def _num_out(v):
-    if v is None or isinstance(v, (str, int)):
-        return v
-    v = float(v)
-    if math.isnan(v):
-        return "nan"
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return v
+# write_json's text is json.dumps(payload, indent=1) + "\n" byte for byte,
+# where payload holds each report's fields and its rows as dicts with the
+# non-finite cells spelled "nan", "inf" and "-inf". Only the short header
+# of each report goes through json.dumps; each row is filled into a fixed
+# template with the scalar encoders the stdlib encoder itself calls, which
+# spares the pure-Python indenting encoder and its many small writes.
+_JSON_NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 
 
-def _num_in(v):
-    if isinstance(v, str) and v in ("nan", "inf", "-inf"):
-        return float(v)
-    return v
+def _json_float(v: float) -> str:
+    text = float.__repr__(v)
+    return _JSON_NONFINITE.get(text, text)
 
 
-def report_to_dict(report: ConvergenceReport) -> dict:
-    return {
-        "family": report.family,
-        "regime": report.regime,
-        "scaling": report.scaling,
-        "verdict": report.verdict,
-        "tolerances": dict(report.tolerances),
-        "notes": list(report.notes),
-        "rows": [{k: _num_out(v) for k, v in asdict(r).items()} for r in report.rows],
-    }
+_JSON_CELL = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    type(None): lambda v: "null",
+}
 
 
-def report_from_dict(d: dict) -> ConvergenceReport:
-    rows = tuple(Row(**{k: _num_in(v) for k, v in r.items()}) for r in d["rows"])
-    return ConvergenceReport(
-        family=d["family"], regime=d["regime"], scaling=d["scaling"],
-        rows=rows, tolerances=dict(d["tolerances"]), verdict=d["verdict"],
-        notes=tuple(d.get("notes", ())),
-    )
+def _json_other(v) -> str:
+    """A cell of none of the four exact types: str and int subclasses
+    (bool among them) as json.dumps writes them, any other real (numpy
+    scalars) as its float value."""
+    if isinstance(v, (str, int)):
+        return json.dumps(v)
+    return _json_float(float(v))
+
+
+_ROW_JSON = ("    {\n"
+             + ",\n".join(f"     {encode_basestring_ascii(c)}: %s" for c in CSV_COLUMNS)
+             + "\n    }")
+
+
+def _report_json(rep: ConvergenceReport) -> str:
+    """One report of the payload, indented for its place in the list."""
+    header = json.dumps({
+        "family": rep.family,
+        "regime": rep.regime,
+        "scaling": rep.scaling,
+        "verdict": rep.verdict,
+        "tolerances": dict(rep.tolerances),
+        "notes": list(rep.notes),
+    }, indent=1)
+    rows = ",\n".join([
+        _ROW_JSON % tuple([_JSON_CELL.get(type(v), _json_other)(v) for v in cells])
+        for cells in map(_row_cells, rep.rows)])
+    rows = f"[\n{rows}\n   ]" if rows else "[]"
+    # drop the header's closing brace and shift it two levels in
+    return "  " + header[:-2].replace("\n", "\n  ") + f',\n   "rows": {rows}\n  }}'
 
 
 def write_json(reports, path) -> None:
     if isinstance(reports, ConvergenceReport):
         reports = [reports]
-    payload = {"reports": [report_to_dict(r) for r in reports]}
+    body = ",\n".join([_report_json(r) for r in reports])
+    text = f'{{\n "reports": [\n{body}\n ]\n}}\n' if body else '{\n "reports": []\n}\n'
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
+
+
+_REPORT_KEYS = ("family", "regime", "scaling", "verdict", "tolerances", "rows")
+_ROW_KEYS = frozenset(CSV_COLUMNS)
+_label_cells = operator.itemgetter(*CSV_COLUMNS[:3])
+_number_cells = operator.itemgetter(*CSV_COLUMNS[3:])
+_LABEL_TYPES = frozenset((str,))
+_NUMBER_TYPES = frozenset((int, float, type(None)))
+_NONFINITE_IN = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+def _checked_row(d: dict, where: str) -> dict:
+    """A row past the fast type test: map the non-finite strings to
+    floats and reject any other cell of the wrong kind."""
+    out = {}
+    for k, col in enumerate(CSV_COLUMNS):
+        v = d[col]
+        if k < 3:
+            if type(v) is not str:
+                raise ValueError(f"{where}: {col} is {v!r}, not a string")
+        elif type(v) not in _NUMBER_TYPES:
+            if not (isinstance(v, str) and v in _NONFINITE_IN):
+                raise ValueError(f"{where}: {col} is {v!r}, not a number")
+            v = _NONFINITE_IN[v]
+        out[col] = v
+    return out
+
+
+def _rows_in(rows: list, where: str) -> tuple:
+    out = []
+    for j, d in enumerate(rows):
+        if not isinstance(d, dict) or d.keys() != _ROW_KEYS:
+            got = set(d) if isinstance(d, dict) else set()
+            raise ValueError(
+                f"{where} row {j}: not a row of the {len(CSV_COLUMNS)} report columns "
+                f"(missing {sorted(_ROW_KEYS - got)}, extra {sorted(got - _ROW_KEYS)})")
+        if not (_LABEL_TYPES.issuperset(map(type, _label_cells(d)))
+                and _NUMBER_TYPES.issuperset(map(type, _number_cells(d)))):
+            d = _checked_row(d, f"{where} row {j}")
+        # rebuilt the way copy and pickle rebuild a Row, which skips the
+        # frozen __init__'s twelve object.__setattr__ calls; this is sound
+        # because d holds exactly Row's fields and Row has no __post_init__
+        row = object.__new__(Row)
+        row.__dict__.update(d)
+        out.append(row)
+    return tuple(out)
+
+
+def _report_in(d, where: str) -> ConvergenceReport:
+    if not isinstance(d, dict):
+        raise ValueError(f"{where}: not a report object")
+    missing = [k for k in _REPORT_KEYS if k not in d]
+    if missing:
+        raise ValueError(f"{where}: missing {', '.join(missing)}")
+    notes = d.get("notes", [])
+    if not (isinstance(d["tolerances"], dict) and isinstance(d["rows"], list)
+            and isinstance(notes, list)):
+        raise ValueError(f"{where}: tolerances must be an object, rows and notes lists")
+    return ConvergenceReport(
+        family=d["family"], regime=d["regime"], scaling=d["scaling"],
+        rows=_rows_in(d["rows"], where), tolerances=dict(d["tolerances"]),
+        verdict=d["verdict"], notes=tuple(notes),
+    )
 
 
 def read_json(path) -> list[ConvergenceReport]:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if not isinstance(payload, dict) or "reports" not in payload:
+    if (not isinstance(payload, dict) or "reports" not in payload
+            or not isinstance(payload["reports"], list)):
         raise ValueError(f"{path} does not look like a probe report file")
-    return [report_from_dict(d) for d in payload["reports"]]
+    return [_report_in(d, f"{path}: report {i}") for i, d in enumerate(payload["reports"])]
 
 
 # ---------------------------------------------------------------------------

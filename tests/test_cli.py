@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +120,36 @@ def test_report_rejects_corrupt_json(tmp_path, capsys):
     assert main(["report", "--in", str(tmp_path / "missing.json"),
                  "--csv", str(out_csv)]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"reports": [{"family": "a"}]}, "report 0: missing regime"),
+    ({"reports": [{"family": "a", "regime": "ld", "scaling": "", "verdict": "pass",
+                   "tolerances": {}, "rows": [{
+                       "family": "a", "regime": "ld", "scaling": "", "n": 10,
+                       "x": "abc", "log_p_exact": -1.0, "log_p_mc": None,
+                       "stderr_log": None, "s_n": 10.0, "normalized_rate": 0.1,
+                       "rate_target": 0.1, "residual": 0.0}]}]},
+     "report 0 row 0: x is 'abc', not a number"),
+])
+def test_report_rejects_a_malformed_report(tmp_path, capsys, payload, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["report", "--in", str(bad), "--csv", str(tmp_path / "m.csv")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"mdlab: {bad}: ") and message in err
+
+
+def test_python_m_mdlab_runs_without_warnings():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "mdlab", "lemmas",
+                           "--dist", "weibull:2"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == EXIT_PASS
+    assert proc.stderr == ""
+    assert "verdict pass" in proc.stdout
 
 
 def test_config_merges_with_flag_precedence(tmp_path, capsys):

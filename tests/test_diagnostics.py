@@ -1,12 +1,16 @@
 """Convergence probes, verdicts, and report serialization."""
 
 import collections
+import csv
 import dataclasses
 import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdlab import (
     ConvergenceReport,
@@ -264,6 +268,193 @@ def test_json_rejects_foreign_payload(tmp_path):
     path.write_text(json.dumps({"rows": []}))
     with pytest.raises(ValueError):
         read_json(path)
+
+
+# The reference rendering of report files: the payload built with asdict
+# and dumped by the stdlib encoder, and one formatted string per CSV cell.
+# write_json and write_csv must reproduce both byte for byte.
+
+
+def _ref_num_out(v):
+    if v is None or isinstance(v, (str, int)):
+        return v
+    v = float(v)
+    if math.isnan(v):
+        return "nan"
+    if v == math.inf:
+        return "inf"
+    if v == -math.inf:
+        return "-inf"
+    return v
+
+
+def _ref_json_text(reports) -> str:
+    payload = {"reports": [{
+        "family": rep.family,
+        "regime": rep.regime,
+        "scaling": rep.scaling,
+        "verdict": rep.verdict,
+        "tolerances": dict(rep.tolerances),
+        "notes": list(rep.notes),
+        "rows": [{k: _ref_num_out(v) for k, v in dataclasses.asdict(r).items()}
+                 for r in rep.rows],
+    } for rep in reports]}
+    return json.dumps(payload, indent=1) + "\n"
+
+
+def _ref_csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, int):
+        return repr(v)
+    return repr(float(v))
+
+
+def _ref_csv_text(reports) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CSV_COLUMNS)
+    for rep in reports:
+        for r in rep.rows:
+            writer.writerow([_ref_csv_cell(getattr(r, c)) for c in CSV_COLUMNS])
+    return buf.getvalue()
+
+
+def _report(rows, notes=(), family="synthetic"):
+    return ConvergenceReport(family=family, regime="ld", scaling="", rows=tuple(rows),
+                             tolerances={"factor": 0.05, "slack": 1e-12},
+                             verdict="pass", notes=tuple(notes))
+
+
+EDGE_NUMBERS = (math.nan, math.inf, -math.inf, None, -0.0, 5e-324, 1e300, 10**30)
+ODD_LABELS = ('Fréchet·μ=2 ∞', 'say "q"', "a,b", "back\\slash", 'all of ",\\ é"')
+
+
+def _edge_rows():
+    rows = [_row(**{col: v}) for col in CSV_COLUMNS[4:] for v in EDGE_NUMBERS]
+    rows += [_row(x=np.float64(0.1), log_p_exact=np.float64(-math.inf),
+                  residual=np.float64(math.nan), s_n=np.float64(-0.0)),
+             _row(n=True, log_p_mc=False)]
+    rows += [_row(family=label, scaling=label) for label in ODD_LABELS]
+    rows += [_row(n=10**30, x=-1e-300, log_p_mc=-1e300, stderr_log=0.0)]
+    return rows
+
+
+@pytest.fixture(scope="module")
+def live_reports(fam_minima_exp, fam_replacement, fam_coupon):
+    # an ld report with -inf tails and nan residuals, an md report with
+    # Monte Carlo columns, and a weak report
+    return [
+        ldp_probe(fam_minima_exp, [-0.5, 0.5], LD_GRID, trials=256, seed=3),
+        md_probe(fam_replacement, power_scaling(0.5), [-0.5, 0.5], LD_GRID,
+                 trials=256, seed=3),
+        weak_probe(fam_coupon, (50, 200)),
+    ]
+
+
+def _golden_cases(live):
+    return {
+        "live": live,
+        "empty": [],
+        "edge rows": [_report(_edge_rows())],
+        "odd labels and notes": [
+            _report([_row()], notes=("line one\nline two", 'a "quote", \\ and é'),
+                    family=ODD_LABELS[0]),
+            _report([], notes=("no rows",)),
+        ],
+    }
+
+
+def test_report_files_match_the_reference_rendering(tmp_path, live_reports):
+    for name, reports in _golden_cases(live_reports).items():
+        path = tmp_path / "r.json"
+        write_json(reports, path)
+        assert path.read_text(encoding="utf-8") == _ref_json_text(reports), name
+        assert csv_text(reports) == _ref_csv_text(reports), name
+
+
+@given(cells=st.tuples(
+    st.text(), st.text(max_size=4), st.text(),
+    st.integers(min_value=-10**40, max_value=10**40),
+    *[st.one_of(st.none(), st.floats(), st.floats().map(np.float64),
+                st.integers(-10**20, 10**20))] * 8))
+@settings(max_examples=200, deadline=None)
+def test_report_files_match_the_reference_rendering_on_any_row(tmp_path_factory, cells):
+    reports = [_report([Row(*cells)], notes=(cells[0],))]
+    path = tmp_path_factory.mktemp("golden") / "r.json"
+    write_json(reports, path)
+    assert path.read_text(encoding="utf-8") == _ref_json_text(reports)
+    assert csv_text(reports) == _ref_csv_text(reports)
+
+
+def _row_key(row):
+    # repr tells nan from nan only by sign, -0.0 from 0.0 and 1e30 from 10**30
+    return repr(dataclasses.astuple(row))
+
+
+def test_json_round_trip_keeps_every_cell(tmp_path, live_reports):
+    plain = [r for r in _edge_rows() if all(type(v) in (str, int, float, type(None))
+                                            for v in dataclasses.astuple(r))]
+    reports = live_reports + [_report(plain, notes=("line one\nline two",))]
+    path = tmp_path / "r.json"
+    write_json(reports, path)
+    back = read_json(path)
+    assert len(back) == len(reports)
+    for got, want in zip(back, reports):
+        assert [_row_key(r) for r in got.rows] == [_row_key(r) for r in want.rows]
+        assert (got.family, got.regime, got.scaling, got.verdict, got.tolerances,
+                got.notes) == (want.family, want.regime, want.scaling, want.verdict,
+                               want.tolerances, want.notes)
+
+
+def _row_dict(**kw):
+    d = {k: _ref_num_out(v) for k, v in dataclasses.asdict(_row()).items()}
+    d.update(kw)
+    return d
+
+
+def _payload(rows, **report):
+    rep = {"family": "a", "regime": "ld", "scaling": "", "verdict": "pass",
+           "tolerances": {}, "notes": [], "rows": rows}
+    rep.update(report)
+    return {"reports": [rep]}
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+@pytest.mark.parametrize("payload, where", [
+    ({"reports": [{"family": "a"}]}, "report 0: missing regime"),
+    ({"reports": ["a"]}, "report 0: not a report object"),
+    ({"reports": {}}, "does not look like a probe report file"),
+    (_payload([_row_dict()], tolerances=[]), "report 0: tolerances must be"),
+    (_payload([_row_dict(), _without(_row_dict(), "x")]), "report 0 row 1: not a row"),
+    (_payload([_row_dict(extra=1.0)]), "report 0 row 0: not a row"),
+    (_payload([_row_dict(), _row_dict(), _row_dict(x="abc")]),
+     "report 0 row 2: x is 'abc', not a number"),
+    (_payload([_row_dict(n=True)]), "report 0 row 0: n is True, not a number"),
+    (_payload([_row_dict(residual=[1.0])]), "report 0 row 0: residual is [1.0]"),
+    (_payload([_row_dict(family=1)]), "report 0 row 0: family is 1, not a string"),
+])
+def test_read_json_rejects_a_malformed_report(tmp_path, payload, where):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as err:
+        read_json(path)
+    assert str(err.value).startswith(str(path))
+    assert where in str(err.value)
+
+
+def test_read_json_takes_the_spelled_non_finite_cells(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(_payload([_row_dict(
+        log_p_exact="-inf", residual="nan", rate_target="inf", log_p_mc=None)])))
+    row = read_json(path)[0].rows[0]
+    assert row.log_p_exact == -math.inf and row.rate_target == math.inf
+    assert math.isnan(row.residual) and row.log_p_mc is None
 
 
 def test_svg_structure(tmp_path, fam_gumbel_weibull2):
