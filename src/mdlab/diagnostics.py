@@ -513,7 +513,8 @@ def write_json(reports, path) -> None:
 
 _REPORT_KEYS = ("family", "regime", "scaling", "verdict", "tolerances", "rows")
 _ROW_KEYS = frozenset(CSV_COLUMNS)
-_label_cells = operator.itemgetter(*CSV_COLUMNS[:3])
+_LABEL_COLUMNS = CSV_COLUMNS[:3]
+_label_cells = operator.itemgetter(*_LABEL_COLUMNS)
 _number_cells = operator.itemgetter(*CSV_COLUMNS[3:])
 _LABEL_TYPES = frozenset((str,))
 _NUMBER_TYPES = frozenset((int, float, type(None)))
@@ -524,9 +525,9 @@ def _checked_row(d: dict, where: str) -> dict:
     """A row past the fast type test: map the non-finite strings to
     floats and reject any other cell of the wrong kind."""
     out = {}
-    for k, col in enumerate(CSV_COLUMNS):
+    for col in CSV_COLUMNS:
         v = d[col]
-        if k < 3:
+        if col in _LABEL_COLUMNS:
             if type(v) is not str:
                 raise ValueError(f"{where}: {col} is {v!r}, not a string")
         elif type(v) not in _NUMBER_TYPES:
