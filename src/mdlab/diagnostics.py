@@ -19,7 +19,7 @@ and bare nan, inf and -inf in CSV; a missing Monte Carlo cell is null in
 JSON and empty in CSV. The JSON is indent-1 text whose layout is stable
 byte for byte. read_json rejects a file whose reports lack a field, whose
 rows miss or add a column, or whose cells have the wrong kind, naming the
-file, the report index and the row index.
+file, the report index and, for a bad row, the row index.
 """
 
 from __future__ import annotations
