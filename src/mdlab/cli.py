@@ -179,6 +179,18 @@ def _summary(report: ConvergenceReport) -> str:
     return "\n".join(lines)
 
 
+def _plot(report: ConvergenceReport, path: str) -> None:
+    """Write the residual plot, or say why there is none: a report with no
+    finite residual (every rate target +inf) has nothing to draw, which
+    leaves its verdict and exit code as they are."""
+    try:
+        write_svg(report, path)
+    except ValueError as exc:
+        print(f"skipped {path}: {exc}")
+        return
+    print(f"wrote {path}")
+
+
 def _write_outputs(report: ConvergenceReport, cfg: RunConfig) -> None:
     if cfg.csv:
         write_csv(report, cfg.csv)
@@ -187,8 +199,7 @@ def _write_outputs(report: ConvergenceReport, cfg: RunConfig) -> None:
         write_json(report, cfg.json)
         print(f"wrote {cfg.json}")
     if cfg.svg:
-        write_svg(report, cfg.svg)
-        print(f"wrote {cfg.svg}")
+        _plot(report, cfg.svg)
 
 
 def cmd_verify(args) -> int:
@@ -269,9 +280,7 @@ def cmd_report(args) -> int:
             base = _slug(f"{rep.family}_{rep.regime}")
             k = seen.get(base, 0)
             seen[base] = k + 1
-            path = os.path.join(args.plot, base + ("" if k == 0 else f"_{k}") + ".svg")
-            write_svg(rep, path)
-            print(f"wrote {path}")
+            _plot(rep, os.path.join(args.plot, base + ("" if k == 0 else f"_{k}") + ".svg"))
     return EXIT_PASS
 
 

@@ -329,15 +329,17 @@ def weak_probe(fam: FamilySpec, n_list, x_grid=None,
             f"cdf spans [{fam.limit_cdf(xs[0])}, {fam.limit_cdf(xs[-1])}]")
     rows = []
     for n in ns:
-        scale = math.sqrt(fam.speed(n)) if fam.central else fam.speed(n)
-        for x in xs:
-            log_p = fam.exact_log_lower_tail(n, x / scale)
+        s_n = fam.speed(n)
+        scale = math.sqrt(s_n) if fam.central else s_n
+        # one call per n: the family evaluates the whole grid at once
+        log_ps = fam.exact_log_lower_tail(n, [x / scale for x in xs])
+        for x, log_p in zip(xs, log_ps):
             cdf_n = math.exp(log_p)
             target = fam.limit_cdf(x)
             rows.append(Row(
                 family=fam.label, regime="weak", scaling="", n=n, x=x,
                 log_p_exact=log_p, log_p_mc=None, stderr_log=None,
-                s_n=fam.speed(n), normalized_rate=cdf_n, rate_target=target,
+                s_n=s_n, normalized_rate=cdf_n, rate_target=target,
                 residual=cdf_n - target,
             ))
     tolerances = {"factor": tol_factor, "slack": MONOTONE_SLACK}
@@ -667,5 +669,8 @@ def render_svg(report: ConvergenceReport) -> str:
 
 
 def write_svg(report: ConvergenceReport, path: str) -> None:
+    """Write render_svg(report) to path; a report render_svg refuses
+    raises its ValueError before the file is opened."""
+    text = render_svg(report)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(report))
+        fh.write(text)

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainccinv
 
 __all__ = [
     "stable_log_complement",
@@ -188,9 +189,8 @@ def _clopper_pearson_upper_log(hits: int, trials: int, alpha: float = 0.05) -> f
     if hits == 0:
         # 1 - alpha^(1/T), kept in log form
         return stable_log_complement(math.log(alpha) / trials)
-    from scipy.stats import beta
-
-    return math.log(beta.isf(alpha, hits + 1, trials - hits))
+    # the upper end of the interval: the beta(h + 1, T - h) isf at alpha
+    return math.log(betainccinv(hits + 1, trials - hits, alpha))
 
 
 def mc_log_tail(fam, n: int, x: float, side: str = "upper",

@@ -20,8 +20,10 @@ The coupon collection time has one evaluator for both tails: the exact
 alternating series of P(T_n <= m), summed in log-scaled form with a
 computed rounding bound, is returned wherever that bound certifies a
 relative error of 1e-10; it stops summing once the terms left provably
-fall below rounding, so its cost follows the terms that matter, not n.
-Deep in the lower tail, where it cannot certify, a tilted Fourier
+fall below rounding, so its cost follows the terms that matter, not n,
+and gives up once a term is too large for any sum to certify. A list of
+thresholds at one n runs through it together, one chunk of terms shared
+by all. Deep in the lower tail, where it cannot certify, a tilted Fourier
 inversion with its own computed bound answers; it keeps no state, and
 its grid, hence its time and memory, follows from (n, m) alone.
 
@@ -174,6 +176,14 @@ class FamilySpec:
     "upper", C_n <= x for "lower"), whether or not each draw is formed. It
     uses only len(panel), the trial count, and panel.column(draw), which
     returns one uniform in (0, 1) per trial for draw index draw = 0, 1, ...
+
+    exact_log_upper_tail(n, x) and exact_log_lower_tail(n, x) return a log
+    probability for a float level x. Given a list of levels they return a
+    list whose element i has the bits of the float call at x[i]; where a
+    float call would raise, the list raises what the first such call in
+    list order raises. A family evaluates a list as a whole where that
+    saves work (the coupon series, the Gumbel maxima's m_n) and maps the
+    float call otherwise.
     """
 
     name: str
@@ -198,6 +208,16 @@ def _check_n(n: int, least: int, cap: Optional[int], label: str) -> int:
     if cap is not None and n > cap:
         raise ValueError(f"{label} caps n at {cap} (quantile resolution), got {n}")
     return n
+
+
+def _mapped(tail):
+    """The list form of a closed-form tail: tail(n, x) for a float x, the
+    list of those calls, in order, for a list of levels x."""
+    def list_or_float(n: int, x):
+        if isinstance(x, list):
+            return [tail(n, v) for v in x]
+        return tail(n, x)
+    return list_or_float
 
 
 def _count(values: np.ndarray, x: float, side: str) -> int:
@@ -280,8 +300,8 @@ def make_classical_sums(sigma: float = 1.0) -> FamilySpec:
         rate_ld=rate,
         rate_md=rate,
         limit_cdf=lambda x: float(ndtr(x / sigma)),
-        exact_log_upper_tail=log_upper,
-        exact_log_lower_tail=log_lower,
+        exact_log_upper_tail=_mapped(log_upper),
+        exact_log_lower_tail=_mapped(log_lower),
         count_hits=count_hits,
         least_n=1,
     )
@@ -349,8 +369,8 @@ def make_minima(dist: Distribution) -> FamilySpec:
                              domain_note="-log sf(x) on [0, omega), +inf elsewhere"),
         rate_md=_linear_rate(slope0, -math.inf),
         limit_cdf=limit_cdf,
-        exact_log_upper_tail=log_upper,
-        exact_log_lower_tail=log_lower,
+        exact_log_upper_tail=_mapped(log_upper),
+        exact_log_lower_tail=_mapped(log_lower),
         count_hits=count_hits,
         least_n=1,
     )
@@ -393,8 +413,11 @@ def make_gumbel_maxima(dist: Distribution) -> FamilySpec:
             return log_n + ls + math.log1p(-(n - 1) * math.exp(ls) / 2.0)
         return stable_log_complement(n * dist.log_cdf(y))
 
-    def log_lower(n: int, x: float) -> float:
-        return n * dist.log_cdf(m_of(n) * (1.0 + x))
+    def log_lower(n: int, x):
+        m = m_of(n)
+        if isinstance(x, list):
+            return [n * dist.log_cdf(m * (1.0 + v)) for v in x]
+        return n * dist.log_cdf(m * (1.0 + x))
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
         m = m_of(n)
@@ -410,7 +433,7 @@ def make_gumbel_maxima(dist: Distribution) -> FamilySpec:
         rate_ld=shift_rate(power_tail_rate(mu), 1.0),
         rate_md=_linear_rate(1.0, -math.inf),
         limit_cdf=lambda x: math.exp(-math.exp(-x)),
-        exact_log_upper_tail=log_upper,
+        exact_log_upper_tail=_mapped(log_upper),
         exact_log_lower_tail=log_lower,
         count_hits=count_hits,
         least_n=least,
@@ -433,17 +456,20 @@ _ULP = 2.0 * _U  # log, log1p and exp are taken to be within one ulp
 _SUBNORMAL = 5e-324  # absolute error of an exp that lands below the normal range
 _TILT_CHUNK = 1 << 14  # trapezoid nodes summed per pass of _coupon_tilt
 _SERIES_CHUNK = 64  # terms in the first chunk of the series; each next one doubles
+# a series term above e^_TOP_LIMIT rules out certifying _SERIES_TARGET
+_TOP_LIMIT = math.log(_SERIES_TARGET / _U) + 1.0
 
 
-def _coupon_nm(n: int, m: int) -> tuple[int, int]:
+def _coupon_n(n: int) -> int:
     n = int(n)
     if n < 1:
         raise ValueError(f"coupon collection needs n >= 1, got {n}")
-    return n, int(m)
+    return n
 
 
-def _coupon_series(n: int, m: int, upper: bool) -> tuple[float, float]:
-    """One coupon tail from its alternating series: (log value, error bound).
+def _coupon_series(n: int, m, upper: bool):
+    """One coupon tail from its alternating series: (log value, error bound),
+    or for a list of m the list of those pairs, computed together.
 
     P(T_n <= m) = sum_{k=0}^{n-1} (-1)^k C(n,k) (1-k/n)^m exactly
     (Erdos & Renyi 1961); P(T_n > m) is the same sum over k = 1..n-1 with
@@ -467,54 +493,103 @@ def _coupon_series(n: int, m: int, upper: bool) -> tuple[float, float]:
         (sum_k a_k delta_k + N u sum_k a_k + tail) / |S| + log rounding
     therefore bounds |log(computed) - log(exact)|, the relative error of
     the probability. A sum that cancels to S <= 0 returns (-inf, inf).
+    Since P <= 1, the rounding alone is at least u e^max relative, so once
+    the largest term passes e^_TOP_LIMIT nothing can certify and the row
+    returns (nan, inf) at once: memory stays bounded where the terms would
+    take up to n of them to decay.
+
+    The rows of a list share each chunk's log C(n,k) and its error, and
+    each row stops at the chunk where it would alone. The rows that stop
+    together are scaled and reduced as one block whose row sums and
+    per-row dot products are the ones a single row gets, so every pair
+    has the bits of a call with that m alone.
     """
-    parts = [np.zeros(1)] if not upper else []  # the k = 0 term, exactly 1
-    errs = [np.zeros(1)] if not upper else []
-    top = 0.0 if not upper else -math.inf
+    if not isinstance(m, list):
+        return _coupon_series(n, [m], upper)[0]
+    if not m:
+        return []
+    ms = np.array(m, dtype=float)[:, None]
+    out = [(math.nan, math.inf)] * len(m)  # the rows that pass _TOP_LIMIT keep it
+    live = np.arange(len(m))  # rows still summing, ascending; ms and top follow it
+    top = np.full(len(m), -math.inf if upper else 0.0)  # the k = 0 term is exactly 1
+    tops, tail = [math.nan] * len(m), [0.0] * len(m)  # as each row stops
+    chunks = []  # per chunk: the rows live in it, their log t_k and error
+    stops = {}  # chunk count -> the rows that stop after that many chunks
     log_c = err_c = 0.0  # log C(n, k-1) at the chunk start, and its error
-    tail = 0.0
     start, size = 1, _SERIES_CHUNK
     while start < n:
-        j = np.arange(start - 1, min(n, start + size) - 1, dtype=float)
-        g = np.log((n - j) / (j + 1.0))  # log C(n, j+1) - log C(n, j)
+        k = np.arange(start, min(n, start + size), dtype=float)
+        g = np.log((n + 1.0 - k) / k)  # log C(n, k) - log C(n, k-1), the floats exact
         # prefixing the carried value keeps the chunked cumsum bitwise sequential
         log_binom = np.cumsum(np.concatenate(([log_c], g)))[1:]  # log C(n, k)
         # the ratio (u) and its log (one ulp), then each partial sum (u)
         err_b = np.cumsum(np.concatenate(
             ([err_c], _U + _ULP * np.abs(g) + _U * np.abs(log_binom))))[1:]
         log_c, err_c = float(log_binom[-1]), float(err_b[-1])
-        x = (j + 1.0) / n  # k/n
+        x = k / n
         lg = np.log1p(-x)
-        log_t = log_binom + m * lg
+        log_t = log_binom + ms * lg
         # k/n (u, magnified by x/(1-x) in log1p), log1p, the product, the sum
-        err = err_b + m * (_U * x / (1.0 - x) + (_ULP + _U) * np.abs(lg)) + _U * np.abs(log_t)
-        parts.append(log_t)
-        errs.append(err)
-        top = max(top, float(log_t.max()))
-        start += len(j)
+        err = err_b + ms * (_U * x / (1.0 - x) + (_ULP + _U) * np.abs(lg)) + _U * np.abs(log_t)
+        chunks.append((live, log_t, err))
+        top = np.maximum(top, log_t.max(axis=1))
+        start += len(k)
         size *= 2
-        if start < n and len(j) > 1:
-            d = float(log_t[-1] - log_t[-2])
-            log_rho = d + _U * abs(d) + float(err[-1] + err[-2])
-            if log_rho <= -math.log(2.0):
-                log_tail = float(log_t[-1] + err[-1]) + log_rho - math.log(-math.expm1(log_rho))
-                if log_tail - top <= math.log(_U):
-                    tail = math.exp(log_tail - top)
-                    break
-    log_t = np.concatenate(parts)
-    err = np.concatenate(errs)
-    y = log_t - top
-    a = np.exp(y)
-    delta = np.expm1(err + _U * np.abs(y) + _ULP)
-    s = float(a[0::2].sum() - a[1::2].sum())
-    if not s > 0.0:
-        return -math.inf, math.inf
-    rounding = (float(a @ delta) + np.count_nonzero(a) * _U * float(a.sum())
-                + len(a) * _SUBNORMAL + tail)
-    log_s = math.log(s)
-    value = top + log_s
-    bound = rounding / s + _ULP * abs(log_s) + _U * abs(value)
-    return (value if upper else min(value, 0.0)), bound
+        # rows past _TOP_LIMIT, and rows whose terms may have started to fall
+        flag = top > _TOP_LIMIT
+        if start < n and len(k) > 1:
+            d = log_t[:, -1] - log_t[:, -2]
+            log_rho = d + _U * np.abs(d) + (err[:, -1] + err[:, -2])
+            flag |= log_rho <= -math.log(2.0)
+        drop = []
+        for i in flag.nonzero()[0].tolist():
+            top_i = float(top[i])
+            if top_i > _TOP_LIMIT:
+                drop.append(i)
+                continue
+            lr = float(log_rho[i])
+            log_tail = float(log_t[i, -1] + err[i, -1]) + lr - math.log(-math.expm1(lr))
+            if log_tail - top_i <= math.log(_U):
+                row = int(live[i])
+                tail[row], tops[row] = math.exp(log_tail - top_i), top_i
+                stops.setdefault(len(chunks), []).append(row)
+                drop.append(i)
+        if len(drop) == len(live):
+            break
+        if drop:
+            keep = np.ones(len(live), dtype=bool)
+            keep[drop] = False
+            live, ms, top = live[keep], ms[keep], top[keep]
+    else:
+        for row, top_i in zip(live.tolist(), top.tolist()):
+            tops[row] = top_i
+            stops.setdefault(len(chunks), []).append(row)
+    for count, rows in stops.items():
+        rows = np.array(rows)
+        terms = [] if upper else [np.zeros((len(rows), 1))]  # the k = 0 term is exact
+        errs = terms.copy()
+        for had, log_t, err in chunks[:count]:
+            at = slice(None) if len(had) == len(rows) else np.searchsorted(had, rows)
+            terms.append(log_t[at])
+            errs.append(err[at])
+        log_t, err = np.concatenate(terms, axis=1), np.concatenate(errs, axis=1)
+        y = log_t - np.array([tops[row] for row in rows])[:, None]
+        a = np.exp(y)
+        delta = np.expm1(err + _U * np.abs(y) + _ULP)
+        sums = (a[:, 0::2].sum(axis=1) - a[:, 1::2].sum(axis=1)).tolist()
+        nonzero, totals = (a > 0.0).sum(axis=1).tolist(), a.sum(axis=1).tolist()
+        for i, row in enumerate(rows.tolist()):
+            s = sums[i]
+            if not s > 0.0:
+                out[row] = (-math.inf, math.inf)
+                continue
+            rounding = (float(a[i] @ delta[i]) + nonzero[i] * _U * totals[i]
+                        + a.shape[1] * _SUBNORMAL + tail[row])
+            log_s = math.log(s)
+            value = tops[row] + log_s
+            bound = rounding / s + _ULP * abs(log_s) + _U * abs(value)
+            out[row] = (value if upper else min(value, 0.0)), bound
+    return out
 
 
 def _ztp_lambda(r: float) -> float:
@@ -663,46 +738,65 @@ def _coupon_dp(n: int, top: int) -> tuple[np.ndarray, float]:
     return np.cumsum(row), log_scale
 
 
-def _coupon_log_cdf(n: int, m: int) -> float:
+def _coupon_log_cdf(n: int, m):
     """log P(T_n <= m): the series where its bound certifies 1e-10, else
     _coupon_tilt where its bound does, else a ValueError. log1p(-P(T_n > m))
-    from the upper series, where that is below 1/2, keeps log p relative."""
-    n, m = _coupon_nm(n, m)
-    if m < n:
-        return -math.inf
-    log_p, bound = _coupon_series(n, m, upper=False)
-    if bound > _SERIES_TARGET:
-        log_p, bound = _coupon_tilt(n, m)
-    elif n > 1 and log_p > -math.log(2.0):
-        log_q, bound_q = _coupon_series(n, m, upper=True)
-        if bound_q <= _SERIES_TARGET:
-            return stable_log_complement(log_q)
-    if not bound <= _SERIES_TARGET:
-        raise ValueError(
-            f"coupon lower tail n={n}, m={m}: the tilted inversion's error "
-            f"bound {bound:.3g} exceeds {_SERIES_TARGET:g}")
-    return log_p
+    from the upper series, where that is below 1/2, keeps log p relative.
+
+    For a list of m, the list of those values: the series runs once over
+    the whole list and the upper series once over the rows near 1. The
+    tilt runs row by row in list order, so the first row it cannot certify
+    raises what a call with that m alone raises.
+    """
+    if not isinstance(m, list):
+        return _coupon_log_cdf(n, [m])[0]
+    n, ms = _coupon_n(n), [int(v) for v in m]
+    out = [-math.inf] * len(ms)
+    rows = [i for i, v in enumerate(ms) if v >= n]
+    series = _coupon_series(n, [ms[i] for i in rows], upper=False)
+    near_one = [i for i, (log_p, bound) in zip(rows, series)
+                if bound <= _SERIES_TARGET and n > 1 and log_p > -math.log(2.0)]
+    complement = dict(zip(near_one, _coupon_series(n, [ms[i] for i in near_one], upper=True)))
+    for i, (log_p, bound) in zip(rows, series):
+        if bound > _SERIES_TARGET:
+            log_p, bound = _coupon_tilt(n, ms[i])
+        elif i in complement and complement[i][1] <= _SERIES_TARGET:
+            log_p = stable_log_complement(complement[i][0])
+        if not bound <= _SERIES_TARGET:
+            raise ValueError(
+                f"coupon lower tail n={n}, m={ms[i]}: the tilted inversion's error "
+                f"bound {bound:.3g} exceeds {_SERIES_TARGET:g}")
+        out[i] = log_p
+    return out
 
 
-def _coupon_log_sf(n: int, m: int) -> float:
+def _coupon_log_sf(n: int, m):
     """log P(T_n > m): the series where its bound certifies 1e-10, else the
     complement of _coupon_log_cdf. The upper series misses only deep in
-    the lower tail, where that complement loses nothing."""
-    n, m = _coupon_nm(n, m)
-    if m < n:
-        return 0.0
+    the lower tail, where that complement loses nothing. A list of m gives
+    the list of values, as _coupon_log_cdf does."""
+    if not isinstance(m, list):
+        return _coupon_log_sf(n, [m])[0]
+    n, ms = _coupon_n(n), [int(v) for v in m]
     if n == 1:
-        return -math.inf
-    log_p, bound = _coupon_series(n, m, upper=True)
-    if bound <= _SERIES_TARGET:
-        return log_p
-    return stable_log_complement(_coupon_log_cdf(n, m))
+        return [-math.inf if v >= n else 0.0 for v in ms]
+    out = [0.0] * len(ms)
+    rows = [i for i, v in enumerate(ms) if v >= n]
+    missed = []
+    for i, (log_p, bound) in zip(rows, _coupon_series(n, [ms[i] for i in rows], upper=True)):
+        if bound <= _SERIES_TARGET:
+            out[i] = log_p
+        else:
+            missed.append(i)
+    for i, log_p in zip(missed, _coupon_log_cdf(n, [ms[i] for i in missed])):
+        out[i] = stable_log_complement(log_p)
+    return out
 
 
 def coupon_cdf_dp(n: int, m: int) -> float:
     """P(T_n <= m) by the exact convolution dynamic program, built at
     exactly m and not cached: the reference the series is checked against."""
-    n, m = _coupon_nm(n, m)
+    n, m = _coupon_n(n), int(m)
     if m < n:
         return 0.0
     cum, log_scale = _coupon_dp(n, m)
@@ -720,7 +814,7 @@ def coupon_cdf_inclusion_exclusion(n: int, m: int) -> float:
     cell budget keeps the big-integer work bounded; coupon_cdf_dp is the
     reference beyond it.
     """
-    n, m = _coupon_nm(n, m)
+    n, m = _coupon_n(n), int(m)
     if m < n:
         return 0.0
     if n * m > _IE_CELL_BUDGET:
@@ -781,6 +875,22 @@ def coupon_threshold_pair(n: int, x: float) -> tuple[int, int]:
     return m_lo, m_up
 
 
+def _at_thresholds(tail, n: int, x, threshold):
+    """tail(n, threshold(x)), or for a list of levels tail(n, list of their
+    thresholds). A level without a threshold (nan, +-inf) raises once the
+    levels before it have run, as the float calls in order would."""
+    if not isinstance(x, list):
+        return tail(n, threshold(x))
+    ms = []
+    for v in x:
+        try:
+            ms.append(threshold(v))
+        except (ValueError, OverflowError):
+            tail(n, ms)
+            raise
+    return tail(n, ms)
+
+
 def make_coupon() -> FamilySpec:
     """C_n = T_n / (n log n) - 1 for the n-coupon collection time; v_n = log n.
 
@@ -791,15 +901,13 @@ def make_coupon() -> FamilySpec:
     """
     rate = _linear_rate(1.0, -math.inf)
 
-    def log_upper(n: int, x: float) -> float:
+    def log_upper(n: int, x):
         n = _check_n(n, 2, None, "coupon")
-        _, m_up = coupon_threshold_pair(n, x)
-        return _coupon_log_sf(n, m_up - 1)
+        return _at_thresholds(_coupon_log_sf, n, x, lambda v: coupon_threshold_pair(n, v)[1] - 1)
 
-    def log_lower(n: int, x: float) -> float:
+    def log_lower(n: int, x):
         n = _check_n(n, 2, None, "coupon")
-        m_lo, _ = coupon_threshold_pair(n, x)
-        return _coupon_log_cdf(n, m_lo)
+        return _at_thresholds(_coupon_log_cdf, n, x, lambda v: coupon_threshold_pair(n, v)[0])
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
         n = _check_n(n, 2, None, "coupon")
@@ -962,8 +1070,8 @@ def make_replacement(params: ReplacementParams) -> FamilySpec:
             domain_note="log-ratio of F below t, of sf_G above; +inf at and below -t"),
         rate_md=_linear_rate(slope_right, -slope_left),
         limit_cdf=limit_cdf,
-        exact_log_upper_tail=log_upper,
-        exact_log_lower_tail=log_lower,
+        exact_log_upper_tail=_mapped(log_upper),
+        exact_log_lower_tail=_mapped(log_lower),
         count_hits=count_hits,
         least_n=1,
         md_needs_alogn=True,

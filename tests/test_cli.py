@@ -112,6 +112,25 @@ def test_report_merges_and_sorts(tmp_path, capsys):
     assert len(svgs) == 2 and all(name.endswith(".svg") for name in svgs)
 
 
+def test_plot_of_a_report_without_finite_residuals_is_skipped(tmp_path, capsys):
+    # every coupon ld row at x = -0.3 has a +inf rate target, so no
+    # residual is finite: the plot is skipped with a note, no file is
+    # left, and the exit codes stay the verdict's and the report's
+    svg, js = tmp_path / "o.svg", tmp_path / "o.json"
+    code = main(["verify", "ld", "--family", "coupon", "--x=-0.3",
+                 "--n", "20,200,2000,20000", "--svg", str(svg), "--json", str(js)])
+    assert code == EXIT_INCONCLUSIVE
+    out = capsys.readouterr().out
+    assert f"skipped {svg}: report has no finite residuals to plot" in out
+    assert not svg.exists()
+    plot_dir = tmp_path / "plots"
+    code = main(["report", "--in", str(js), "--csv", str(tmp_path / "m.csv"),
+                 "--plot", str(plot_dir)])
+    assert code == EXIT_PASS
+    assert "skipped" in capsys.readouterr().out
+    assert list(plot_dir.iterdir()) == []
+
+
 def test_report_rejects_corrupt_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

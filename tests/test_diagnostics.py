@@ -182,6 +182,12 @@ def test_probes_call_a_record_rebuilt_with_replace(fam_replacement):
         assert calls["count_hits"] == 2 * len(report.rows), report.regime
         assert calls["speed"] > 0, report.regime
         assert report.rows == run(fam_replacement).rows
+    # the weak probe reads v_n and takes the whole grid in one lower-tail
+    # call per n
+    calls.clear()
+    report = weak_probe(fam, ns)
+    assert calls == {"exact_log_lower_tail": len(ns), "speed": len(ns)}
+    assert report.rows == weak_probe(fam_replacement, ns).rows
 
 
 def test_weak_probe_minima_exponential_is_exact(fam_minima_exp):
@@ -476,6 +482,16 @@ def test_svg_needs_finite_residuals():
                                tolerances={}, verdict="pass", notes=())
     with pytest.raises(ValueError):
         render_svg(report)
+
+
+def test_write_svg_refuses_before_opening_the_file(tmp_path):
+    rows = (_row(residual=math.nan),)
+    report = ConvergenceReport(family="f", regime="ld", scaling="", rows=rows,
+                               tolerances={}, verdict="pass", notes=())
+    path = tmp_path / "o.svg"
+    with pytest.raises(ValueError, match="no finite residuals"):
+        write_svg(report, str(path))
+    assert not path.exists()
 
 
 def test_weak_report_rows_reuse_rate_columns(fam_coupon):

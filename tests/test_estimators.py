@@ -19,7 +19,7 @@ from mdlab import (
     parse_family_spec,
     stable_log_complement,
 )
-from mdlab.estimators import _key_uniforms, _mix64
+from mdlab.estimators import _clopper_pearson_upper_log, _key_uniforms, _mix64
 
 # (spec, n, x, side) with a hit rate well inside (0, 1) at 4096 trials;
 # the five canonical families plus the gamma members, whose quantiles
@@ -216,6 +216,17 @@ def test_mc_zero_hits_reports_upper_bound():
     assert est.stderr_log == math.inf
     ref = math.log(1.0 - 0.05 ** (1.0 / 1000.0))
     assert est.log_p_upper95 == pytest.approx(ref, rel=1e-12)
+
+
+def test_clopper_pearson_upper_is_the_beta_isf():
+    # betainccinv(h + 1, T - h, alpha) gives the bits of scipy.stats'
+    # beta.isf(alpha, h + 1, T - h) on the (hits, trials) pairs probes meet
+    from scipy.stats import beta
+
+    for trials in (10, 37, 1000, 1024, 1500, 2000, 20000, 200000):
+        for hits in sorted({1, 2, 3, trials // 100 + 1, trials // 3, trials // 2, trials - 1}):
+            want = math.log(beta.isf(0.05, hits + 1, trials - hits))
+            assert _clopper_pearson_upper_log(hits, trials) == want, (hits, trials)
 
 
 def test_mc_rejects_bad_arguments():

@@ -40,7 +40,7 @@ from mdlab import (
     weibull,
 )
 from mdlab import families
-from mdlab.diagnostics import ldp_probe, weak_probe
+from mdlab.diagnostics import default_weak_grid, ldp_probe, weak_probe
 from mdlab.distributions import gamma, isf_values, quantile_values
 from mdlab.estimators import UniformPanel
 from mdlab.rvtoolkit import characteristic_level, normalizing_rate
@@ -794,6 +794,115 @@ def test_family_rate_grids_are_clean(fam_classical, fam_minima_exp,
         for x in grid:
             want = 0.0 if x == 0.0 else (right if x > 0.0 else left) * x
             assert fam.rate_md(x) == want, (fam.name, x)
+
+
+# --- list form of the exact tails ----------------------------------------------
+
+LIST_FORM_SPECS = CANONICAL_SPECS + [
+    "gumbel_maxima:gamma:2",
+    "replacement:gamma:2,exponential:2,t=1,beta=0.4",
+]
+
+
+def _hex_list(values):
+    assert isinstance(values, (list, tuple))
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("spec", LIST_FORM_SPECS)
+def test_list_form_has_the_bits_of_the_float_calls(spec):
+    # the weak probe's levels x / v_n (x / sqrt(v_n) for the central family)
+    # at several n, on both tails; the coupon's span m < n, the series, the
+    # complement route and the tilt
+    fam = parse_family_spec(spec)
+    for n in sorted({max(fam.least_n, 2), 50, 1000, 10 ** 5}):
+        s_n = fam.speed(n)
+        scale = math.sqrt(s_n) if fam.central else s_n
+        xs = [x / scale for x in default_weak_grid(fam)]
+        for tail in (fam.exact_log_lower_tail, fam.exact_log_upper_tail):
+            assert _hex_list(tail(n, xs)) == _hex_list([tail(n, x) for x in xs]), (n, tail)
+
+
+def _coupon_routes(n, ms):
+    # which way _coupon_log_cdf answers each m
+    routes = set()
+    for m in ms:
+        if m < n:
+            routes.add("m < n")
+            continue
+        log_p, bound = _coupon_series(n, m, upper=False)
+        if bound > families._SERIES_TARGET:
+            routes.add("tilt")
+        elif log_p > -math.log(2.0) and _coupon_series(n, m, upper=True)[1] <= families._SERIES_TARGET:
+            routes.add("complement")
+        else:
+            routes.add("series")
+    return routes
+
+
+@pytest.mark.parametrize("chunk", [64, 2])
+def test_coupon_lists_have_the_bits_of_single_calls(chunk, monkeypatch):
+    # shuffled, with repeats, so rows that stop at different chunks are
+    # grouped and scattered back; chunks of 2 terms make them stop apart
+    monkeypatch.setattr(families, "_SERIES_CHUNK", chunk)
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 40, 1000):
+        top = int(n * math.log(n) + 6 * n)
+        ms = list(range(max(n - 3, 0), top, max(1, n // 12))) + [n, n, top]
+        ms = [int(m) for m in rng.permutation(ms)]
+        if n == 1000:
+            assert _coupon_routes(n, ms) == {"m < n", "tilt", "complement", "series"}
+        for upper in (False, True):
+            pairs = _coupon_series(n, [m for m in ms if m >= n], upper)
+            singles = [_coupon_series(n, m, upper) for m in ms if m >= n]
+            assert [_hex_list(p) for p in pairs] == [_hex_list(p) for p in singles], (n, upper)
+        assert _hex_list(_coupon_log_cdf(n, ms)) == _hex_list([_coupon_log_cdf(n, m) for m in ms])
+        assert _hex_list(_coupon_log_sf(n, ms)) == _hex_list([_coupon_log_sf(n, m) for m in ms])
+
+
+def _raised(fn, *args):
+    with pytest.raises((ValueError, OverflowError)) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_list_form_raises_what_the_first_failing_float_call_raises(fam_coupon, fam_classical):
+    # at n = 1e6 neither the series nor the tilt certifies x = -0.8 or
+    # -0.75 (m/n 2.76 and 3.45); x = nan and inf have no threshold
+    n = 10 ** 6
+    for tail in (fam_coupon.exact_log_lower_tail, fam_coupon.exact_log_upper_tail):
+        first = _raised(tail, n, -0.75)
+        assert first != _raised(tail, n, -0.8)
+        assert "bound" in first[1]
+        assert _raised(tail, n, [0.0, 0.5, -0.75, 0.1, -0.8]) == first
+        assert _raised(tail, n, [0.0, -0.75, math.nan]) == first
+        assert _raised(tail, n, [0.0, math.nan, -0.75]) == _raised(tail, n, math.nan)
+        assert _raised(tail, n, [0.0, math.inf]) == _raised(tail, n, math.inf)
+    assert _raised(fam_coupon.exact_log_lower_tail, 1, [0.0]) == _raised(
+        fam_coupon.exact_log_lower_tail, 1, 0.0)
+    assert _raised(fam_classical.exact_log_upper_tail, 0, [0.5]) == _raised(
+        fam_classical.exact_log_upper_tail, 0, 0.5)
+
+
+def test_coupon_uncertifiable_series_stops_in_small_memory(fam_coupon):
+    # a term above e^_TOP_LIMIT rules out a certified sum, so the series
+    # gives up there; at n = 1e8, x = -0.93 it used to keep every chunk
+    # until its terms decayed, 2.7 GB, before the tilt raised
+    m = coupon_threshold_pair(10 ** 8, -0.93)[0]
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        pairs = _coupon_series(10 ** 8, [m, m + 10 ** 6], upper=False)
+        with pytest.raises(ValueError, match=r"n=100000000, m=128944765: .* bound"):
+            fam_coupon.exact_log_lower_tail(10 ** 8, [-0.93, -0.92])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < 2 ** 20
+    assert all(math.isnan(value) and bound == math.inf for value, bound in pairs)
+    # the tilt still answers where it certifies
+    assert abs(fam_coupon.exact_log_lower_tail(10 ** 5, -0.9) - -65330.46825133084) <= 1e-10
 
 
 # --- spec strings ------------------------------------------------------------
