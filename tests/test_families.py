@@ -867,16 +867,16 @@ def _raised(fn, *args):
 
 
 def test_list_form_raises_what_the_first_failing_float_call_raises(fam_coupon, fam_classical):
-    # at n = 1e6 neither the series nor the tilt certifies x = -0.8 or
-    # -0.75 (m/n 2.76 and 3.45); x = nan and inf have no threshold
-    n = 10 ** 6
+    # at n = 1e9 neither the series nor the tilt certifies x = -0.35 or
+    # -0.3; x = nan and inf have no threshold
+    n = 10 ** 9
     for tail in (fam_coupon.exact_log_lower_tail, fam_coupon.exact_log_upper_tail):
-        first = _raised(tail, n, -0.75)
-        assert first != _raised(tail, n, -0.8)
+        first = _raised(tail, n, -0.35)
+        assert first != _raised(tail, n, -0.3)
         assert "bound" in first[1]
-        assert _raised(tail, n, [0.0, 0.5, -0.75, 0.1, -0.8]) == first
-        assert _raised(tail, n, [0.0, -0.75, math.nan]) == first
-        assert _raised(tail, n, [0.0, math.nan, -0.75]) == _raised(tail, n, math.nan)
+        assert _raised(tail, n, [0.0, 0.5, -0.35, 0.1, -0.3]) == first
+        assert _raised(tail, n, [0.0, -0.35, math.nan]) == first
+        assert _raised(tail, n, [0.0, math.nan, -0.35]) == _raised(tail, n, math.nan)
         assert _raised(tail, n, [0.0, math.inf]) == _raised(tail, n, math.inf)
     assert _raised(fam_coupon.exact_log_lower_tail, 1, [0.0]) == _raised(
         fam_coupon.exact_log_lower_tail, 1, 0.0)
