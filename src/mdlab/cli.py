@@ -66,8 +66,8 @@ def _parse_floats(value) -> tuple:
 def _parse_ns(value) -> tuple:
     out = []
     for v in _parse_floats(value):
-        i = int(round(v))
-        if not math.isfinite(v) or abs(v - i) > 1e-9 * max(1.0, abs(v)) or i <= 0:
+        i = int(round(v)) if math.isfinite(v) else 0
+        if abs(v - i) > 1e-9 * max(1.0, abs(v)) or i <= 0:
             raise ValueError(f"sample sizes must be positive integers, got {v!r}")
         out.append(i)
     return tuple(out)

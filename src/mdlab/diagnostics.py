@@ -1,12 +1,13 @@
 """Convergence probes over the exact tails, and their serialized reports.
 
-A probe evaluates one family on a grid of levels x and sizes n, turns
-each exact log tail into a normalized rate, and compares against the
-regime's rate target. Verdicts are three-valued: "pass" needs the final
-residual inside tolerance and the residual magnitudes non-increasing
-across the sampled n; losing exactly one of the two gives
-"inconclusive"; losing both gives "fail". Monte Carlo columns can be
-attached for eyeballing but never influence a verdict.
+A probe evaluates one family on a grid of levels x and sizes n. The
+ld, md and weak probes share one row loop: at each n it reads all the
+levels of one tail side in a single exact-tail call, turns each log tail
+into a normalized rate and compares it against the regime's target.
+Verdicts are three-valued: "pass" needs the final residual inside
+tolerance and the residual magnitudes non-increasing across the sampled
+n; losing one of the two gives "inconclusive", both "fail". Monte Carlo
+columns are for eyeballing and never influence a verdict.
 
 The row schema is shared by all regimes. Weak-limit rows repurpose the
 rate columns: normalized_rate holds the finite-n cdf value at x,
@@ -197,40 +198,55 @@ def _base_notes(fam: FamilySpec) -> list[str]:
 # probes
 
 
-def _rate_probe(fam: FamilySpec, regime: str, scaling: str, rate, point, xs, ns,
-                trials: int, seed: int, partitions: int, tol_factor: float,
-                notes) -> ConvergenceReport:
-    """The row loop shared by the ld and md probes.
+def _probe(fam: FamilySpec, regime: str, scaling: str, xs, ns, at, target,
+           trials: int, seed: int, partitions: int, tol_factor: float,
+           notes) -> ConvergenceReport:
+    """The row loop of every probe.
 
-    point(tail, n, x) returns (threshold, log_p, s_n, normalized_rate),
-    where threshold is the C_n level the tail and the Monte Carlo column
-    are taken at. The family's members are read from fam while the probe
-    runs, so a record rebuilt with dataclasses.replace is the one called.
+    at(n) returns (scale, s_n, norm): level x is read, and Monte Carlo
+    drawn, at the C_n threshold x / scale; norm(log_p) is the row's
+    normalized_rate and target(x) its rate_target. Each n makes one list
+    call per tail side that holds a level; weak puts every level on the
+    lower side. Rows come x-major for ld and md, n-major for weak. fam's
+    members are read while the probe runs, so a record rebuilt with
+    dataclasses.replace is the one called.
     """
+    if trials < 0:
+        raise ValueError(f"Monte Carlo trials must be >= 0, got {trials}")
+    if not (math.isfinite(tol_factor) and tol_factor > 0.0):
+        raise ValueError(f"tolerance factor must be finite and positive, got {tol_factor}")
+    sides = {x: "lower" if regime == "weak" or x < 0.0 else "upper" for x in xs}
+    exact = {}
+    for n in ns:
+        scale, s_n, norm = at(n)
+        for side, tail in (("lower", fam.exact_log_lower_tail),
+                           ("upper", fam.exact_log_upper_tail)):
+            levels = [x for x in xs if sides[x] == side]
+            if levels:
+                thresholds = [x / scale for x in levels]
+                for x, t, log_p in zip(levels, thresholds, tail(n, thresholds)):
+                    exact[x, n] = t, log_p, s_n, norm(log_p)
+    targets = {x: target(x) for x in xs}
     rows = []
-    for x in xs:
-        side = "upper" if x > 0.0 else "lower"
-        tail = fam.exact_log_upper_tail if side == "upper" else fam.exact_log_lower_tail
-        target = rate(x)
-        for n in ns:
-            threshold, log_p, s_n, norm = point(tail, n, x)
-            mc = stderr = None
-            if trials > 0:
-                est = mc_log_tail(fam, n, threshold, side, trials,
-                                  _row_seed(seed, fam.label, n, x, side), partitions)
-                mc, stderr = est.log_p_hat, est.stderr_log
-            rows.append(Row(
-                family=fam.label, regime=regime, scaling=scaling, n=n, x=x,
-                log_p_exact=log_p, log_p_mc=mc, stderr_log=stderr, s_n=s_n,
-                normalized_rate=norm, rate_target=target,
-                residual=norm - target if math.isfinite(target) else math.nan,
-            ))
+    for x, n in ([(x, n) for n in ns for x in xs] if regime == "weak"
+                 else [(x, n) for x in xs for n in ns]):
+        threshold, log_p, s_n, rate = exact[x, n]
+        mc = stderr = None
+        if trials > 0:
+            est = mc_log_tail(fam, n, threshold, sides[x], trials,
+                              _row_seed(seed, fam.label, n, x, sides[x]), partitions)
+            mc, stderr = est.log_p_hat, est.stderr_log
+        rows.append(Row(
+            family=fam.label, regime=regime, scaling=scaling, n=n, x=x,
+            log_p_exact=log_p, log_p_mc=mc, stderr_log=stderr, s_n=s_n,
+            normalized_rate=rate, rate_target=targets[x],
+            residual=rate - targets[x] if math.isfinite(targets[x]) else math.nan,
+        ))
     tolerances = {"factor": tol_factor, "slack": MONOTONE_SLACK}
     return ConvergenceReport(
         family=fam.label, regime=regime, scaling=scaling, rows=tuple(rows),
         tolerances=tolerances, verdict=evaluate_verdict(rows, tolerances),
-        notes=tuple(notes),
-    )
+        notes=tuple(notes))
 
 
 def ldp_probe(fam: FamilySpec, x_list, n_list, trials: int = 0, seed: int = 0,
@@ -239,13 +255,12 @@ def ldp_probe(fam: FamilySpec, x_list, n_list, trials: int = 0, seed: int = 0,
     ns = _check_ns(fam, n_list, want_decades=True)
     xs = _check_xs(x_list)
 
-    def point(tail, n: int, x: float):
-        log_p = tail(n, x)
+    def at(n: int):
         s_n = fam.speed(n)
-        return x, log_p, s_n, -log_p / s_n
+        return 1.0, s_n, lambda log_p: -log_p / s_n
 
-    return _rate_probe(fam, "ld", "", fam.rate_ld, point, xs, ns, trials, seed,
-                       partitions, tol_factor, _base_notes(fam))
+    return _probe(fam, "ld", "", xs, ns, at, fam.rate_ld, trials, seed,
+                  partitions, tol_factor, _base_notes(fam))
 
 
 def md_probe(fam: FamilySpec, scaling: ScalingFamily, x_list, n_list,
@@ -271,15 +286,13 @@ def md_probe(fam: FamilySpec, scaling: ScalingFamily, x_list, n_list,
                 f"for {fam.name} over n in [{ns[0]}, {ns[-1]}]")
         notes.append(f"scaling {report.label} admissible over [{ns[0]}, {ns[-1]}]")
 
-    def point(tail, n: int, x: float):
+    def at(n: int):
         a = evaluate(scaling, n, fam.speed)
         av = a * fam.speed(n)
-        threshold = x / math.sqrt(av) if fam.central else x / av
-        log_p = tail(n, threshold)
-        return threshold, log_p, 1.0 / a, -log_p * a
+        return math.sqrt(av) if fam.central else av, 1.0 / a, lambda log_p: -log_p * a
 
-    return _rate_probe(fam, "md", render_scaling_spec(scaling), fam.rate_md, point,
-                       xs, ns, trials, seed, partitions, tol_factor, notes)
+    return _probe(fam, "md", render_scaling_spec(scaling), xs, ns, at, fam.rate_md,
+                  trials, seed, partitions, tol_factor, notes)
 
 
 def default_weak_grid(fam: FamilySpec, points: int = 61) -> list[float]:
@@ -316,38 +329,25 @@ def weak_probe(fam: FamilySpec, n_list, x_grid=None,
     of |residual| per n.
     """
     ns = _check_ns(fam, n_list, want_decades=False)
-    if x_grid is None:
-        x_grid = default_weak_grid(fam)
-    xs = [float(x) for x in x_grid]
+    xs = [float(x) for x in (default_weak_grid(fam) if x_grid is None else x_grid)]
     if len(xs) < 41:
         raise ValueError(f"weak grids need at least 41 points, got {len(xs)}")
+    bad = [x for x in xs if not math.isfinite(x)]
+    if bad:
+        raise ValueError(f"weak grid points must be finite, got {bad}")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("weak grid must be strictly increasing")
     if fam.limit_cdf(xs[0]) > 0.005 or fam.limit_cdf(xs[-1]) < 0.995:
         raise ValueError(
             f"weak grid [{xs[0]}, {xs[-1]}] misses the limit law's central 99%: "
             f"cdf spans [{fam.limit_cdf(xs[0])}, {fam.limit_cdf(xs[-1])}]")
-    rows = []
-    for n in ns:
+
+    def at(n: int):
         s_n = fam.speed(n)
-        scale = math.sqrt(s_n) if fam.central else s_n
-        # one call per n: the family evaluates the whole grid at once
-        log_ps = fam.exact_log_lower_tail(n, [x / scale for x in xs])
-        for x, log_p in zip(xs, log_ps):
-            cdf_n = math.exp(log_p)
-            target = fam.limit_cdf(x)
-            rows.append(Row(
-                family=fam.label, regime="weak", scaling="", n=n, x=x,
-                log_p_exact=log_p, log_p_mc=None, stderr_log=None,
-                s_n=s_n, normalized_rate=cdf_n, rate_target=target,
-                residual=cdf_n - target,
-            ))
-    tolerances = {"factor": tol_factor, "slack": MONOTONE_SLACK}
-    return ConvergenceReport(
-        family=fam.label, regime="weak", scaling="", rows=tuple(rows),
-        tolerances=tolerances, verdict=evaluate_verdict(rows, tolerances),
-        notes=tuple(_base_notes(fam)),
-    )
+        return math.sqrt(s_n) if fam.central else s_n, s_n, math.exp
+
+    return _probe(fam, "weak", "", xs, ns, at, fam.limit_cdf, trials=0, seed=0,
+                  partitions=1, tol_factor=tol_factor, notes=_base_notes(fam))
 
 
 def weak_sup_distances(report: ConvergenceReport) -> list[tuple[int, float]]:

@@ -181,9 +181,9 @@ class FamilySpec:
     probability for a float level x. Given a list of levels they return a
     list whose element i has the bits of the float call at x[i]; where a
     float call would raise, the list raises what the first such call in
-    list order raises. A family evaluates a list as a whole where that
-    saves work (the coupon series, the Gumbel maxima's m_n) and maps the
-    float call otherwise.
+    list order raises. The probes pass one list per n and side; a family
+    evaluates it as a whole where that saves work (the coupon series, the
+    Gumbel maxima's m_n) and maps the float call otherwise.
     """
 
     name: str

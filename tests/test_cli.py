@@ -10,6 +10,15 @@ from pathlib import Path
 import pytest
 
 from mdlab.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE, RunConfig, main
+from mdlab.diagnostics import default_weak_grid
+from mdlab.families import parse_family_spec
+
+
+def _grid_arg(spec: str, index: int, value: float) -> str:
+    """The family's default weak grid as a --grid flag, one point replaced."""
+    grid = default_weak_grid(parse_family_spec(spec))
+    grid[index] = value
+    return "--grid=" + ",".join(map(repr, grid))
 
 
 def test_verify_ld_minima_passes(capsys):
@@ -212,12 +221,29 @@ def test_config_unknown_key(tmp_path, capsys):
     ["verify", "ld", "--family", "coupon", "--x", "0.5", "--n", "0,10,100,1000"],
     ["verify", "ld", "--family", "coupon", "--x", "0.5", "--n", "2.5,10,100,1000"],
     ["verify", "ld", "--family", "nosuch", "--x", "0.5", "--n", "1e2,1e3,1e4,1e5"],
+    ["verify", "weak", "--family", "classical:sigma=1", "--n", "100,10000",
+     _grid_arg("classical:sigma=1", 30, math.nan)],
+    ["verify", "weak", "--family", "coupon", "--n", "50,200",
+     _grid_arg("coupon", -1, math.inf)],
+    ["verify", "ld", "--family", "classical:sigma=1", "--x", "0.5", "--n", "1e2,1e3,1e400"],
+    ["verify", "ld", "--family", "classical:sigma=1", "--x", "0.5", "--n", "1e2,1e3,nan"],
+    ["verify", "ld", "--family", "classical:sigma=1", "--x", "0.5", "--n", "1e2,1e3,1e5",
+     "--trials", "-5"],
+    ["verify", "ld", "--family", "classical:sigma=1", "--x", "0.5", "--n", "1e2,1e3,1e5",
+     "--tol-factor", "nan"],
     ["verify", "xx"],
     ["nosuchcommand"],
 ])
 def test_usage_errors_exit_one(argv, capsys):
     assert main(argv) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_non_finite_sample_sizes_get_the_sample_size_message(capsys):
+    for n_arg in ("1e2,1e3,1e400", "1e2,1e3,nan"):
+        assert main(["verify", "ld", "--family", "classical:sigma=1", "--x", "0.5",
+                     "--n", n_arg]) == EXIT_USAGE
+        assert "mdlab: sample sizes must be positive integers, got" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):

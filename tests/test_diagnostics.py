@@ -32,8 +32,9 @@ from mdlab import (
     write_json,
     write_svg,
 )
-from mdlab.diagnostics import csv_text
-from mdlab.scalings import boundary_regimes
+from mdlab.diagnostics import _row_seed, csv_text
+from mdlab.estimators import mc_log_tail
+from mdlab.scalings import boundary_regimes, evaluate, render_scaling_spec
 
 LD_GRID = (100, 1000, 10**4, 10**5)
 
@@ -161,24 +162,36 @@ def test_probes_call_a_record_rebuilt_with_replace(fam_replacement):
     # the probes must call the rebuilt record, not closures of the original
     members = ("exact_log_upper_tail", "exact_log_lower_tail", "speed", "count_hits")
     calls = collections.Counter()
+    levels = collections.defaultdict(list)
 
     def counted(name, fn):
         def wrapper(*args):
             calls[name] += 1
+            if name.startswith("exact_log"):
+                levels[name].append(args[1])
             return fn(*args)
         return wrapper
 
     fam = dataclasses.replace(
         fam_replacement, **{m: counted(m, getattr(fam_replacement, m)) for m in members})
-    xs, ns = (-0.5, 0.5), (100, 1000, 10**5)
+    xs, ns = (-0.5, -0.2, 0.2, 0.5), (100, 1000, 10**5)
+    sides = {"exact_log_lower_tail": xs[:2], "exact_log_upper_tail": xs[2:]}
     mc = dict(trials=64, seed=1, partitions=2)
     for run in (lambda f: ldp_probe(f, xs, ns, **mc),
                 lambda f: md_probe(f, power_scaling(0.5), xs, ns, **mc)):
         calls.clear()
+        levels.clear()
         report = run(fam)
-        # one exact tail per row on its side, one count per row and partition
-        assert calls["exact_log_upper_tail"] == len(ns), report.regime
-        assert calls["exact_log_lower_tail"] == len(ns), report.regime
+        # one exact-tail call per n and side, holding that side's two
+        # thresholds x / scale; one count per row and partition
+        for name, side_xs in sides.items():
+            assert calls[name] == len(ns), (report.regime, name)
+            for thresholds in levels[name]:
+                assert isinstance(thresholds, list) and len(thresholds) == 2
+                scales = [x / t for x, t in zip(side_xs, thresholds)]
+                assert scales[0] == pytest.approx(scales[1], rel=1e-12) and scales[0] > 0.0
+                if report.regime == "ld":
+                    assert thresholds == list(side_xs)
         assert calls["count_hits"] == 2 * len(report.rows), report.regime
         assert calls["speed"] > 0, report.regime
         assert report.rows == run(fam_replacement).rows
@@ -188,6 +201,68 @@ def test_probes_call_a_record_rebuilt_with_replace(fam_replacement):
     report = weak_probe(fam, ns)
     assert calls == {"exact_log_lower_tail": len(ns), "speed": len(ns)}
     assert report.rows == weak_probe(fam_replacement, ns).rows
+
+
+def _reference_rows(fam, regime, xs, ns, scaling=None, trials=0, seed=0, partitions=1):
+    """Probe rows built one (x, n) at a time from float tail calls."""
+    pairs = ([(x, n) for n in ns for x in xs] if regime == "weak"
+             else [(x, n) for x in xs for n in ns])
+    rows = []
+    for x, n in pairs:
+        v = fam.speed(n)
+        if regime == "weak":
+            threshold = x / (math.sqrt(v) if fam.central else v)
+            log_p = fam.exact_log_lower_tail(n, threshold)
+            rows.append(Row(fam.label, "weak", "", n, x, log_p, None, None, v,
+                            math.exp(log_p), fam.limit_cdf(x),
+                            math.exp(log_p) - fam.limit_cdf(x)))
+            continue
+        side = "upper" if x > 0.0 else "lower"
+        tail = fam.exact_log_upper_tail if side == "upper" else fam.exact_log_lower_tail
+        if regime == "ld":
+            threshold, s_n, target = x, v, fam.rate_ld(x)
+            log_p = tail(n, threshold)
+            rate = -log_p / v
+        else:
+            a = evaluate(scaling, n, fam.speed)
+            av = a * v
+            threshold = x / (math.sqrt(av) if fam.central else av)
+            s_n, target = 1.0 / a, fam.rate_md(x)
+            log_p = tail(n, threshold)
+            rate = -log_p * a
+        mc = stderr = None
+        if trials:
+            est = mc_log_tail(fam, n, threshold, side, trials,
+                              _row_seed(seed, fam.label, n, x, side), partitions)
+            mc, stderr = est.log_p_hat, est.stderr_log
+        rows.append(Row(fam.label, regime, render_scaling_spec(scaling) if scaling else "",
+                        n, x, log_p, mc, stderr, s_n, rate, target,
+                        rate - target if math.isfinite(target) else math.nan))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("fam_name, ns", [
+    ("fam_classical", (100, 1000, 10**5)),
+    ("fam_minima_exp", (10, 100, 10**4)),
+    ("fam_minima_uniform", (10, 100, 10**4)),
+    ("fam_gumbel_weibull2", (100, 1000, 10**5)),
+    ("fam_coupon", (2, 20, 2000)),
+    ("fam_replacement", (10, 100, 10**4)),
+])
+def test_probe_rows_match_a_per_row_float_loop(request, fam_name, ns):
+    fam = request.getfixturevalue(fam_name)
+    xs = (-0.5, -0.2, 0.2, 0.5)
+    scaling = power_scaling(0.5)
+    assert repr(ldp_probe(fam, xs, ns).rows) == repr(_reference_rows(fam, "ld", xs, ns))
+    for partitions in (1, 3):
+        mc = dict(trials=64, seed=5, partitions=partitions)
+        assert (repr(ldp_probe(fam, xs, ns, **mc).rows)
+                == repr(_reference_rows(fam, "ld", xs, ns, **mc)))
+        assert (repr(md_probe(fam, scaling, xs, ns, enforce_admissible=False, **mc).rows)
+                == repr(_reference_rows(fam, "md", xs, ns, scaling, **mc)))
+    grid = default_weak_grid(fam)
+    assert (repr(weak_probe(fam, ns[1:], grid).rows)
+            == repr(_reference_rows(fam, "weak", grid, ns[1:])))
 
 
 def test_weak_probe_minima_exponential_is_exact(fam_minima_exp):
@@ -224,6 +299,18 @@ def test_probe_input_validation(fam_minima_exp):
         ldp_probe(fam_minima_exp, [0.0], LD_GRID)  # x = 0 is not a tail
     with pytest.raises(ValueError):
         ldp_probe(fam_minima_exp, [math.nan], LD_GRID)
+    with pytest.raises(ValueError, match="trials"):
+        ldp_probe(fam_minima_exp, [0.5], LD_GRID, trials=-5)
+    for bad in (math.nan, math.inf, 0.0, -0.05):
+        with pytest.raises(ValueError, match="tolerance factor"):
+            md_probe(fam_minima_exp, power_scaling(0.5), [0.5], LD_GRID, tol_factor=bad)
+        with pytest.raises(ValueError, match="tolerance factor"):
+            weak_probe(fam_minima_exp, (100, 10**4), tol_factor=bad)
+    for index, value in ((30, math.nan), (-1, math.inf), (0, -math.inf)):
+        grid = default_weak_grid(fam_minima_exp)
+        grid[index] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            weak_probe(fam_minima_exp, (100, 10**4), x_grid=grid)
 
 
 def test_slope_identity_all_families(fam_classical, fam_minima_exp,
