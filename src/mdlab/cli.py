@@ -4,7 +4,8 @@ Everything is driven by small spec strings (families, distributions,
 scalings) so runs are reproducible from a shell history line. Exit codes
 are part of the contract: 0 when the probe verdict is pass, 2 on fail,
 3 on inconclusive, and 1 for usage trouble of any kind (bad flags,
-unparseable specs, rejected scalings, unreadable files).
+unparseable specs, rejected scalings, unreadable files, levels whose
+thresholds overflow).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .diagnostics import (
     write_json,
     write_svg,
 )
-from .distributions import SpecParseError, parse_dist_spec
+from .distributions import parse_dist_spec
 from .families import parse_family_spec, render_family_spec
 from .rvtoolkit import lemma_battery
 from .scalings import ScalingRejectedError, parse_scaling_spec, render_scaling_spec
@@ -343,10 +344,7 @@ def main(argv=None) -> int:
     except ScalingRejectedError as exc:
         print(f"mdlab: scaling rejected: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SpecParseError as exc:
-        print(f"mdlab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OSError, ArithmeticError) as exc:
         print(f"mdlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -213,6 +213,8 @@ def _probe(fam: FamilySpec, regime: str, scaling: str, xs, ns, at, target,
     """
     if trials < 0:
         raise ValueError(f"Monte Carlo trials must be >= 0, got {trials}")
+    if partitions < 1:
+        raise ValueError(f"Monte Carlo partitions must be >= 1, got {partitions}")
     if not (math.isfinite(tol_factor) and tol_factor > 0.0):
         raise ValueError(f"tolerance factor must be finite and positive, got {tol_factor}")
     sides = {x: "lower" if regime == "weak" or x < 0.0 else "upper" for x in xs}
@@ -295,10 +297,8 @@ def md_probe(fam: FamilySpec, scaling: ScalingFamily, x_list, n_list,
                   trials, seed, partitions, tol_factor, notes)
 
 
-def default_weak_grid(fam: FamilySpec, points: int = 61) -> list[float]:
-    """Evenly spaced levels covering the central 99% of the limit law."""
-    if points < 41:
-        raise ValueError("weak grids need at least 41 points")
+def default_weak_grid(fam: FamilySpec) -> list[float]:
+    """61 evenly spaced levels covering the central 99% of the limit law."""
 
     def invert(p: float) -> float:
         lo, hi = -1.0, 1.0
@@ -315,8 +315,8 @@ def default_weak_grid(fam: FamilySpec, points: int = 61) -> list[float]:
         return 0.5 * (lo + hi)
 
     a, b = invert(0.004), invert(0.996)
-    step = (b - a) / (points - 1)
-    return [a + i * step for i in range(points)]
+    step = (b - a) / 60
+    return [a + i * step for i in range(61)]
 
 
 def weak_probe(fam: FamilySpec, n_list, x_grid=None,

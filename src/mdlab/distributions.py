@@ -96,10 +96,7 @@ class Distribution:
         return float(self._sf(x))
 
     def pdf(self, x: float) -> float:
-        lp = self.log_pdf(x)
-        if lp == math.inf:
-            return math.inf
-        return math.exp(lp)
+        return math.exp(self.log_pdf(x))
 
     def log_cdf(self, x: float) -> float:
         lo, hi = self.support

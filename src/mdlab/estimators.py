@@ -183,14 +183,15 @@ class McEstimate:
         return math.exp(self.log_p_hat)
 
 
-def _clopper_pearson_upper_log(hits: int, trials: int, alpha: float = 0.05) -> float:
+def _clopper_pearson_upper_log(hits: int, trials: int) -> float:
+    """log of the 95% Clopper-Pearson upper bound on hits/trials."""
     if hits >= trials:
         return 0.0
     if hits == 0:
-        # 1 - alpha^(1/T), kept in log form
-        return stable_log_complement(math.log(alpha) / trials)
-    # the upper end of the interval: the beta(h + 1, T - h) isf at alpha
-    return math.log(betainccinv(hits + 1, trials - hits, alpha))
+        # 1 - 0.05^(1/T), kept in log form
+        return stable_log_complement(math.log(0.05) / trials)
+    # the upper end of the interval: the beta(h + 1, T - h) isf at 0.05
+    return math.log(betainccinv(hits + 1, trials - hits, 0.05))
 
 
 def mc_log_tail(fam, n: int, x: float, side: str = "upper",

@@ -273,6 +273,8 @@ def make_classical_sums(sigma: float = 1.0) -> FamilySpec:
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be a positive real, got {sigma}")
     two_var = 2.0 * sigma * sigma
+    if not (math.isfinite(two_var) and two_var > 0.0):
+        raise ValueError(f"2 sigma^2 must be a positive finite double, got sigma={sigma}")
 
     def quad(x: float) -> float:
         return x * x / two_var
@@ -750,12 +752,12 @@ def _coupon_log_cdf(n: int, m):
     """
     if not isinstance(m, list):
         return _coupon_log_cdf(n, [m])[0]
-    n, ms = _coupon_n(n), [int(v) for v in m]
+    n, ms = _check_n(n, 2, None, "coupon"), [int(v) for v in m]
     out = [-math.inf] * len(ms)
     rows = [i for i, v in enumerate(ms) if v >= n]
     series = _coupon_series(n, [ms[i] for i in rows], upper=False)
     near_one = [i for i, (log_p, bound) in zip(rows, series)
-                if bound <= _SERIES_TARGET and n > 1 and log_p > -math.log(2.0)]
+                if bound <= _SERIES_TARGET and log_p > -math.log(2.0)]
     complement = dict(zip(near_one, _coupon_series(n, [ms[i] for i in near_one], upper=True)))
     for i, (log_p, bound) in zip(rows, series):
         if bound > _SERIES_TARGET:
@@ -777,9 +779,7 @@ def _coupon_log_sf(n: int, m):
     the list of values, as _coupon_log_cdf does."""
     if not isinstance(m, list):
         return _coupon_log_sf(n, [m])[0]
-    n, ms = _coupon_n(n), [int(v) for v in m]
-    if n == 1:
-        return [-math.inf if v >= n else 0.0 for v in ms]
+    n, ms = _check_n(n, 2, None, "coupon"), [int(v) for v in m]
     out = [0.0] * len(ms)
     rows = [i for i, v in enumerate(ms) if v >= n]
     missed = []
@@ -952,17 +952,15 @@ class ReplacementParams:
     A unit is renewed at age t with probability beta (its age then
     resets through the conditioned lower law F^n on [0, t]) and survives
     past t otherwise (upper law G conditioned on exceeding t). The
-    one-sided derivatives at t drive the moderate rate and the weak
-    limit; they default to the density values and are cross-checked
-    against centered finite differences of the cdfs.
+    one-sided slopes F'(t-) and G'(t+), which drive the moderate rate and
+    the weak limit, are the catalog densities F.pdf(t) and G.pdf(t); both
+    must be finite and positive.
     """
 
     F: Distribution
     G: Distribution
     t: float
     beta: float
-    Fp_tminus: Optional[float] = None
-    Gp_tplus: Optional[float] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "t", float(self.t))
@@ -980,21 +978,10 @@ class ReplacementParams:
             raise ValueError(f"F must be strictly between 0 and 1 at t={self.t}")
         if not 0.0 < self.G.cdf(self.t) < 1.0:
             raise ValueError(f"G must be strictly between 0 and 1 at t={self.t}")
-        if self.Fp_tminus is None:
-            object.__setattr__(self, "Fp_tminus", self.F.pdf(self.t))
-        if self.Gp_tplus is None:
-            object.__setattr__(self, "Gp_tplus", self.G.pdf(self.t))
-        for which, d, slope in (("F", self.F, self.Fp_tminus),
-                                ("G", self.G, self.Gp_tplus)):
+        for which, d in (("F", self.F), ("G", self.G)):
+            slope = d.pdf(self.t)
             if not (math.isfinite(slope) and slope > 0.0):
                 raise ValueError(f"{which}'(t) must be finite and positive, got {slope}")
-            h = 1e-6 * max(1.0, self.t)
-            h = min(h, self.t / 2.0, (d.support[1] - self.t) / 2.0)
-            fd = (d.cdf(self.t + h) - d.cdf(self.t - h)) / (2.0 * h)
-            if abs(fd - slope) > 1e-6 * max(slope, fd):
-                raise ValueError(
-                    f"declared {which}'(t) = {slope} disagrees with the "
-                    f"centered difference {fd} at t={self.t}")
 
 
 def make_replacement(params: ReplacementParams) -> FamilySpec:
@@ -1005,14 +992,13 @@ def make_replacement(params: ReplacementParams) -> FamilySpec:
     every n and both tails are one log-ratio away from F and G. The
     moderate regime additionally needs a_n log n -> 0.
     """
-    rp = params
-    F, G, t, beta = rp.F, rp.G, rp.t, rp.beta
+    F, G, t, beta = params.F, params.G, params.t, params.beta
     log_f_t = F.log_cdf(t)
     log_sfg_t = G.log_sf(t)
     log_beta = math.log(beta)
     log_1mbeta = math.log1p(-beta)
-    slope_right = rp.Gp_tplus / G.sf(t)
-    slope_left = rp.Fp_tminus / F.cdf(t)
+    slope_right = G.pdf(t) / G.sf(t)
+    slope_left = F.pdf(t) / F.cdf(t)
 
     def rate_ld_fn(x: float) -> float:
         if x <= -t:

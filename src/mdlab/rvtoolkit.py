@@ -157,17 +157,14 @@ def default_tail_grid(dist: Distribution, points: int = 64) -> np.ndarray:
     return np.geomspace(lo, hi, points)
 
 
-def ell_probe(profile: GumbelMdaProfile, x_grid: Optional[Sequence[float]] = None) -> np.ndarray:
-    """Running maximum of -L(x) log sf(x) / x^mu over the grid.
+def ell_probe(profile: GumbelMdaProfile) -> np.ndarray:
+    """Running maximum of -L(x) log sf(x) / x^mu over the far-tail grid.
 
-    The final entry estimates the limsup, which the theory caps at 1/mu.
+    The grid is default_tail_grid; the final entry estimates the
+    limsup, which the theory caps at 1/mu.
     """
     d = profile.dist
-    if x_grid is None:
-        x_grid = default_tail_grid(d)
-    x_grid = np.asarray(x_grid, dtype=float)
-    if x_grid.size == 0 or np.any(x_grid <= 0):
-        raise ValueError("ell probe needs a positive grid")
+    x_grid = default_tail_grid(d)
     vals = np.empty(x_grid.size)
     for i, x in enumerate(x_grid):
         # -L(x) log sf / x^mu collapses to -w(x) log sf(x) / x
@@ -225,19 +222,14 @@ def w_ratio_stability(dist: Distribution, n: int) -> float:
     return math.exp(log_w(dist, m) - log_w(dist, y))
 
 
-def feller_probe(profile: GumbelMdaProfile,
-                 x_grid: Optional[Sequence[float]] = None) -> tuple[np.ndarray, np.ndarray]:
+def feller_probe(profile: GumbelMdaProfile) -> tuple[np.ndarray, np.ndarray]:
     """L(x)/x^mu along a far-tail grid; must decay toward 0.
 
-    With no grid supplied, a geometric grid is extended adaptively until
-    the value drops below 5e-4 (the decay is only 1/x^mu slow for small
-    mu, so a fixed window would be wrong for much of the catalog).
+    The geometric grid is extended adaptively until the value drops
+    below 5e-4 (the decay is only 1/x^mu slow for small mu, so a fixed
+    window would be wrong for much of the catalog).
     """
     d = profile.dist
-    if x_grid is not None:
-        grid = np.asarray(x_grid, dtype=float)
-        vals = np.array([math.exp(log_w(d, x) - math.log(x)) for x in grid])
-        return grid, vals
     x = d.isf(1e-6)
     if x <= 0:
         x = d.isf(1e-9)
@@ -261,40 +253,35 @@ class RvIndexEstimate:
     slopes: np.ndarray
 
 
-def estimate_rv_index(dist: Distribution, x_grid: Sequence[float], t: float = 2.0) -> RvIndexEstimate:
-    """Estimate mu from the scaling of w: slope of log w under x -> t x.
+def estimate_rv_index(dist: Distribution, x_grid: Sequence[float]) -> RvIndexEstimate:
+    """Estimate mu from the scaling of w: slope of log w under x -> 2 x.
 
-    mu_hat = 1 - median(log(w(t x)/w(x)) / log t). Estimates at or below
+    mu_hat = 1 - median(log(w(2 x)/w(x)) / log 2). Estimates at or below
     0.05 are flagged as max-domain violations; on finite grids a true
     mu = 0 tail (lognormal) shows up as mu_hat of order 1/log x, so the
     grid must reach deep before the flag trips.
     """
-    if t <= 1.0:
-        raise ValueError("scale factor t must exceed 1")
     grid = np.asarray(x_grid, dtype=float)
     if grid.size < 4:
         raise ValueError("need at least 4 grid points to estimate the index")
     if np.any(grid <= 0):
         raise ValueError("index estimation grid must be positive")
-    logt = math.log(t)
-    slopes = np.array([(log_w(dist, t * x) - log_w(dist, x)) / logt for x in grid])
+    log2 = math.log(2.0)
+    slopes = np.array([(log_w(dist, 2.0 * x) - log_w(dist, x)) / log2 for x in grid])
     mu_hat = 1.0 - float(np.median(slopes))
     return RvIndexEstimate(mu_hat=mu_hat, mda_violation=mu_hat <= 0.05, slopes=slopes)
 
 
-def representation_identity(profile: GumbelMdaProfile,
-                            x_grid: Optional[Sequence[float]] = None) -> float:
-    """Max relative gap between w(x) and x^{1-mu} L(x) on the grid.
+def representation_identity(profile: GumbelMdaProfile) -> float:
+    """Max relative gap between w(x) and x^{1-mu} L(x) on default_tail_grid.
 
     Only meaningful when the profile carries a closed-form L.
     """
     if profile.L_closed_form is None:
         raise ValueError(f"{profile.dist.name} profile has no closed-form L")
     d = profile.dist
-    if x_grid is None:
-        x_grid = default_tail_grid(d)
     worst = 0.0
-    for x in np.asarray(x_grid, dtype=float):
+    for x in default_tail_grid(d):
         wx = w(d, x)
         ref = x ** (1.0 - profile.mu) * profile.L_closed_form(x)
         worst = max(worst, abs(wx - ref) / abs(ref))

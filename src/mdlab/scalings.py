@@ -170,11 +170,11 @@ def _trend_check(name: str, direction: str, values: list[float],
 def validate(scaling: ScalingFamily, fam, n_range) -> ScalingReport:
     """Check a scaling against a family's speed over a probe grid.
 
-    fam is anything with a `speed(n)` callable; an `md_needs_alogn`
-    attribute switches on the extra a_n * log n -> 0 check. Verdicts,
-    not exceptions: a violated condition comes back as ok=False.
+    fam is a FamilySpec: its `speed(n)` is v_n, and its `md_needs_alogn`
+    switches on the extra a_n * log n -> 0 check. Verdicts, not
+    exceptions: a violated condition comes back as ok=False.
     """
-    speed = fam.speed if hasattr(fam, "speed") else fam
+    speed = fam.speed
     ns = [int(n) for n in n_range]
     if len(ns) < 3 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("probe grid must be at least 3 strictly increasing n values")
@@ -200,7 +200,7 @@ def validate(scaling: ScalingFamily, fam, n_range) -> ScalingReport:
     cond_av = _trend_check("cond_av_to_inf", "to_inf", av_vals, exact_av)
 
     cond_alogn = None
-    if getattr(fam, "md_needs_alogn", False):
+    if fam.md_needs_alogn:
         alogn_vals = [a * math.log(n) for a, n in zip(a_vals, ns)]
         cond_alogn = _trend_check("cond_alogn_to_0", "to_zero", alogn_vals)
 

@@ -169,14 +169,26 @@ def test_report_rejects_a_malformed_report(tmp_path, capsys, payload, message):
 
 
 def test_python_m_mdlab_runs_without_warnings():
+    # -X importtime also pins what perfbench/run.py's import_times needs:
+    # `import mdlab` loads scipy.signal and mdlab.cli, or the benchmark
+    # stops. The ROADMAP step that moves the scipy.signal import out of
+    # module level deletes this check together with that import.
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "mdlab", "lemmas",
-                           "--dist", "weibull:2"], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-W", "error", "-X", "importtime", "-m", "mdlab",
+                           "lemmas", "--dist", "weibull:2"], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == EXIT_PASS
-    assert proc.stderr == ""
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith("import time:") for line in lines), proc.stderr
+    imported = set()
+    for line in lines:
+        if "|" in line:
+            parts = [p.strip() for p in line[len("import time:"):].split("|")]
+            if parts[0].isdigit():
+                imported.add(parts[2])
+    assert {"scipy.signal", "mdlab.cli"} <= imported
     assert "verdict pass" in proc.stdout
 
 
@@ -233,10 +245,32 @@ def test_config_unknown_key(tmp_path, capsys):
      "--tol-factor", "nan"],
     ["verify", "xx"],
     ["nosuchcommand"],
+    ["verify", "ld", "--family", "classical:sigma=1", "--x", "0.5", "--n", "1e2,1e3,1e5",
+     "--partitions", "-3"],
+    ["verify", "ld", "--family", "classical:sigma=1", "--x", "0.5", "--n", "1e2,1e3,1e5",
+     "--partitions", "0"],
+    ["verify", "ld", "--family", "coupon", "--x", "1e308", "--n", "20,200,20000"],
+    ["verify", "ld", "--family", "gumbel_maxima:weibull:2", "--x", "1e308",
+     "--n", "1e3,1e4,1e6"],
+    ["verify", "ld", "--family", "classical:sigma=1e-200", "--x", "0.5", "--n", "1e2,1e3,1e5"],
+    ["verify", "ld", "--family", "classical:sigma=1e200", "--x", "0.5", "--n", "1e2,1e3,1e5"],
 ])
 def test_usage_errors_exit_one(argv, capsys):
     assert main(argv) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("family, x, n_arg", [
+    ("coupon", "1e308", "20,200,20000"),
+    ("gumbel_maxima:weibull:2", "1e308", "1e3,1e4,1e6"),
+    ("classical:sigma=1e-200", "0.5", "1e2,1e3,1e5"),
+])
+def test_overflowing_inputs_print_one_message(family, x, n_arg, capsys):
+    # an OverflowError or ZeroDivisionError deep in a family ends as a
+    # usage error with one line, not a traceback
+    assert main(["verify", "ld", "--family", family, "--x", x, "--n", n_arg]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("mdlab: ") and err.count("\n") == 1, err
 
 
 def test_non_finite_sample_sizes_get_the_sample_size_message(capsys):

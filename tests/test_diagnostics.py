@@ -301,6 +301,13 @@ def test_probe_input_validation(fam_minima_exp):
         ldp_probe(fam_minima_exp, [math.nan], LD_GRID)
     with pytest.raises(ValueError, match="trials"):
         ldp_probe(fam_minima_exp, [0.5], LD_GRID, trials=-5)
+    for bad in (-3, 0):  # rejected with or without Monte Carlo
+        for trials in (0, 10):
+            with pytest.raises(ValueError, match="partitions"):
+                ldp_probe(fam_minima_exp, [0.5], LD_GRID, trials=trials, partitions=bad)
+            with pytest.raises(ValueError, match="partitions"):
+                md_probe(fam_minima_exp, power_scaling(0.5), [0.5], LD_GRID,
+                         trials=trials, partitions=bad)
     for bad in (math.nan, math.inf, 0.0, -0.05):
         with pytest.raises(ValueError, match="tolerance factor"):
             md_probe(fam_minima_exp, power_scaling(0.5), [0.5], LD_GRID, tol_factor=bad)

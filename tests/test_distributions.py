@@ -76,6 +76,19 @@ def test_isf_deep_tail_round_trip(dist):
         assert dist.log_sf(x) == pytest.approx(math.log(q), rel=1e-8)
 
 
+@pytest.mark.parametrize("dist", CATALOG, ids=render_dist_spec)
+def test_pdf_matches_centered_difference_of_cdf(dist):
+    # the replacement model takes F'(t-) and G'(t+) to be pdf(t), so the
+    # density must be the derivative of the cdf it ships with; h stays
+    # inside the support, and (t - lo)/2 is t/2 on the model's [0, ...)
+    lo, hi = dist.support
+    for p in (0.2, 0.5, 0.8):
+        t = dist.quantile(p)
+        h = min(1e-6 * max(1.0, abs(t)), (t - lo) / 2.0, (hi - t) / 2.0)
+        fd = (dist.cdf(t + h) - dist.cdf(t - h)) / (2.0 * h)
+        assert fd == pytest.approx(dist.pdf(t), rel=1e-6), (p, t)
+
+
 @given(p=st.floats(min_value=1e-6, max_value=1 - 1e-6))
 @settings(max_examples=60, deadline=None)
 def test_weibull_quantile_matches_closed_form(p):

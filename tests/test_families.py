@@ -77,6 +77,16 @@ def test_classical_rate_is_quadratic(fam_classical):
     assert fam_classical.central
 
 
+@pytest.mark.parametrize("sigma", ["1e-200", "1e200"])
+def test_classical_rejects_sigma_whose_variance_leaves_the_doubles(sigma):
+    # 2 sigma^2 underflows to 0 (a rate that divides by zero) or
+    # overflows to inf (a rate that is 0 everywhere)
+    with pytest.raises(ValueError, match="2 sigma"):
+        families.make_classical_sums(float(sigma))
+    with pytest.raises(SpecParseError, match="2 sigma"):
+        parse_family_spec(f"classical:sigma={sigma}")
+
+
 class _FixedPanel:
     """A panel whose trials draw the uniforms u (a scalar is one trial)."""
 
