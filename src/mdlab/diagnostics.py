@@ -228,7 +228,13 @@ def _probe(fam: FamilySpec, regime: str, scaling: str, xs, ns, at, target,
                 thresholds = [x / scale for x in levels]
                 for x, t, log_p in zip(levels, thresholds, tail(n, thresholds)):
                     exact[x, n] = t, log_p, s_n, norm(log_p)
-    targets = {x: target(x) for x in xs}
+    targets = {}
+    for x in xs:
+        try:
+            targets[x] = target(x)
+        except OverflowError:
+            raise ValueError(f"{fam.label} {regime} rate at level x={x!r} "
+                             f"overflows a double") from None
     rows = []
     for x, n in ([(x, n) for n in ns for x in xs] if regime == "weak"
                  else [(x, n) for x in xs for n in ns]):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import betainccinv
@@ -124,7 +125,7 @@ def counter_uniforms(seed: int, trials, draw) -> np.ndarray:
 class UniformPanel:
     """Vectorized access to the uniforms of a contiguous block of trials.
 
-    The trial keys are mixed once here. column(draw) equals
+    The trial keys are mixed once, on the first column. column(draw) equals
     counter_uniforms(seed, range(start, stop), draw) bitwise, whatever the
     order of the calls, and is read-only. Draws are mixed in blocks: a
     column that follows the last block mixes the next 1, 2, 4, ... draws
@@ -140,13 +141,16 @@ class UniformPanel:
         self.seed = seed
         self.start = start
         self.stop = stop
-        self._keys = _trial_keys(seed, np.arange(start, stop, dtype=np.uint64))
         self._cap = max(1, _BLOCK // max(1, len(self)))  # draws per block
         self._first = 0  # draw index of the block's first row
         self._block = np.empty((0, len(self)))
 
     def __len__(self) -> int:
         return self.stop - self.start
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        return _trial_keys(self.seed, np.arange(self.start, self.stop, dtype=np.uint64))
 
     def column(self, draw: int) -> np.ndarray:
         """The draw-th uniform of every trial in the block."""

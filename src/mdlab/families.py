@@ -9,12 +9,16 @@ special-cases a family.
 
 Four samplers (classical, minima, gumbel_maxima, replacement) draw C_n
 from one uniform per trial through a transform f nondecreasing in u. Their
-count_hits brackets the crossing f(u) = x on two successive 255-point
-grids in u, keeping a margin of 1e-9 max(1, |x|) from x, classifies the
-trials outside the bracket by comparing u with its ends, and applies f
-only to the few inside, so the count equals the one f on every trial
-gives. The bracket comes from f alone, never from the exact tails, so
-Monte Carlo stays an independent check of them.
+count_hits first evaluates f at the two end doubles of (0, 1); where both
+lie past x by a margin of 1e-9 max(1, |x|) on one side, so does every
+draw, and the count is 0 or the trial count with no column read (as on
+the rows whose P lies far below 2^-53). Otherwise it brackets the
+crossing f(u) = x on two successive 255-point grids in u, keeping the same
+margin from x, classifies the trials outside the bracket by comparing u
+with its ends, and applies f only to the few inside, so the count equals
+the one f on every trial gives. The ends and the bracket come from f
+alone, never from the exact tails, so Monte Carlo stays an independent
+check of them.
 
 The coupon collection time has one evaluator for both tails: the exact
 alternating series of P(T_n <= m), summed in log-scaled form with a
@@ -176,6 +180,8 @@ class FamilySpec:
     "upper", C_n <= x for "lower"), whether or not each draw is formed. It
     uses only len(panel), the trial count, and panel.column(draw), which
     returns one uniform in (0, 1) per trial for draw index draw = 0, 1, ...
+    A row the sampler's transform decides on all of (0, 1) may be counted
+    from len(panel) without reading a column.
 
     exact_log_upper_tail(n, x) and exact_log_lower_tail(n, x) return a log
     probability for a float level x. Given a list of levels they return a
@@ -228,19 +234,31 @@ def _count(values: np.ndarray, x: float, side: str) -> int:
 
 # two rounds of this many interior grid points bracket the crossing f(u) = x
 _BRACKET_GRID = np.arange(1, 256) / 256.0
+# the least and the greatest double in (0, 1)
+_U_ENDS = np.array([5e-324, 1.0 - 2.0**-53])
 
 
-def _count_by_bracket(u: np.ndarray, f, x: float, side: str) -> int:
-    """_count(f(u), x, side) for a transform f nondecreasing in u.
+def _count_by_bracket(panel, f, x: float, side: str) -> int:
+    """_count(f(u), x, side) on u = panel.column(0), for a transform f
+    nondecreasing in u.
 
-    f is evaluated on a 255-point grid over (0, 1) and again on one over
-    the bracket the first grid leaves. A grid point with f <= x - eta
-    (f >= x + eta) becomes the low (high) end; eta = 1e-9 max(1, |x|) is
-    orders of magnitude above the rounding of f, so every trial at or
-    below the low end has f(u) < x and every one at or above the high end
-    has f(u) > x. Only the trials strictly inside get the full transform.
+    eta = 1e-9 max(1, |x|) is orders of magnitude above the rounding of f.
+    If f at the two end doubles of (0, 1) already lies at least eta below
+    (above) x, every draw does, and the count is 0 or len(panel) without
+    a column read. Otherwise f is evaluated on a 255-point grid over
+    (0, 1) and again on one over the bracket the first grid leaves. A
+    grid point with f <= x - eta (f >= x + eta) becomes the low (high)
+    end, so every trial at or below the low end has f(u) < x and every
+    one at or above the high end has f(u) > x. Only the trials strictly
+    inside get the full transform.
     """
     eta = 1e-9 * max(1.0, abs(x))
+    least, greatest = f(_U_ENDS)
+    if least >= x + eta:  # every draw lies above x
+        return len(panel) if side == "upper" else 0
+    if greatest <= x - eta:  # every draw lies below x
+        return 0 if side == "upper" else len(panel)
+    u = panel.column(0)
     lo, hi = -math.inf, math.inf
     a, b = 0.0, 1.0
     for _ in range(2):
@@ -291,7 +309,7 @@ def make_classical_sums(sigma: float = 1.0) -> FamilySpec:
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
         n = _check_n(n, 1, None, "classical_sums")
-        return _count_by_bracket(panel.column(0),
+        return _count_by_bracket(panel,
                                  lambda u: sigma * ndtri(u) / math.sqrt(n), x, side)
 
     return FamilySpec(
@@ -358,7 +376,7 @@ def make_minima(dist: Distribution) -> FamilySpec:
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
         n = _check_n(n, 1, None, "minima")
-        return _count_by_bracket(panel.column(0),
+        return _count_by_bracket(panel,
                                  lambda u: isf_values(dist, np.exp(np.log1p(-u) / n)),
                                  x, side)
 
@@ -424,7 +442,7 @@ def make_gumbel_maxima(dist: Distribution) -> FamilySpec:
     def count_hits(n: int, x: float, side: str, panel) -> int:
         m = m_of(n)
         return _count_by_bracket(
-            panel.column(0),
+            panel,
             lambda u: isf_values(dist, -np.expm1(np.log(u) / n)) / m - 1.0, x, side)
 
     return FamilySpec(
@@ -870,6 +888,9 @@ def coupon_threshold_pair(n: int, x: float) -> tuple[int, int]:
     keeps thresholds that are integers up to float noise on the integer.
     """
     y = (1.0 + x) * n * math.log(n)
+    if not math.isfinite(y):
+        raise ValueError(f"coupon level x={x!r} at n={n} has no finite draw-count "
+                         f"threshold (1 + x) n log n")
     m_up = math.ceil(y - 1e-9)
     m_lo = math.floor(y + 1e-9)
     return m_lo, m_up
@@ -1042,7 +1063,7 @@ def make_replacement(params: ReplacementParams) -> FamilySpec:
                     G, np.exp(log_sfg_t + (np.log1p(-u[~low]) - log_1mbeta) / n))
             return z - t
 
-        return _count_by_bracket(panel.column(0), c_of, x, side)
+        return _count_by_bracket(panel, c_of, x, side)
 
     label = (f"replacement:{render_dist_spec(F)},{render_dist_spec(G)},"
              f"t={t!r},beta={beta!r}")

@@ -267,10 +267,17 @@ def test_usage_errors_exit_one(argv, capsys):
 ])
 def test_overflowing_inputs_print_one_message(family, x, n_arg, capsys):
     # an OverflowError or ZeroDivisionError deep in a family ends as a
-    # usage error with one line, not a traceback
+    # usage error with one line, not a traceback; an overflowing level is
+    # named with its family
     assert main(["verify", "ld", "--family", family, "--x", x, "--n", n_arg]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("mdlab: ") and err.count("\n") == 1, err
+    named = {
+        "coupon": "mdlab: coupon level x=1e+308 at n=20 has no finite draw-count threshold",
+        "gumbel_maxima:weibull:2":
+            "mdlab: gumbel_maxima:weibull:2.0 ld rate at level x=1e+308 overflows a double",
+    }
+    assert err.startswith(named.get(family, "mdlab: ")), err
 
 
 def test_non_finite_sample_sizes_get_the_sample_size_message(capsys):

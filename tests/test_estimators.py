@@ -131,6 +131,20 @@ def test_coupon_sampler_reads_ahead_in_bounded_memory():
     assert peak < 1e6
 
 
+def test_a_row_decided_by_the_transform_allocates_nothing_per_trial():
+    # P(min of 100 Exp(1) >= 0.5) = e^-50 lies past every double in (0, 1),
+    # so no trial key is mixed and no column drawn (32 MB at 2e6 trials)
+    fam = make_minima(exponential(1.0))
+    tracemalloc.start()
+    try:
+        est = mc_log_tail(fam, 100, 0.5, "upper", trials=2 * 10**6, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.hits == 0 and est.trials == 2 * 10**6
+    assert peak < 1e6
+
+
 def test_counter_uniforms_shape_and_range():
     u = counter_uniforms(seed=9, trials=np.arange(1000), draw=3)
     assert u.shape == (1000,)

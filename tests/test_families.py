@@ -726,6 +726,45 @@ def test_count_hits_equals_the_full_transform(spec, n, transform):
                     assert got == families._count(c_of(u[lo:hi]), x, side), (x, side, lo)
 
 
+class _NoColumnPanel:
+    """A panel of `trials` trials that refuses to serve any column."""
+
+    def __init__(self, trials):
+        self.trials = trials
+
+    def __len__(self):
+        return self.trials
+
+    def column(self, draw):
+        raise AssertionError("a row decided by the transform's range read a column")
+
+
+RANGE_CASES = TRANSFORM_CASES + [("minima:uniform01", 10, _minima_transform(uniform01()))]
+
+
+@pytest.mark.parametrize("spec,n,transform", RANGE_CASES,
+                         ids=[c[0].split(",")[0] for c in RANGE_CASES])
+def test_count_hits_decides_a_row_from_the_range_of_the_transform(spec, n, transform):
+    # the least and greatest doubles in (0, 1), the least counter uniform
+    # 2^-54 and 1/2: a count must match the full transform at the ends
+    fam = parse_family_spec(spec)
+    u = np.array([5e-324, 2.0**-54, 0.5, 1.0 - 2.0**-53])
+    for m in (n, 1000 * n):
+        c_of = transform(m)
+        least, greatest = c_of(u[[0, -1]])
+        far_below = least - 1.0 - abs(least)
+        far_above = greatest + 1.0 + abs(greatest)
+        near = [e * (1.0 + d) for e in (least, greatest) for d in (-1e-12, 1e-12)]
+        for x in [far_below, far_above] + near:
+            for side in ("upper", "lower"):
+                want = families._count(c_of(u), x, side)
+                assert fam.count_hits(m, x, side, _FixedPanel(u)) == want, (m, x, side)
+        for side, want in (("upper", 4), ("lower", 0)):
+            assert fam.count_hits(m, far_below, side, _NoColumnPanel(4)) == want
+        for side, want in (("upper", 0), ("lower", 4)):
+            assert fam.count_hits(m, far_above, side, _NoColumnPanel(4)) == want
+
+
 def test_coupon_count_hits_equals_integer_waits(fam_coupon):
     # the float64 running sum against T_n summed as int64 geometric waits
     n, trials = 60, 3000
