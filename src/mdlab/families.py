@@ -906,7 +906,7 @@ def _at_thresholds(tail, n: int, x, threshold):
     for v in x:
         try:
             ms.append(threshold(v))
-        except (ValueError, OverflowError):
+        except ValueError:
             tail(n, ms)
             raise
     return tail(n, ms)

@@ -133,7 +133,8 @@ def test_coupon_sampler_reads_ahead_in_bounded_memory():
 
 def test_a_row_decided_by_the_transform_allocates_nothing_per_trial():
     # P(min of 100 Exp(1) >= 0.5) = e^-50 lies past every double in (0, 1),
-    # so no trial key is mixed and no column drawn (32 MB at 2e6 trials)
+    # so no trial key is mixed and no column drawn; mixing them peaks at
+    # about 36 MB for 2e6 trials
     fam = make_minima(exponential(1.0))
     tracemalloc.start()
     try:
