@@ -7,12 +7,13 @@ uniform generator: every variate is a pure function of
 number of workers and the merged counts are bit-identical to a serial
 run. There is no sequential generator state anywhere.
 
-UniformPanel mixes the draws a sampler reads in order as blocks of
-columns, 256 KB at most (or one column, if that is larger), so a sampler
-that reads thousands of columns pays numpy's per-call cost once per
-block, not once per column. What a panel serves is the same stream
-counter_uniforms gives, bit for bit, through the same FamilySpec
-contract: len(panel) and panel.column(draw).
+A UniformPanel is a contiguous block of trials (seed, start, stop). Its
+column(draw) serves the stream counter_uniforms gives, bit for bit, one
+draw at a time. A sampler that reads many draws per trial, in whatever
+order and on whichever trials it still needs, takes the trial keys from
+panel_keys(panel) and mixes blocks of draws itself with key_uniforms.
+mc_log_tail walks each partition in panels of at most _PANEL_TRIALS
+trials, so the memory of a row does not grow with its trial count.
 """
 from __future__ import annotations
 
@@ -27,6 +28,8 @@ __all__ = [
     "stable_log_complement",
     "counter_uniforms",
     "UniformPanel",
+    "panel_keys",
+    "key_uniforms",
     "McEstimate",
     "mc_log_tail",
 ]
@@ -60,7 +63,8 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
-_BLOCK = 1 << 15  # uint64 words per chunk (256 KB) and per read-ahead block
+_BLOCK = 1 << 15  # uint64 words per chunk (256 KB)
+_PANEL_TRIALS = 1 << 16  # trials per panel of mc_log_tail
 
 
 def _chunks(z: np.ndarray):
@@ -91,11 +95,18 @@ def _trial_keys(seed: int, trials) -> np.ndarray:
     return keys
 
 
-def _key_uniforms(keys: np.ndarray, draw) -> np.ndarray:
-    # the draw mix: uniforms in (0, 1) from trial keys and draw indices,
-    # broadcast together. Each chunk of mixed words is turned into its
-    # doubles in the same memory: the top 53 bits go to the scratch first.
-    # (2^53 - 1) + 0.5 rounds to 2^53, so the top word is clamped below 1.
+def panel_keys(panel) -> np.ndarray:
+    """The trial keys of panel.seed on trials panel.start, ..., panel.stop - 1."""
+    return _trial_keys(panel.seed, np.arange(panel.start, panel.stop, dtype=np.uint64))
+
+
+def key_uniforms(keys: np.ndarray, draw) -> np.ndarray:
+    """Uniforms in (0, 1) from trial keys and draw indices, broadcast
+    together: key_uniforms(panel_keys(panel), draw) is panel.column(draw)
+    bitwise, and any subset of the keys gives the same subset of it."""
+    # Each chunk of mixed words is turned into its doubles in the same
+    # memory: the top 53 bits go to the scratch first. (2^53 - 1) + 0.5
+    # rounds to 2^53, so the top word is clamped below 1.
     d = np.atleast_1d(np.asarray(draw, dtype=np.uint64))
     offset = _GOLDEN * (d + np.uint64(1))
     z = np.empty(np.broadcast_shapes(keys.shape, d.shape), dtype=np.uint64)
@@ -117,7 +128,7 @@ def counter_uniforms(seed: int, trials, draw) -> np.ndarray:
     result depends only on the triple, never on evaluation order, which
     is what makes partitioned Monte Carlo runs merge exactly.
     """
-    u = _key_uniforms(_trial_keys(seed, trials), draw)
+    u = key_uniforms(_trial_keys(seed, trials), draw)
     shape = np.broadcast_shapes(np.shape(trials), np.shape(draw))
     return u.reshape(shape)
 
@@ -127,12 +138,7 @@ class UniformPanel:
 
     The trial keys are mixed once, on the first column. column(draw) equals
     counter_uniforms(seed, range(start, stop), draw) bitwise, whatever the
-    order of the calls, and is read-only. Draws are mixed in blocks: a
-    column that follows the last block mixes the next 1, 2, 4, ... draws
-    as one (draws, trials) block of at most _BLOCK words (256 KB), or one
-    draw where a column is larger, and the columns are rows of it; any
-    other column mixes alone. Each refill is a new array, so a column
-    already returned never changes.
+    order of the calls, and is read-only.
     """
 
     def __init__(self, seed: int, start: int, stop: int):
@@ -141,28 +147,17 @@ class UniformPanel:
         self.seed = seed
         self.start = start
         self.stop = stop
-        self._cap = max(1, _BLOCK // max(1, len(self)))  # draws per block
-        self._first = 0  # draw index of the block's first row
-        self._block = np.empty((0, len(self)))
 
     def __len__(self) -> int:
         return self.stop - self.start
 
-    @cached_property
-    def _keys(self) -> np.ndarray:
-        return _trial_keys(self.seed, np.arange(self.start, self.stop, dtype=np.uint64))
+    _keys = cached_property(panel_keys)
 
     def column(self, draw: int) -> np.ndarray:
         """The draw-th uniform of every trial in the block."""
-        i = draw - self._first
-        rows = len(self._block)
-        if not 0 <= i < rows:
-            width = min(2 * rows or 1, self._cap) if i == rows else 1
-            draws = np.arange(draw, draw + width, dtype=np.uint64)
-            self._block = _key_uniforms(self._keys, draws[:, None])
-            self._block.flags.writeable = False
-            self._first, i = draw, 0
-        return self._block[i]
+        u = key_uniforms(self._keys, draw)
+        u.flags.writeable = False
+        return u
 
 
 @dataclass(frozen=True)
@@ -202,9 +197,10 @@ def mc_log_tail(fam, n: int, x: float, side: str = "upper",
                 trials: int = 10**5, seed: int = 0, partitions: int = 1) -> McEstimate:
     """Estimate log P(C_n >= x) (or <= for side="lower") by simulation.
 
-    The trial range is split into `partitions` contiguous chunks and the
-    integer hit counts are summed, so the result is bit-identical for any
-    partition count. Discrete families resolve thresholds through the
+    The trial range is split into `partitions` contiguous chunks, each
+    counted in panels of at most _PANEL_TRIALS trials, and the integer hit
+    counts are summed, so the result is bit-identical for any partition
+    count. Discrete families resolve thresholds through the
     same integer convention as their exact evaluators.
     """
     if side not in ("upper", "lower"):
@@ -218,10 +214,9 @@ def mc_log_tail(fam, n: int, x: float, side: str = "upper",
     for i in range(partitions):
         lo = i * trials // partitions
         hi = (i + 1) * trials // partitions
-        if hi == lo:
-            continue
-        panel = UniformPanel(seed, lo, hi)
-        hits += int(fam.count_hits(n, x, side, panel))
+        for start in range(lo, hi, _PANEL_TRIALS):
+            panel = UniformPanel(seed, start, min(start + _PANEL_TRIALS, hi))
+            hits += int(fam.count_hits(n, x, side, panel))
 
     zero = hits == 0
     if zero:

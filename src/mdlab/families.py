@@ -65,7 +65,7 @@ from .distributions import (
     quantile_values,
     render_dist_spec,
 )
-from .estimators import stable_log_complement
+from .estimators import key_uniforms, panel_keys, stable_log_complement
 from .rvtoolkit import (
     characteristic_level,
     declared_profile,
@@ -180,8 +180,12 @@ class FamilySpec:
     "upper", C_n <= x for "lower"), whether or not each draw is formed. It
     uses only len(panel), the trial count, and panel.column(draw), which
     returns one uniform in (0, 1) per trial for draw index draw = 0, 1, ...
-    A row the sampler's transform decides on all of (0, 1) may be counted
-    from len(panel) without reading a column.
+    A sampler that reads many draws per trial (the coupon) may instead read
+    panel.seed, panel.start and panel.stop through estimators.panel_keys and
+    mix the draws it needs, on the trials it needs, with
+    estimators.key_uniforms: the same uniforms, bit for bit. A row the
+    sampler's transform decides on all of (0, 1) may be counted from
+    len(panel) without reading a column.
 
     exact_log_upper_tail(n, x) and exact_log_lower_tail(n, x) return a log
     probability for a float level x. Given a list of levels they return a
@@ -475,6 +479,7 @@ _U = 2.0 ** -53  # unit roundoff
 _ULP = 2.0 * _U  # log, log1p and exp are taken to be within one ulp
 _SUBNORMAL = 5e-324  # absolute error of an exp that lands below the normal range
 _TILT_CHUNK = 1 << 14  # trapezoid nodes summed per pass of _coupon_tilt
+_WAIT_BLOCK = 1 << 15  # geometric waits (256 KB) per block of the coupon sampler
 _SERIES_CHUNK = 64  # terms in the first chunk of the series; each next one doubles
 # a series term above e^_TOP_LIMIT rules out certifying _SERIES_TARGET
 _TOP_LIMIT = math.log(_SERIES_TARGET / _U) + 1.0
@@ -919,6 +924,14 @@ def make_coupon() -> FamilySpec:
     new coupon, so T_n >= n and both tails reduce to integer thresholds
     on T_n. The exact tails keep no state, so every instance answers a
     query with the same bits and the same memory.
+
+    count_hits reads the waits from k = n (the longest) down to k = 2, in
+    (draws, trials) blocks of at most _WAIT_BLOCK words. Every wait is at
+    least 1, so after each block a trial whose sum so far plus its unread
+    waits reaches m_up is an upper hit, and one past m_lo a lower miss;
+    decided trials are dropped before the next block is mixed. Each
+    uniform is a function of (seed, trial, draw) alone, so the count is
+    the one reading every wait of every trial in order would give.
     """
     rate = _linear_rate(1.0, -math.inf)
 
@@ -932,20 +945,38 @@ def make_coupon() -> FamilySpec:
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
         n = _check_n(n, 2, None, "coupon")
-        # every partial sum is an integer below 2^53, so float64 holds T_n exactly
-        t = np.ones(len(panel))
-        s = np.empty(len(panel))
-        for k in range(2, n + 1):
-            p = (n - k + 1) / n
-            np.negative(panel.column(k - 2), out=s)
-            np.log1p(s, out=s)
-            np.divide(s, math.log1p(-p), out=s)
-            np.ceil(s, out=s)
-            np.add(t, s, out=t)
         m_lo, m_up = coupon_threshold_pair(n, x)
-        if side == "upper":
-            return int(np.count_nonzero(t >= m_up))
-        return int(np.count_nonzero(t <= m_lo))
+        upper = side == "upper"
+        # every wait is at least one draw, so T_n >= n
+        if upper and m_up <= n:
+            return len(panel)
+        if not upper and m_lo < n:
+            return 0
+        keys = panel_keys(panel)
+        t = np.ones(len(keys))
+        decided = 0  # the upper hits, or the lower misses, dropped so far
+        unread = n - 1  # draws 0, ..., unread - 1 are still to be read
+        while unread and keys.size:
+            rows = min(unread, max(1, _WAIT_BLOCK // keys.size))
+            # draw d is the wait for coupon k = d + 2, of success p = (n - d - 1)/n
+            log_q = [math.log1p(-((n - d - 1) / n)) for d in range(unread - rows, unread)]
+            w = key_uniforms(keys, np.arange(unread - rows, unread)[:, None])
+            np.negative(w, out=w)
+            np.log1p(w, out=w)
+            np.divide(w, np.array(log_q)[:, None], out=w)
+            np.ceil(w, out=w)
+            # every partial sum is an integer below 2^53, so float64 holds
+            # T_n exactly and the order of the additions does not matter;
+            # numpy's axis-0 sum of a single row costs twice one add
+            t += w[0] if rows == 1 else w.sum(axis=0)
+            unread -= rows
+            # each unread wait adds at least 1 to t
+            undecided = t < m_up - unread if upper else t <= m_lo - unread
+            left = int(np.count_nonzero(undecided))
+            if left < keys.size:
+                decided += keys.size - left
+                keys, t = keys[undecided], t[undecided]
+        return decided if upper else keys.size
 
     return FamilySpec(
         name="coupon",

@@ -19,7 +19,7 @@ from mdlab import (
     parse_family_spec,
     stable_log_complement,
 )
-from mdlab.estimators import _clopper_pearson_upper_log, _key_uniforms, _mix64
+from mdlab.estimators import _clopper_pearson_upper_log, _mix64, key_uniforms
 
 # (spec, n, x, side) with a hit rate well inside (0, 1) at 4096 trials;
 # the five canonical families plus the gamma members, whose quantiles
@@ -32,16 +32,16 @@ PARTITION_CASES = [
     ("replacement:exponential:1,exponential:2,t=1,beta=0.4", 10, -0.1, "lower"),
     ("gumbel_maxima:gamma:2", 100, 0.1, "upper"),
     ("replacement:gamma:2,exponential:2,t=1,beta=0.4", 10, -0.1, "lower"),
-    # 199 columns: panels of 4096, 2048 and 512 trials read ahead 8, 16
-    # and 64 draws at a time
+    # 199 waits: panels of 4096, 2048 and 512 trials mix 8, 16 and 64
+    # draws per block until decided trials drop out
     ("coupon", 200, 0.4, "upper"),
 ]
 # the spec names a case; a spec seen before adds its n
 PARTITION_IDS = [spec if [c[0] for c in PARTITION_CASES].index(spec) == i else f"{spec}-n{n}"
                  for i, (spec, n, _, _) in enumerate(PARTITION_CASES)]
 
-# access orders for the panel's read-ahead: in order, repeated, backwards
-# and with jumps that leave and re-enter a block
+# access orders for panel.column: in order, repeated, backwards and with
+# jumps
 COLUMN_ORDERS = {
     "sequential": list(range(300)),
     "repeats": [0, 0, 1, 1, 2, 0, 2, 3, 3, 1],
@@ -120,11 +120,13 @@ def test_panel_read_ahead_serves_the_counter_stream(trials, order):
 
 
 def test_coupon_sampler_reads_ahead_in_bounded_memory():
-    # 1999 columns of 2000 trials; the read-ahead holds at most two blocks
+    # 1999 waits of 2000 trials, mixed in blocks of at most 2^15 words
+    # (256 KB); an upper miss is decided only at the last wait
     fam = make_coupon()
     tracemalloc.start()
     try:
         fam.count_hits(2000, -0.3, "lower", UniformPanel(1, 0, 2000))
+        fam.count_hits(2000, 0.36514, "upper", UniformPanel(1, 0, 2000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -133,8 +135,8 @@ def test_coupon_sampler_reads_ahead_in_bounded_memory():
 
 def test_a_row_decided_by_the_transform_allocates_nothing_per_trial():
     # P(min of 100 Exp(1) >= 0.5) = e^-50 lies past every double in (0, 1),
-    # so no trial key is mixed and no column drawn; mixing them peaks at
-    # about 36 MB for 2e6 trials
+    # so no trial key is mixed and no column drawn; mixing one panel of
+    # 2^16 trials peaks at about 1.4 MB
     fam = make_minima(exponential(1.0))
     tracemalloc.start()
     try:
@@ -144,6 +146,35 @@ def test_a_row_decided_by_the_transform_allocates_nothing_per_trial():
         tracemalloc.stop()
     assert est.hits == 0 and est.trials == 2 * 10**6
     assert peak < 1e6
+
+
+def test_mc_memory_does_not_grow_with_trials():
+    # an undecided row, P(C_100 >= 0.005) = e^-0.5: mc_log_tail counts in
+    # panels of at most 2^16 trials, where one panel of every trial peaks
+    # at 18 MB for 1e6 trials and 72 MB for 4e6
+    fam = make_minima(exponential(1.0))
+    peaks = []
+    for trials in (10**6, 4 * 10**6):
+        tracemalloc.start()
+        try:
+            est = mc_log_tail(fam, 100, 0.005, "upper", trials=trials, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert 0 < est.hits < trials
+    assert peaks[1] < 1.05 * peaks[0] and peaks[0] < 4e6
+
+
+@pytest.mark.parametrize("spec,n,x,side", [("minima:exponential:1", 100, 0.005, "upper"),
+                                           ("coupon", 5, 0.4, "upper")])
+@pytest.mark.parametrize("seed", [3, 2**63 + 1])
+def test_mc_panels_count_what_one_panel_counts(spec, n, x, side, seed):
+    # 150001 trials run as panels of 2^16 trials or fewer
+    fam = parse_family_spec(spec)
+    whole = fam.count_hits(n, x, side, UniformPanel(seed, 0, 150_001))
+    for parts in (1, 3):
+        est = mc_log_tail(fam, n, x, side, trials=150_001, seed=seed, partitions=parts)
+        assert est.hits == whole
 
 
 def test_counter_uniforms_shape_and_range():
@@ -187,7 +218,7 @@ def test_top_mixed_word_stays_below_one():
     mixed = keys + np.uint64(offset)
     _mix64(mixed, np.empty_like(mixed))
     assert [int(w) >> 11 for w in mixed] == tops
-    u = _key_uniforms(keys, 0)
+    u = key_uniforms(keys, 0)
     assert u[0] == 1.0 - 2.0**-53
     # every other word keeps its value (t + 1/2) 2^-53
     assert u[1:].tolist() == [(float(t) + 0.5) * 2.0**-53 for t in tops[1:]]

@@ -781,6 +781,59 @@ def test_coupon_count_hits_equals_integer_waits(fam_coupon):
         assert fam_coupon.count_hits(n, x, "lower", panel) == np.count_nonzero(t <= m_lo)
 
 
+# (n, x, side, trials, hits) on UniformPanel(1, 0, trials), frozen from the
+# sampler that read every wait of every trial in draw order; 20000 trials
+# take one draw per block
+COUPON_FROZEN_HITS = [
+    (2000, 0.17963, "upper", 2000, 451),
+    (2000, 0.36514, "upper", 2000, 110),
+    (200, 0.21516, "upper", 2000, 551),
+    (200, -0.30244, "lower", 2000, 8),
+    (20, -0.30244, "lower", 2000, 76),
+    (2000, -0.30244, "lower", 2000, 0),
+    (200, 0.21516, "upper", 20000, 5438),
+    (200, -0.1, "lower", 20000, 3607),
+]
+
+
+@pytest.mark.parametrize("n,x,side,trials,hits", COUPON_FROZEN_HITS)
+def test_coupon_count_hits_frozen(fam_coupon, n, x, side, trials, hits):
+    assert fam_coupon.count_hits(n, x, side, UniformPanel(1, 0, trials)) == hits
+
+
+@pytest.mark.parametrize("x,side", [(0.17963, "upper"), (-0.1, "lower")])
+def test_coupon_count_hits_sum_over_sub_panels(fam_coupon, x, side):
+    # the trials a sub-panel decides early are its own, so the counts add up
+    seed, n, trials = 2**63 + 5, 2000, 2000
+    whole = fam_coupon.count_hits(n, x, side, UniformPanel(seed, 0, trials))
+    assert 0 < whole < trials
+    for parts in (1, 3, 7):
+        edges = [i * trials // parts for i in range(parts + 1)]
+        assert sum(fam_coupon.count_hits(n, x, side, UniformPanel(seed, lo, hi))
+                   for lo, hi in zip(edges, edges[1:])) == whole, parts
+
+
+def test_coupon_rows_that_t_at_least_n_decides_mix_no_key(fam_coupon):
+    # T_n >= n, so m_up <= n makes every trial an upper hit and m_lo < n
+    # none a lower one; _NoColumnPanel has no seed, so a key mixed raises
+    for n, m in ((2, 1), (20, 3), (20, 19), (2000, 1999)):
+        x = (m + 0.5) / (n * math.log(n)) - 1.0
+        assert coupon_threshold_pair(n, x) == (m, m + 1)
+        assert fam_coupon.count_hits(n, x, "upper", _NoColumnPanel(4)) == 4
+        assert fam_coupon.count_hits(n, x, "lower", _NoColumnPanel(4)) == 0
+    # one draw count further, T_n = n (every wait 1) is a lower hit and an
+    # upper miss: P(T_3 = 3) = 2/9
+    n, panel = 3, UniformPanel(seed=5, start=0, stop=3000)
+    t = 1 + sum(np.ceil(np.log1p(-panel.column(k - 2)) / math.log1p(-(n - k + 1) / n))
+                for k in range(2, n + 1))
+    x = (n + 0.5) / (n * math.log(n)) - 1.0
+    assert coupon_threshold_pair(n, x) == (n, n + 1)
+    at_n = int(np.count_nonzero(t == n))
+    assert 500 < at_n < 800
+    assert fam_coupon.count_hits(n, x, "lower", panel) == at_n
+    assert fam_coupon.count_hits(n, x, "upper", panel) == 3000 - at_n
+
+
 def test_count_hits_transforms_only_near_the_threshold(monkeypatch):
     fam = parse_family_spec("minima:exponential:1")
     panel = UniformPanel(seed=43, start=0, stop=200_000)
