@@ -47,26 +47,36 @@ EXIT_INCONCLUSIVE = 3
 _VERDICT_EXIT = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE}
 
 
-def _parse_floats(value) -> tuple:
-    """Accept a comma string or an iterable of numbers."""
+def _coerce(value, kind, what: str):
+    """value as kind (int or float), taken as the flags take it: a string
+    that kind() parses, or a number of that kind. A bool is no number,
+    and an integer key takes no float."""
+    allowed = (str, int) if kind is int else (str, int, float)
+    if isinstance(value, allowed) and not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (ValueError, OverflowError):
+            pass
+    noun = "an integer" if kind is int else "a number"
+    raise ValueError(f"{what} must be {noun}, got {value!r}")
+
+
+def _parse_floats(value, key: str) -> tuple:
+    """Accept a comma string or a list of numbers."""
     if isinstance(value, str):
         tokens = [t.strip() for t in value.split(",") if t.strip()]
-    else:
+    elif isinstance(value, (list, tuple)):
         tokens = list(value)
+    else:
+        raise ValueError(f"{key} must be a comma string or a list, got {value!r}")
     if not tokens:
-        raise ValueError("empty number list")
-    out = []
-    for tok in tokens:
-        try:
-            out.append(float(tok))
-        except (TypeError, ValueError):
-            raise ValueError(f"bad number {tok!r} in list") from None
-    return tuple(out)
+        raise ValueError(f"empty number list in {key}")
+    return tuple(_coerce(tok, float, f"every {key} entry") for tok in tokens)
 
 
 def _parse_ns(value) -> tuple:
     out = []
-    for v in _parse_floats(value):
+    for v in _parse_floats(value, "n_list"):
         i = int(round(v)) if math.isfinite(v) else 0
         if abs(v - i) > 1e-9 * max(1.0, abs(v)) or i <= 0:
             raise ValueError(f"sample sizes must be positive integers, got {v!r}")
@@ -129,11 +139,11 @@ class RunConfig:
             kw["n_list"] = _parse_ns(kw["n_list"])
         for key in ("x_list", "grid"):
             if kw.get(key) is not None:
-                kw[key] = _parse_floats(kw[key])
-        for key, coerce in (("trials", int), ("seed", int),
-                            ("partitions", int), ("tol_factor", float)):
+                kw[key] = _parse_floats(kw[key], key)
+        for key, kind in (("trials", int), ("seed", int),
+                          ("partitions", int), ("tol_factor", float)):
             if kw.get(key) is not None:
-                kw[key] = coerce(kw[key])
+                kw[key] = _coerce(kw[key], kind, key)
         if not kw.get("family"):
             raise ValueError("no family spec given (use --family or a config file)")
         return cls(**kw)

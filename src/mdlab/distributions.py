@@ -1,9 +1,11 @@
 """Continuous distribution catalog with log-domain tail evaluators.
 
-Every member exposes cdf/sf/pdf plus log_cdf/log_sf/log_pdf, a quantile,
-and an inverse survival function. The log forms are first-class citizens:
-they stay finite and strictly monotone far beyond the point where the
-plain survival function underflows, which is what the tail probes need.
+Every member states log_cdf, log_sf and log_pdf, a quantile and an
+inverse survival function; cdf, sf and pdf are the exponentials of the
+log forms. The log forms are first-class citizens: they stay finite and
+strictly monotone far beyond the point where the plain survival function
+underflows, which is what the tail probes need. A plain value carries
+the log form's relative error times about 1 + |log p|.
 
 Catalog members are continuous, so F(x-) = F(x) everywhere and survival
 statements can use -log sf directly. Atoms are out of scope.
@@ -16,14 +18,12 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import (
-    expit,
     gammainc,
     gammaincc,
     gammainccinv,
     gammaincinv,
     gammaln,
     log_ndtr,
-    ndtr,
     ndtri,
 )
 
@@ -56,9 +56,11 @@ class SpecParseError(ValueError):
 class Distribution:
     """One continuous distribution.
 
-    The private callables are the raw formulas on the interior of the
-    support; the public methods add the boundary conventions (below the
-    support: cdf 0, sf 1; above it: cdf 1, sf 0). Raw quantile/isf
+    The private callables are the raw log formulas on the interior of
+    the support; the three log methods add the boundary conventions
+    (below the support: log cdf -inf, log sf 0; above it: log cdf 0,
+    log sf -inf) and give nan at nan. cdf, sf and pdf are their
+    exponentials, so each law is stated once. Raw quantile/isf
     callables are vectorized over levels in (0, 1): closed forms where the
     catalog has them, otherwise (gamma) a safeguarded Newton on the log
     tail. The scalar quantile and isf run the vectorized quantile_values
@@ -68,8 +70,6 @@ class Distribution:
     name: str
     params: tuple
     support: tuple
-    _cdf: Callable = field(repr=False)
-    _sf: Callable = field(repr=False)
     _log_cdf: Callable = field(repr=False)
     _log_sf: Callable = field(repr=False)
     _log_pdf: Callable = field(repr=False)
@@ -80,26 +80,18 @@ class Distribution:
     # boundary-aware scalar evaluators
 
     def cdf(self, x: float) -> float:
-        lo, hi = self.support
-        if x < lo:
-            return 0.0
-        if x >= hi:
-            return 1.0
-        return float(self._cdf(x))
+        return math.exp(self.log_cdf(x))
 
     def sf(self, x: float) -> float:
-        lo, hi = self.support
-        if x < lo:
-            return 1.0
-        if x >= hi:
-            return 0.0
-        return float(self._sf(x))
+        return math.exp(self.log_sf(x))
 
     def pdf(self, x: float) -> float:
         return math.exp(self.log_pdf(x))
 
     def log_cdf(self, x: float) -> float:
         lo, hi = self.support
+        if math.isnan(x):
+            return math.nan
         if x <= lo:
             return -math.inf
         if x >= hi:
@@ -108,6 +100,8 @@ class Distribution:
 
     def log_sf(self, x: float) -> float:
         lo, hi = self.support
+        if math.isnan(x):
+            return math.nan
         if x < lo:
             return 0.0
         if x >= hi:
@@ -116,6 +110,8 @@ class Distribution:
 
     def log_pdf(self, x: float) -> float:
         lo, hi = self.support
+        if math.isnan(x):
+            return math.nan
         if x < lo or x > hi:
             return -math.inf
         return float(self._log_pdf(x))
@@ -210,8 +206,6 @@ def exponential(rate: float) -> Distribution:
         params=(lam,),
         support=(0.0, math.inf),
         cdf_slope_at_zero=lam,
-        _cdf=lambda x: -np.expm1(-lam * x),
-        _sf=lambda x: np.exp(-lam * x),
         _log_cdf=lambda x: stable_log_complement(-lam * x),
         _log_sf=lambda x: -lam * x,
         _log_pdf=lambda x: math.log(lam) - lam * x,
@@ -227,8 +221,6 @@ def uniform01() -> Distribution:
         params=(),
         support=(0.0, 1.0),
         cdf_slope_at_zero=1.0,
-        _cdf=lambda x: x,
-        _sf=lambda x: 1.0 - x,
         _log_cdf=np.log,
         _log_sf=lambda x: np.log1p(-x),
         _log_pdf=lambda x: 0.0,
@@ -247,8 +239,6 @@ def weibull(shape: float) -> Distribution:
         params=(a,),
         support=(0.0, math.inf),
         cdf_slope_at_zero=_power_slope_at_zero(a),
-        _cdf=lambda x: -np.expm1(-np.power(x, a)),
-        _sf=lambda x: np.exp(-np.power(x, a)),
         _log_cdf=lambda x: stable_log_complement(-float(np.power(x, a))),
         _log_sf=lambda x: -np.power(x, a),
         _log_pdf=lambda x: math.log(a) + (a - 1.0) * np.log(x) - np.power(x, a),
@@ -353,8 +343,6 @@ def gamma(shape: float) -> Distribution:
         params=(a,),
         support=(0.0, math.inf),
         cdf_slope_at_zero=_power_slope_at_zero(a),
-        _cdf=lambda x: gammainc(a, x),
-        _sf=lambda x: gammaincc(a, x),
         _log_cdf=log_cdf,
         _log_sf=log_sf,
         _log_pdf=log_pdf,
@@ -371,8 +359,6 @@ def std_normal() -> Distribution:
         params=(),
         support=(-math.inf, math.inf),
         cdf_slope_at_zero=None,
-        _cdf=ndtr,
-        _sf=lambda x: ndtr(-x),
         _log_cdf=log_ndtr,
         _log_sf=lambda x: log_ndtr(-x),
         _log_pdf=lambda x: -0.5 * x * x - 0.5 * _LOG_2PI,
@@ -394,8 +380,6 @@ def logistic() -> Distribution:
         params=(),
         support=(-math.inf, math.inf),
         cdf_slope_at_zero=None,
-        _cdf=expit,
-        _sf=lambda x: expit(-x),
         _log_cdf=lambda x: log_sf(-x),
         _log_sf=log_sf,
         _log_pdf=lambda x: -abs(x) - 2.0 * np.log1p(np.exp(-abs(x))),
@@ -412,8 +396,6 @@ def lognormal() -> Distribution:
         params=(),
         support=(0.0, math.inf),
         cdf_slope_at_zero=0.0,
-        _cdf=lambda x: ndtr(np.log(x)),
-        _sf=lambda x: ndtr(-np.log(x)),
         _log_cdf=lambda x: log_ndtr(np.log(x)),
         _log_sf=lambda x: log_ndtr(-np.log(x)),
         _log_pdf=lambda x: -np.log(x) - 0.5 * np.log(x) ** 2 - 0.5 * _LOG_2PI,

@@ -485,13 +485,6 @@ _SERIES_CHUNK = 64  # terms in the first chunk of the series; each next one doub
 _TOP_LIMIT = math.log(_SERIES_TARGET / _U) + 1.0
 
 
-def _coupon_n(n: int) -> int:
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"coupon collection needs n >= 1, got {n}")
-    return n
-
-
 def _coupon_series(n: int, m, upper: bool):
     """One coupon tail from its alternating series: (log value, error bound),
     or for a list of m the list of those pairs, computed together.
@@ -819,7 +812,7 @@ def _coupon_log_sf(n: int, m):
 def coupon_cdf_dp(n: int, m: int) -> float:
     """P(T_n <= m) by the exact convolution dynamic program, built at
     exactly m and not cached: the reference the series is checked against."""
-    n, m = _coupon_n(n), int(m)
+    n, m = _check_n(n, 1, None, "coupon collection"), int(m)
     if m < n:
         return 0.0
     cum, log_scale = _coupon_dp(n, m)
@@ -837,7 +830,7 @@ def coupon_cdf_inclusion_exclusion(n: int, m: int) -> float:
     cell budget keeps the big-integer work bounded; coupon_cdf_dp is the
     reference beyond it.
     """
-    n, m = _coupon_n(n), int(m)
+    n, m = _check_n(n, 1, None, "coupon collection"), int(m)
     if m < n:
         return 0.0
     if n * m > _IE_CELL_BUDGET:

@@ -61,6 +61,10 @@ def _hex(v):
     return None if v is None else float(v).hex()
 
 
+# what a probe, a tail or the CLI may raise on its inputs, as main() reports it
+ERRORS = (ValueError, TypeError, ArithmeticError)
+
+
 def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -69,7 +73,7 @@ def _report(run, *args, **kwargs) -> dict:
     """One probe's record: its report, or the error it raised."""
     try:
         rep = run(*args, **kwargs)
-    except Exception as exc:  # the message is part of the contract
+    except ERRORS as exc:  # the message is part of the contract
         return {"error": _error(exc)}
     return {
         "family": rep.family, "regime": rep.regime, "scaling": rep.scaling,
@@ -131,13 +135,13 @@ def _coupon_side(tail, n: int, xs: list) -> list:
     # gives the bits of its float calls)
     try:
         return [_hex(v) for v in tail(n, xs)]
-    except Exception:
+    except ERRORS:
         pass
     out = []
     for x in xs:
         try:
             out.append(_hex(tail(n, x)))
-        except Exception as exc:
+        except ERRORS as exc:
             out.append(_error(exc))
     return out
 

@@ -222,6 +222,32 @@ def test_config_unknown_key(tmp_path, capsys):
     assert "wibble" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("trials", 2.7), ("trials", True), ("trials", "2.7"), ("seed", 1.9), ("seed", False),
+    ("partitions", 3.0), ("partitions", True), ("tol_factor", True), ("tol_factor", "x"),
+    ("x_list", [0.5, True]), ("x_list", 5), ("n_list", [100, 1000, True]),
+    ("grid", [True] * 41),
+])
+def test_config_numbers_are_checked_like_flags(key, value, tmp_path, capsys):
+    # --trials 2.7 exits 1, so "trials": 2.7 in a config file does too; a
+    # bool is no number anywhere
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "classical:sigma=1", "x_list": [0.5],
+                               "n_list": [100, 1000, 100000], key: value}))
+    assert main(["verify", "ld", "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("mdlab: ") and err.count("\n") == 1 and key in err, err
+
+
+def test_config_numbers_take_what_the_flags_take():
+    cfg = RunConfig.from_dict({"regime": "ld", "family": "coupon", "trials": "64",
+                               "seed": 7, "partitions": " 3 ", "tol_factor": 1,
+                               "x_list": ["0.5", 1], "n_list": [20.0, "200"]})
+    assert (cfg.trials, cfg.seed, cfg.partitions) == (64, 7, 3)
+    assert cfg.tol_factor == 1.0 and isinstance(cfg.tol_factor, float)
+    assert cfg.x_list == (0.5, 1.0) and cfg.n_list == (20, 200)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "md", "--family", "coupon", "--x", "0.5", "--n", "1e2,1e3,1e4,1e5"],
     ["verify", "ld", "--family", "coupon", "--n", "1e2,1e3,1e4,1e5"],

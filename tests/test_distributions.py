@@ -5,14 +5,18 @@ decimal digits), so the tolerances below are float roundoff, not
 modeling slack.
 """
 
+import dataclasses
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mdlab import (
+    Distribution,
     SpecParseError,
     exponential,
     gamma,
@@ -56,6 +60,67 @@ def test_support_boundaries():
     e = exponential(1.0)
     assert e.pdf(-1.0) == 0.0
     assert e.log_pdf(-1.0) == -math.inf
+
+
+# one member per constructor
+MEMBERS = [exponential(1.0), uniform01(), weibull(0.5), gamma(2.0), std_normal(),
+           logistic(), lognormal()]
+# both support ends of every member, +-inf, points below 1e-300 and the bulk
+PLAIN_GRID = [-math.inf, -40.0, -1.0, -1e-310, 0.0, 5e-324, 1e-310, 1e-300, 1e-20,
+              0.3, 1.0, 1.5, 40.0, 700.0, math.inf]
+
+
+def test_distribution_states_each_law_once():
+    names = {f.name for f in dataclasses.fields(Distribution)}
+    assert {"_log_cdf", "_log_sf", "_log_pdf"} <= names
+    assert not names & {"_cdf", "_sf", "_pdf"}
+
+
+@pytest.mark.parametrize("dist", MEMBERS, ids=render_dist_spec)
+def test_plain_cdf_and_sf_are_the_exponentials_of_the_log_forms(dist):
+    with np.errstate(divide="ignore"):  # lognormal's log sf takes log(0) at x = 0
+        for x in PLAIN_GRID:
+            assert dist.cdf(x).hex() == math.exp(dist.log_cdf(x)).hex(), x
+            assert dist.sf(x).hex() == math.exp(dist.log_sf(x)).hex(), x
+
+
+@pytest.mark.parametrize("dist", MEMBERS, ids=render_dist_spec)
+def test_a_nan_level_gives_nan_in_every_method(dist):
+    for method in (dist.cdf, dist.sf, dist.pdf, dist.log_cdf, dist.log_sf, dist.log_pdf):
+        assert math.isnan(method(math.nan)), method.__name__
+
+
+def _mp_laws(spec: str):
+    """(cdf, sf) of a catalog member at 60 digits."""
+    name, _, param = spec.partition(":")
+    a = mpmath.mpf(param) if param else None
+    if name == "exponential":
+        return lambda x: -mpmath.expm1(-a * x), lambda x: mpmath.exp(-a * x)
+    if name == "weibull":
+        return lambda x: -mpmath.expm1(-x ** a), lambda x: mpmath.exp(-x ** a)
+    if name == "gamma":
+        return (lambda x: mpmath.gammainc(a, 0, x, regularized=True),
+                lambda x: mpmath.gammainc(a, x, mpmath.inf, regularized=True))
+    if name == "std_normal":
+        return mpmath.ncdf, lambda x: mpmath.ncdf(-x)
+    return lambda x: mpmath.ncdf(mpmath.log(x)), lambda x: mpmath.ncdf(-mpmath.log(x))
+
+
+@pytest.mark.parametrize("spec", ["exponential:1", "weibull:0.5", "gamma:2", "gamma:0.5",
+                                  "std_normal", "lognormal"])
+def test_plain_cdf_and_sf_match_mpmath(spec):
+    # exp(log p) carries the log form's error times about 1 + |log p|; a
+    # value below the normal range can only round to its nearest subnormal
+    dist = parse_dist_spec(spec)
+    laws = _mp_laws(spec)
+    with mpmath.workdps(60):
+        for x in np.geomspace(1e-300, 600.0, 40):
+            for plain, law in zip((dist.cdf, dist.sf), laws):
+                got, want = plain(float(x)), law(mpmath.mpf(float(x)))
+                if want < sys.float_info.min:
+                    assert abs(got - float(want)) <= 5e-324, (plain.__name__, x)
+                else:
+                    assert abs(got - want) <= 2e-13 * want, (plain.__name__, x, got)
 
 
 @pytest.mark.parametrize("dist", CATALOG, ids=render_dist_spec)

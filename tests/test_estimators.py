@@ -89,7 +89,7 @@ def test_panel_columns_equal_counter_uniforms_bitwise(start, stop):
 ])
 def test_counter_stream_matches_frozen_digests(seed, grid, columns):
     # frozen SHA-256 digests of the stream: any change to the key or draw
-    # mix, the float conversion or the panel's read-ahead shows here
+    # mix, the float conversion or the panel's column reads shows here
     u = counter_uniforms(seed, np.arange(70001)[:, None], np.arange(4)[None, :])
     assert hashlib.sha256(np.ascontiguousarray(u).tobytes()).hexdigest() == grid
     panel = UniformPanel(seed, 37, 2037)
@@ -100,7 +100,7 @@ def test_counter_stream_matches_frozen_digests(seed, grid, columns):
 @pytest.mark.parametrize("order", COLUMN_ORDERS)
 @pytest.mark.parametrize("trials", [1, 2000, 70001])
 def test_panel_read_ahead_serves_the_counter_stream(trials, order):
-    # 70001 trials span three mixing chunks and read ahead one draw
+    # 70001 trials span three mixing chunks; the columns come in any order
     panel = UniformPanel(seed=5, start=37, stop=37 + trials)
     keys = panel._keys.copy()
     idx = np.arange(37, 37 + trials)
@@ -119,7 +119,7 @@ def test_panel_read_ahead_serves_the_counter_stream(trials, order):
         col[0] = 0.5
 
 
-def test_coupon_sampler_reads_ahead_in_bounded_memory():
+def test_coupon_sampler_runs_in_bounded_memory():
     # 1999 waits of 2000 trials, mixed in blocks of at most 2^15 words
     # (256 KB); an upper miss is decided only at the last wait
     fam = make_coupon()

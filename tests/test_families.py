@@ -279,8 +279,9 @@ def test_coupon_cdf_edge_cases():
     assert coupon_cdf_dp(3, 2) == 0.0
     assert coupon_cdf_dp(1, 1) == 1.0
     assert coupon_cdf_inclusion_exclusion(1, 5) == 1.0
-    with pytest.raises(ValueError):
-        coupon_cdf_dp(0, 1)
+    for reference in (coupon_cdf_dp, coupon_cdf_inclusion_exclusion):
+        with pytest.raises(ValueError, match="^coupon collection needs n >= 1, got 0$"):
+            reference(0, 1)
     with pytest.raises(ValueError):
         coupon_cdf_dp(3, 10**9)  # over the cell budget
 
