@@ -49,8 +49,8 @@ _VERDICT_EXIT = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "inconclusive": EXIT_INCO
 
 def _coerce(value, kind, what: str):
     """value as kind (int or float), taken as the flags take it: a string
-    that kind() parses, or a number of that kind. A bool is no number,
-    and an integer key takes no float."""
+    that kind() parses, or a number (an int only, for kind int). A bool
+    is no number."""
     allowed = (str, int) if kind is int else (str, int, float)
     if isinstance(value, allowed) and not isinstance(value, bool):
         try:

@@ -200,18 +200,38 @@ def group_names(contract: dict) -> list:
             + [f"cli:{s}" for s in inputs["cli"]])
 
 
-def moved(old, new, path: str = "") -> list:
+ROW_COLUMNS = ("n", "x", "log_p_exact", "log_p_mc", "stderr_log", "residual")
+
+
+def _step(item, i: int, under: str) -> str:
+    """A list item's name in a path: a report by family and regime, a row
+    by n and x, a row entry by its column, a coupon level by its x."""
+    if isinstance(item, dict) and "regime" in item:
+        return f"{i} ({item['family']} {item['regime']})"
+    if under == "rows" and isinstance(item, list):
+        return f"{i} (n={item[0]}, x={item[1]})"
+    if under == "row":
+        return ROW_COLUMNS[i]
+    if under in ("lower", "upper"):
+        return f"x={COUPON_XS[i]}" if len(COUPON_XS) > i else str(i)
+    return str(i)
+
+
+def moved(old, new, path: str = "", under: str = "") -> list:
     """(path, old, new) for every leaf that differs, in order."""
     if isinstance(old, dict) and isinstance(new, dict):
         out = []
         for key in list(old) + [k for k in new if k not in old]:
-            out += moved(old.get(key, "<absent>"), new.get(key, "<absent>"), f"{path}/{key}")
+            out += moved(old.get(key, "<absent>"), new.get(key, "<absent>"),
+                         f"{path}/{key}", key)
         return out
     if isinstance(old, list) and isinstance(new, list):
         out = []
         for i in range(max(len(old), len(new))):
-            out += moved(old[i] if i < len(old) else "<absent>",
-                         new[i] if i < len(new) else "<absent>", f"{path}/{i}")
+            a = old[i] if i < len(old) else "<absent>"
+            b = new[i] if i < len(new) else "<absent>"
+            out += moved(a, b, f"{path}/{_step(a if i < len(old) else b, i, under)}",
+                         "row" if under == "rows" else "")
         return out
     return [] if old == new else [(path, old, new)]
 

@@ -7,7 +7,6 @@ modeling slack.
 
 import dataclasses
 import math
-import sys
 
 import mpmath
 import numpy as np
@@ -117,7 +116,7 @@ def test_plain_cdf_and_sf_match_mpmath(spec):
         for x in np.geomspace(1e-300, 600.0, 40):
             for plain, law in zip((dist.cdf, dist.sf), laws):
                 got, want = plain(float(x)), law(mpmath.mpf(float(x)))
-                if want < sys.float_info.min:
+                if want < _SMALLEST_NORMAL:
                     assert abs(got - float(want)) <= 5e-324, (plain.__name__, x)
                 else:
                     assert abs(got - want) <= 2e-13 * want, (plain.__name__, x, got)
