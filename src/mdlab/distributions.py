@@ -58,8 +58,8 @@ class Distribution:
 
     The private callables are the raw log formulas on the interior of
     the support; the three log methods add the boundary conventions
-    (below the support: log cdf -inf, log sf 0; above it: log cdf 0,
-    log sf -inf) and give nan at nan. cdf, sf and pdf are their
+    (at or below the support: log cdf -inf, log sf 0; at or above it:
+    log cdf 0, log sf -inf; log pdf -inf outside it) and give nan at nan. cdf, sf and pdf are their
     exponentials, so each law is stated once. Raw quantile/isf
     callables are vectorized over levels in (0, 1): closed forms where the
     catalog has them, otherwise (gamma) a safeguarded Newton on the log
@@ -102,7 +102,7 @@ class Distribution:
         lo, hi = self.support
         if math.isnan(x):
             return math.nan
-        if x < lo:
+        if x <= lo:
             return 0.0
         if x >= hi:
             return -math.inf

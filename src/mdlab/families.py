@@ -31,6 +31,11 @@ by all. Deep in the lower tail, where it cannot certify, a tilted Fourier
 inversion with its own computed bound answers; it keeps no state, and
 its grid, hence its time and memory, follows from (n, m) alone.
 
+Every family is built by _family from list-native tails: the record's
+exact tails take one level or a list of levels, a float level giving the
+bits of the one-level list, and the record checks n once per call
+against the family's least_n and max_n.
+
 The non-central moderate rates are linear on each side of 0 (x for the
 Gumbel maxima and the coupon, F'(0+) x for the minima, two slopes for
 replacement), so each is built by _linear_rate from its two slopes, which
@@ -187,13 +192,14 @@ class FamilySpec:
     sampler's transform decides on all of (0, 1) may be counted from
     len(panel) without reading a column.
 
-    exact_log_upper_tail(n, x) and exact_log_lower_tail(n, x) return a log
-    probability for a float level x. Given a list of levels they return a
-    list whose element i has the bits of the float call at x[i]; where a
-    float call would raise, the list raises what the first such call in
-    list order raises. The probes pass one list per n and side; a family
-    evaluates it as a whole where that saves work (the coupon series, the
-    Gumbel maxima's m_n) and maps the float call otherwise.
+    exact_log_upper_tail(n, x) and exact_log_lower_tail(n, x) take one
+    level or a list of levels. A list gives the list of log probabilities,
+    in order, and raises what the first level that cannot be answered
+    raises; a float level x gives the bits of the one-level list [x]. The
+    tails and count_hits raise a ValueError for an n below least_n or
+    above max_n. _family builds every record this way, so a family writes
+    only list tails: the probes pass one list per n and side, and the
+    coupon series and the Gumbel maxima's m_n run once per list.
     """
 
     name: str
@@ -220,14 +226,28 @@ def _check_n(n: int, least: int, cap: Optional[int], label: str) -> int:
     return n
 
 
+def _family(name: str, least_n: int, upper, lower, count_hits,
+            max_n: Optional[int] = None, **fields) -> FamilySpec:
+    """The FamilySpec whose tails and count_hits call upper(n, xs),
+    lower(n, xs) and count_hits with an int n already checked against
+    least_n and max_n; a float level x is answered as the list [x]."""
+    def tail(list_tail):
+        def checked(n: int, x):
+            n = _check_n(n, least_n, max_n, name)
+            return list_tail(n, x) if isinstance(x, list) else list_tail(n, [x])[0]
+        return checked
+
+    def hits(n: int, x: float, side: str, panel) -> int:
+        return count_hits(_check_n(n, least_n, max_n, name), x, side, panel)
+
+    return FamilySpec(name=name, exact_log_upper_tail=tail(upper),
+                      exact_log_lower_tail=tail(lower), count_hits=hits,
+                      least_n=least_n, max_n=max_n, **fields)
+
+
 def _mapped(tail):
-    """The list form of a closed-form tail: tail(n, x) for a float x, the
-    list of those calls, in order, for a list of levels x."""
-    def list_or_float(n: int, x):
-        if isinstance(x, list):
-            return [tail(n, v) for v in x]
-        return tail(n, x)
-    return list_or_float
+    """A closed-form tail(n, x) over a list of levels."""
+    return lambda n, xs: [tail(n, x) for x in xs]
 
 
 def _count(values: np.ndarray, x: float, side: str) -> int:
@@ -304,30 +324,23 @@ def make_classical_sums(sigma: float = 1.0) -> FamilySpec:
     rate = RateFunction(fn=quad, domain_note="x^2 / (2 sigma^2) on all reals")
 
     def log_upper(n: int, x: float) -> float:
-        n = _check_n(n, 1, None, "classical_sums")
         return float(log_ndtr(-x * math.sqrt(n) / sigma))
 
     def log_lower(n: int, x: float) -> float:
-        n = _check_n(n, 1, None, "classical_sums")
         return float(log_ndtr(x * math.sqrt(n) / sigma))
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
-        n = _check_n(n, 1, None, "classical_sums")
         return _count_by_bracket(panel,
                                  lambda u: sigma * ndtri(u) / math.sqrt(n), x, side)
 
-    return FamilySpec(
-        name="classical_sums",
+    return _family(
+        "classical_sums", 1, _mapped(log_upper), _mapped(log_lower), count_hits,
         label=f"classical:sigma={sigma!r}",
         central=True,
         speed=lambda n: float(n),
         rate_ld=rate,
         rate_md=rate,
         limit_cdf=lambda x: float(ndtr(x / sigma)),
-        exact_log_upper_tail=_mapped(log_upper),
-        exact_log_lower_tail=_mapped(log_lower),
-        count_hits=count_hits,
-        least_n=1,
     )
 
 
@@ -367,25 +380,22 @@ def make_minima(dist: Distribution) -> FamilySpec:
         return -math.expm1(-slope0 * x)
 
     def log_upper(n: int, x: float) -> float:
-        n = _check_n(n, 1, None, "minima")
         if x <= 0.0:
             return 0.0
         return n * dist.log_sf(x)
 
     def log_lower(n: int, x: float) -> float:
-        n = _check_n(n, 1, None, "minima")
         if x <= 0.0:
             return -math.inf
         return stable_log_complement(n * dist.log_sf(x))
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
-        n = _check_n(n, 1, None, "minima")
         return _count_by_bracket(panel,
                                  lambda u: isf_values(dist, np.exp(np.log1p(-u) / n)),
                                  x, side)
 
-    return FamilySpec(
-        name="minima",
+    return _family(
+        "minima", 1, _mapped(log_upper), _mapped(log_lower), count_hits,
         label=f"minima:{render_dist_spec(dist)}",
         central=False,
         speed=lambda n: float(n),
@@ -393,10 +403,6 @@ def make_minima(dist: Distribution) -> FamilySpec:
                              domain_note="-log sf(x) on [0, omega), +inf elsewhere"),
         rate_md=_linear_rate(slope0, -math.inf),
         limit_cdf=limit_cdf,
-        exact_log_upper_tail=_mapped(log_upper),
-        exact_log_lower_tail=_mapped(log_lower),
-        count_hits=count_hits,
-        least_n=1,
     )
 
 
@@ -422,46 +428,40 @@ def make_gumbel_maxima(dist: Distribution) -> FamilySpec:
                          f"got {dist.name}")
     least = least_valid_n(dist)
 
-    def m_of(n: int) -> float:
-        return characteristic_level(dist, _check_n(n, least, _GUMBEL_N_CAP, "gumbel_maxima"))
-
     def speed(n: int) -> float:
         return normalizing_rate(dist, _check_n(n, least, _GUMBEL_N_CAP, "gumbel_maxima"))
 
-    def log_upper(n: int, x: float) -> float:
-        y = m_of(n) * (1.0 + x)
-        ls = dist.log_sf(y)
-        log_n = math.log(n)
-        if log_n + ls < _LOG_NS_SMALL:
-            # 1 - (1-s)^n = n s (1 - (n-1) s / 2 + O((ns)^2))
-            return log_n + ls + math.log1p(-(n - 1) * math.exp(ls) / 2.0)
-        return stable_log_complement(n * dist.log_cdf(y))
+    def log_upper(n: int, xs: list) -> list:
+        m, log_n = characteristic_level(dist, n), math.log(n)
 
-    def log_lower(n: int, x):
-        m = m_of(n)
-        if isinstance(x, list):
-            return [n * dist.log_cdf(m * (1.0 + v)) for v in x]
-        return n * dist.log_cdf(m * (1.0 + x))
+        def at(x: float) -> float:
+            y = m * (1.0 + x)
+            ls = dist.log_sf(y)
+            if log_n + ls < _LOG_NS_SMALL:
+                # 1 - (1-s)^n = n s (1 - (n-1) s / 2 + O((ns)^2))
+                return log_n + ls + math.log1p(-(n - 1) * math.exp(ls) / 2.0)
+            return stable_log_complement(n * dist.log_cdf(y))
+
+        return [at(x) for x in xs]
+
+    def log_lower(n: int, xs: list) -> list:
+        m = characteristic_level(dist, n)
+        return [n * dist.log_cdf(m * (1.0 + x)) for x in xs]
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
-        m = m_of(n)
+        m = characteristic_level(dist, n)
         return _count_by_bracket(
             panel,
             lambda u: isf_values(dist, -np.expm1(np.log(u) / n)) / m - 1.0, x, side)
 
-    return FamilySpec(
-        name="gumbel_maxima",
+    return _family(
+        "gumbel_maxima", least, log_upper, log_lower, count_hits, max_n=_GUMBEL_N_CAP,
         label=f"gumbel_maxima:{render_dist_spec(dist)}",
         central=False,
         speed=speed,
         rate_ld=shift_rate(power_tail_rate(mu), 1.0),
         rate_md=_linear_rate(1.0, -math.inf),
         limit_cdf=lambda x: math.exp(-math.exp(-x)),
-        exact_log_upper_tail=_mapped(log_upper),
-        exact_log_lower_tail=log_lower,
-        count_hits=count_hits,
-        least_n=least,
-        max_n=_GUMBEL_N_CAP,
     )
 
 
@@ -485,9 +485,9 @@ _SERIES_CHUNK = 64  # terms in the first chunk of the series; each next one doub
 _TOP_LIMIT = math.log(_SERIES_TARGET / _U) + 1.0
 
 
-def _coupon_series(n: int, m, upper: bool):
-    """One coupon tail from its alternating series: (log value, error bound),
-    or for a list of m the list of those pairs, computed together.
+def _coupon_series(n: int, m: list, upper: bool) -> list:
+    """One coupon tail from its alternating series: for each of a list of
+    thresholds m, (log value, error bound), all computed together.
 
     P(T_n <= m) = sum_{k=0}^{n-1} (-1)^k C(n,k) (1-k/n)^m exactly
     (Erdos & Renyi 1961); P(T_n > m) is the same sum over k = 1..n-1 with
@@ -522,8 +522,6 @@ def _coupon_series(n: int, m, upper: bool):
     per-row dot products are the ones a single row gets, so every pair
     has the bits of a call with that m alone.
     """
-    if not isinstance(m, list):
-        return _coupon_series(n, [m], upper)[0]
     if not m:
         return []
     ms = np.array(m, dtype=float)[:, None]
@@ -756,19 +754,17 @@ def _coupon_dp(n: int, top: int) -> tuple[np.ndarray, float]:
     return np.cumsum(row), log_scale
 
 
-def _coupon_log_cdf(n: int, m):
-    """log P(T_n <= m): the series where its bound certifies 1e-10, else
-    _coupon_tilt where its bound does, else a ValueError. log1p(-P(T_n > m))
-    from the upper series, where that is below 1/2, keeps log p relative.
+def _coupon_log_cdf(n: int, m: list) -> list:
+    """log P(T_n <= m) for each of a list of m, n >= 2: the series where
+    its bound certifies 1e-10, else _coupon_tilt where its bound does, else
+    a ValueError. log1p(-P(T_n > m)) from the upper series, where that is
+    below 1/2, keeps log p relative.
 
-    For a list of m, the list of those values: the series runs once over
-    the whole list and the upper series once over the rows near 1. The
-    tilt runs row by row in list order, so the first row it cannot certify
-    raises what a call with that m alone raises.
+    The series runs once over the whole list and the upper series once
+    over the rows near 1. The tilt runs row by row in list order, so the
+    first row it cannot certify raises what the list [m] alone raises.
     """
-    if not isinstance(m, list):
-        return _coupon_log_cdf(n, [m])[0]
-    n, ms = _check_n(n, 2, None, "coupon"), [int(v) for v in m]
+    ms = [int(v) for v in m]
     out = [-math.inf] * len(ms)
     rows = [i for i, v in enumerate(ms) if v >= n]
     series = _coupon_series(n, [ms[i] for i in rows], upper=False)
@@ -788,14 +784,12 @@ def _coupon_log_cdf(n: int, m):
     return out
 
 
-def _coupon_log_sf(n: int, m):
-    """log P(T_n > m): the series where its bound certifies 1e-10, else the
-    complement of _coupon_log_cdf. The upper series misses only deep in
-    the lower tail, where that complement loses nothing. A list of m gives
-    the list of values, as _coupon_log_cdf does."""
-    if not isinstance(m, list):
-        return _coupon_log_sf(n, [m])[0]
-    n, ms = _check_n(n, 2, None, "coupon"), [int(v) for v in m]
+def _coupon_log_sf(n: int, m: list) -> list:
+    """log P(T_n > m) for each of a list of m, n >= 2: the series where its
+    bound certifies 1e-10, else the complement of _coupon_log_cdf. The
+    upper series misses only deep in the lower tail, where that complement
+    loses nothing."""
+    ms = [int(v) for v in m]
     out = [0.0] * len(ms)
     rows = [i for i, v in enumerate(ms) if v >= n]
     missed = []
@@ -894,14 +888,12 @@ def coupon_threshold_pair(n: int, x: float) -> tuple[int, int]:
     return m_lo, m_up
 
 
-def _at_thresholds(tail, n: int, x, threshold):
-    """tail(n, threshold(x)), or for a list of levels tail(n, list of their
-    thresholds). A level without a threshold (nan, +-inf) raises once the
-    levels before it have run, as the float calls in order would."""
-    if not isinstance(x, list):
-        return tail(n, threshold(x))
+def _at_thresholds(tail, n: int, xs: list, threshold) -> list:
+    """tail(n, the list of the levels' thresholds). A level without a
+    threshold (nan, +-inf) raises once the levels before it have run, as
+    the one-level lists in order would."""
     ms = []
-    for v in x:
+    for v in xs:
         try:
             ms.append(threshold(v))
         except ValueError:
@@ -928,16 +920,13 @@ def make_coupon() -> FamilySpec:
     """
     rate = _linear_rate(1.0, -math.inf)
 
-    def log_upper(n: int, x):
-        n = _check_n(n, 2, None, "coupon")
-        return _at_thresholds(_coupon_log_sf, n, x, lambda v: coupon_threshold_pair(n, v)[1] - 1)
+    def log_upper(n: int, xs: list) -> list:
+        return _at_thresholds(_coupon_log_sf, n, xs, lambda v: coupon_threshold_pair(n, v)[1] - 1)
 
-    def log_lower(n: int, x):
-        n = _check_n(n, 2, None, "coupon")
-        return _at_thresholds(_coupon_log_cdf, n, x, lambda v: coupon_threshold_pair(n, v)[0])
+    def log_lower(n: int, xs: list) -> list:
+        return _at_thresholds(_coupon_log_cdf, n, xs, lambda v: coupon_threshold_pair(n, v)[0])
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
-        n = _check_n(n, 2, None, "coupon")
         m_lo, m_up = coupon_threshold_pair(n, x)
         upper = side == "upper"
         # every wait is at least one draw, so T_n >= n
@@ -971,18 +960,14 @@ def make_coupon() -> FamilySpec:
                 keys, t = keys[undecided], t[undecided]
         return decided if upper else keys.size
 
-    return FamilySpec(
-        name="coupon",
+    return _family(
+        "coupon", 2, log_upper, log_lower, count_hits,
         label="coupon",
         central=False,
         speed=lambda n: math.log(n),
         rate_ld=rate,
         rate_md=rate,
         limit_cdf=lambda x: math.exp(-math.exp(-x)),
-        exact_log_upper_tail=log_upper,
-        exact_log_lower_tail=log_lower,
-        count_hits=count_hits,
-        least_n=2,
     )
 
 
@@ -1058,7 +1043,6 @@ def make_replacement(params: ReplacementParams) -> FamilySpec:
         return 1.0 - (1.0 - beta) * math.exp(-slope_right * x)
 
     def log_upper(n: int, x: float) -> float:
-        n = _check_n(n, 1, None, "replacement")
         if x <= -t:
             return 0.0
         if x <= 0.0:
@@ -1066,7 +1050,6 @@ def make_replacement(params: ReplacementParams) -> FamilySpec:
         return log_1mbeta + n * (G.log_sf(x + t) - log_sfg_t)
 
     def log_lower(n: int, x: float) -> float:
-        n = _check_n(n, 1, None, "replacement")
         if x <= -t:
             return -math.inf
         if x <= 0.0:
@@ -1074,8 +1057,6 @@ def make_replacement(params: ReplacementParams) -> FamilySpec:
         return stable_log_complement(log_1mbeta + n * (G.log_sf(x + t) - log_sfg_t))
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
-        n = _check_n(n, 1, None, "replacement")
-
         def c_of(u):
             z = np.empty_like(u)
             low = u <= beta
@@ -1091,8 +1072,8 @@ def make_replacement(params: ReplacementParams) -> FamilySpec:
 
     label = (f"replacement:{render_dist_spec(F)},{render_dist_spec(G)},"
              f"t={t!r},beta={beta!r}")
-    return FamilySpec(
-        name="replacement",
+    return _family(
+        "replacement", 1, _mapped(log_upper), _mapped(log_lower), count_hits,
         label=label,
         central=False,
         speed=lambda n: float(n),
@@ -1101,10 +1082,6 @@ def make_replacement(params: ReplacementParams) -> FamilySpec:
             domain_note="log-ratio of F below t, of sf_G above; +inf at and below -t"),
         rate_md=_linear_rate(slope_right, -slope_left),
         limit_cdf=limit_cdf,
-        exact_log_upper_tail=_mapped(log_upper),
-        exact_log_lower_tail=_mapped(log_lower),
-        count_hits=count_hits,
-        least_n=1,
         md_needs_alogn=True,
     )
 

@@ -109,7 +109,7 @@ def test_panel_read_ahead_serves_the_counter_stream(trials, order):
         col = panel.column(draw)
         assert col.shape == (trials,)
         assert np.array_equal(col, counter_uniforms(5, idx, draw))
-        if prev is not None:  # a refill leaves what was returned alone
+        if prev is not None:  # a later column read leaves what was returned alone
             assert np.array_equal(prev[1], counter_uniforms(5, idx, prev[0]))
         first = first or (draw, col)
         prev = (draw, col)

@@ -379,7 +379,7 @@ def test_coupon_series_bound_holds_against_inclusion_exclusion(chunk, monkeypatc
             lower = coupon_cdf_inclusion_exclusion(n, m)
             assert lower == float(Fraction(count, n ** m))
             for upper, exact in ((False, lower), (True, float(Fraction(n ** m - count, n ** m)))):
-                value, bound = _coupon_series(n, m, upper)
+                value, bound = _coupon_series(n, [m], upper)[0]
                 if bound > families._SERIES_TARGET:
                     continue
                 certified += 1
@@ -427,7 +427,7 @@ def test_coupon_lower_tail_is_stateless(n):
     # and on the series (x = 0). Peaks agree to within single small
     # interpreter objects (59 bytes apart between runs); a kept row of the
     # 5510 draws the series misses at n = 1000 would be 44 KB.
-    certified = [_coupon_series(n, coupon_threshold_pair(n, x)[0], upper=False)[1]
+    certified = [_coupon_series(n, [coupon_threshold_pair(n, x)[0]], upper=False)[0][1]
                  <= families._SERIES_TARGET for x in _STATELESS_XS]
     assert certified == [False, False, False, True]
     fresh, second, warmed = make_coupon(), make_coupon(), make_coupon()
@@ -442,7 +442,7 @@ def test_coupon_lower_tail_is_stateless(n):
 def _series_switch(n):
     # the least m at which the lower series certifies; the tilt runs below
     m = n
-    while _coupon_series(n, m, upper=False)[1] > families._SERIES_TARGET:
+    while _coupon_series(n, [m], upper=False)[0][1] > families._SERIES_TARGET:
         m += 1
     return m
 
@@ -452,7 +452,7 @@ def test_coupon_tails_sum_to_one_across_the_switch(n):
     m_star = _series_switch(n)
     assert m_star > n + n // 2
     for m in (m_star - n // 2, m_star - 2, m_star - 1, m_star, m_star + 1, m_star + n):
-        total = math.exp(_coupon_log_cdf(n, m)) + math.exp(_coupon_log_sf(n, m))
+        total = math.exp(_coupon_log_cdf(n, [m])[0]) + math.exp(_coupon_log_sf(n, [m])[0])
         assert total == pytest.approx(1.0, abs=1e-12), m
 
 
@@ -478,8 +478,8 @@ def test_coupon_lower_tail_deep_against_inclusion_exclusion():
     # m = n is the closed form n!/n^n; the rest go through the tilt
     n = 1000
     for m in (1000, 1050, 1100, 1150, 1250, 1500):
-        assert _coupon_series(n, m, upper=False)[1] > families._SERIES_TARGET
-        value = _coupon_log_cdf(n, m)
+        assert _coupon_series(n, [m], upper=False)[0][1] > families._SERIES_TARGET
+        value = _coupon_log_cdf(n, [m])[0]
         assert value == pytest.approx(_log_surjection_fraction(n, m), abs=1e-10), m
 
 
@@ -491,7 +491,7 @@ def test_coupon_tilt_bound_holds_against_inclusion_exclusion():
     checked = 0
     for n in range(2, 41):
         for m in range(n, int(n * math.log(n) + 6 * n) + 1, max(1, n // 15)):
-            if _coupon_series(n, m, upper=False)[1] <= families._SERIES_TARGET:
+            if _coupon_series(n, [m], upper=False)[0][1] <= families._SERIES_TARGET:
                 continue
             value, bound = _coupon_tilt(n, m)
             assert bound <= families._SERIES_TARGET, (n, m)
@@ -513,14 +513,14 @@ def test_coupon_lower_tail_near_one_keeps_relative_accuracy(fam_coupon):
     assert fam_coupon.exact_log_lower_tail(2, x) == pytest.approx(exact, rel=1e-14, abs=0.0)
     # n = 3: P(T_3 > m) = 3 (2/3)^m - 3 (1/3)^m, exactly
     q = Fraction(3 * (2 ** 150 - 1), 3 ** 150)
-    assert _coupon_log_cdf(3, 150) == pytest.approx(math.log1p(-float(q)), rel=1e-14, abs=0.0)
+    assert _coupon_log_cdf(3, [150])[0] == pytest.approx(math.log1p(-float(q)), rel=1e-14, abs=0.0)
 
 
 def test_coupon_lower_tail_at_twenty_thousand_types(fam_coupon):
     # log P(T_20000 <= 138648) from scripts/derive_constants.py (mpmath
     # alternating sum); the lower series cannot certify it
     assert coupon_threshold_pair(20000, -0.3)[0] == 138648
-    assert _coupon_series(20000, 138648, upper=False)[1] > families._SERIES_TARGET
+    assert _coupon_series(20000, [138648], upper=False)[0][1] > families._SERIES_TARGET
     assert fam_coupon.exact_log_lower_tail(20000, -0.3) == pytest.approx(
         -19.585765600273233, abs=1e-10)
     report = ldp_probe(fam_coupon, (-0.3,), (20, 200, 2000, 20000))
@@ -933,10 +933,10 @@ def _coupon_routes(n, ms):
         if m < n:
             routes.add("m < n")
             continue
-        log_p, bound = _coupon_series(n, m, upper=False)
+        log_p, bound = _coupon_series(n, [m], upper=False)[0]
         if bound > families._SERIES_TARGET:
             routes.add("tilt")
-        elif log_p > -math.log(2.0) and _coupon_series(n, m, upper=True)[1] <= families._SERIES_TARGET:
+        elif log_p > -math.log(2.0) and _coupon_series(n, [m], upper=True)[0][1] <= families._SERIES_TARGET:
             routes.add("complement")
         else:
             routes.add("series")
@@ -957,10 +957,10 @@ def test_coupon_lists_have_the_bits_of_single_calls(chunk, monkeypatch):
             assert _coupon_routes(n, ms) == {"m < n", "tilt", "complement", "series"}
         for upper in (False, True):
             pairs = _coupon_series(n, [m for m in ms if m >= n], upper)
-            singles = [_coupon_series(n, m, upper) for m in ms if m >= n]
+            singles = [_coupon_series(n, [m], upper)[0] for m in ms if m >= n]
             assert [_hex_list(p) for p in pairs] == [_hex_list(p) for p in singles], (n, upper)
-        assert _hex_list(_coupon_log_cdf(n, ms)) == _hex_list([_coupon_log_cdf(n, m) for m in ms])
-        assert _hex_list(_coupon_log_sf(n, ms)) == _hex_list([_coupon_log_sf(n, m) for m in ms])
+        assert _hex_list(_coupon_log_cdf(n, ms)) == _hex_list([_coupon_log_cdf(n, [m])[0] for m in ms])
+        assert _hex_list(_coupon_log_sf(n, ms)) == _hex_list([_coupon_log_sf(n, [m])[0] for m in ms])
 
 
 def _raised(fn, *args):
@@ -969,7 +969,7 @@ def _raised(fn, *args):
     return type(info.value), str(info.value)
 
 
-def test_list_form_raises_what_the_first_failing_float_call_raises(fam_coupon, fam_classical):
+def test_list_form_raises_what_the_first_failing_float_call_raises(fam_coupon):
     # at n = 1e9 neither the series nor the tilt certifies x = -0.35 or
     # -0.3; x = nan and inf have no threshold
     n = 10 ** 9
@@ -981,10 +981,41 @@ def test_list_form_raises_what_the_first_failing_float_call_raises(fam_coupon, f
         assert _raised(tail, n, [0.0, -0.35, math.nan]) == first
         assert _raised(tail, n, [0.0, math.nan, -0.35]) == _raised(tail, n, math.nan)
         assert _raised(tail, n, [0.0, math.inf]) == _raised(tail, n, math.inf)
-    assert _raised(fam_coupon.exact_log_lower_tail, 1, [0.0]) == _raised(
-        fam_coupon.exact_log_lower_tail, 1, 0.0)
-    assert _raised(fam_classical.exact_log_upper_tail, 0, [0.5]) == _raised(
-        fam_classical.exact_log_upper_tail, 0, 0.5)
+
+
+_N_CHECK_LEVELS = [-0.01, 0.0, 0.001, 0.05]
+
+
+@pytest.mark.parametrize("which", ["exact_log_upper_tail", "exact_log_lower_tail", "count_hits"])
+@pytest.mark.parametrize("fixture", ["fam_classical", "fam_minima_exp", "fam_gumbel_weibull2",
+                                     "fam_coupon", "fam_replacement"])
+def test_each_family_checks_n_and_takes_one_level_or_a_list(fixture, which, request):
+    # n is checked before any level is read, so an empty list raises too;
+    # a float n is taken as its int, and a float level as the list [x]
+    fam = request.getfixturevalue(fixture)
+    fn = getattr(fam, which)
+    if which == "count_hits":
+        def call(n, xs):
+            return [fn(n, x, side, UniformPanel(11, 0, 300))
+                    for x in xs for side in ("lower", "upper")]
+        levels = [_N_CHECK_LEVELS]
+    else:
+        def call(n, xs):
+            return _hex_list(fn(n, xs))
+        levels = [_N_CHECK_LEVELS, []]
+    low = fam.least_n - 1
+    for xs in levels:
+        assert _raised(call, low, xs) == (ValueError, f"{fam.name} needs n >= {fam.least_n}, got {low}")
+        if fam.name == "gumbel_maxima":
+            assert fam.max_n == 10 ** 15
+            assert f"{fam.name} caps n at {10 ** 15}" in _raised(call, 10 ** 15 + 1, xs)[1]
+        else:
+            assert fam.max_n is None
+    assert call(1e3, _N_CHECK_LEVELS) == call(1000, _N_CHECK_LEVELS)
+    if which != "count_hits":
+        assert _raised(fn, low, 0.0) == _raised(call, low, [0.0])
+        assert [fn(1000, x).hex() for x in _N_CHECK_LEVELS] == [
+            call(1000, [x])[0] for x in _N_CHECK_LEVELS]
 
 
 def test_coupon_uncertifiable_series_stops_in_small_memory(fam_coupon):
