@@ -9,8 +9,9 @@ run. There is no sequential generator state anywhere.
 
 A UniformPanel is a contiguous block of trials (seed, start, stop). Its
 column(draw) serves the stream counter_uniforms gives, bit for bit, one
-draw at a time. A sampler that reads many draws per trial, in whatever
-order and on whichever trials it still needs, takes the trial keys from
+draw at a time, building each cache-sized chunk's keys and uniforms in
+one pass. A sampler that reads many draws per trial, in whatever order
+and on whichever trials it still needs, takes the trial keys from
 panel_keys(panel) and mixes blocks of draws itself with key_uniforms.
 mc_log_tail walks each partition in panels of at most _PANEL_TRIALS
 trials, so the memory of a row does not grow with its trial count.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.special import betainccinv
@@ -54,17 +54,26 @@ def stable_log_complement(log_p: float) -> float:
 
 # Counter-based uniforms: splitmix64's finalizer (Steele, Lea & Flood
 # 2014) used as a counter-based generator (Salmon et al. 2011), with
-# golden-ratio key folding. Every step writes in place through `out=`, one
-# cache-sized chunk at a time, so a call allocates its result and one
-# scratch chunk and no temporaries. numpy uint64 arrays wrap silently on
-# overflow (scalars warn), so all arithmetic below stays in array form.
+# golden-ratio key folding: trial t of seed s has the key
+# mix((t + 1) golden + s), and its draw d the uniform from
+# mix(key + (d + 1) golden), all mod 2^64. Every step writes in place
+# through `out=`, one cache-sized chunk at a time, so a panel column, a
+# panel_keys or a key_uniforms call allocates its result and one scratch
+# chunk and no temporaries; a panel column builds, mixes and converts each
+# chunk before the next. numpy uint64 arrays wrap silently on overflow
+# (scalars warn), so all arithmetic below stays in array form.
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+_GOLDEN = np.uint64(_GOLDEN_INT)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 _BLOCK = 1 << 15  # uint64 words per chunk (256 KB)
 _PANEL_TRIALS = 1 << 16  # trials per panel of mc_log_tail
+# i golden mod 2^64 for i < _BLOCK: a chunk of consecutive trials t0 + i
+# has the unmixed keys _STEPS + ((t0 + 1) golden + s), one add
+_STEPS = np.multiply(np.arange(_BLOCK, dtype=np.uint64), _GOLDEN)
+_STEPS.flags.writeable = False
 
 
 def _chunks(z: np.ndarray):
@@ -85,6 +94,22 @@ def _mix64(c: np.ndarray, s: np.ndarray) -> None:
             np.multiply(c, mult, out=c)
 
 
+def _to_uniforms(c: np.ndarray, s: np.ndarray) -> None:
+    # The mixed words of the chunk c become their doubles in the same
+    # memory: the top 53 bits go to the scratch s first, read as int64
+    # (the same value, converted faster than uint64). (2^53 - 1) + 0.5
+    # rounds to 2^53, so the top word is clamped below 1.
+    np.right_shift(c, np.uint64(11), out=s)
+    u = c.view(np.float64)
+    np.add(s.view(np.int64), 0.5, out=u)
+    np.multiply(u, 2.0**-53, out=u)
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
+
+
+def _draw_offset(draw) -> np.ndarray:
+    return _GOLDEN * (np.atleast_1d(np.asarray(draw, dtype=np.uint64)) + np.uint64(1))
+
+
 def _trial_keys(seed: int, trials) -> np.ndarray:
     # the key mix: one 64-bit key per (seed, trial); trials is not written
     keys = np.add(np.atleast_1d(np.asarray(trials, dtype=np.uint64)), np.uint64(1))
@@ -95,29 +120,34 @@ def _trial_keys(seed: int, trials) -> np.ndarray:
     return keys
 
 
+def _panel_key_chunks(panel, out: np.ndarray):
+    """(chunk, scratch) pairs covering out, one word per trial of the
+    panel, each chunk holding the mixed keys of its trials."""
+    for lo, (c, s) in zip(range(0, out.size, _BLOCK), _chunks(out)):
+        base = ((panel.start + lo + 1) * _GOLDEN_INT + panel.seed) & _U64_MASK
+        np.add(_STEPS[:c.size], np.uint64(base), out=c)
+        _mix64(c, s)
+        yield c, s
+
+
 def panel_keys(panel) -> np.ndarray:
     """The trial keys of panel.seed on trials panel.start, ..., panel.stop - 1."""
-    return _trial_keys(panel.seed, np.arange(panel.start, panel.stop, dtype=np.uint64))
+    keys = np.empty(panel.stop - panel.start, dtype=np.uint64)
+    for _ in _panel_key_chunks(panel, keys):
+        pass
+    return keys
 
 
 def key_uniforms(keys: np.ndarray, draw) -> np.ndarray:
     """Uniforms in (0, 1) from trial keys and draw indices, broadcast
     together: key_uniforms(panel_keys(panel), draw) is panel.column(draw)
     bitwise, and any subset of the keys gives the same subset of it."""
-    # Each chunk of mixed words is turned into its doubles in the same
-    # memory: the top 53 bits go to the scratch first. (2^53 - 1) + 0.5
-    # rounds to 2^53, so the top word is clamped below 1.
-    d = np.atleast_1d(np.asarray(draw, dtype=np.uint64))
-    offset = _GOLDEN * (d + np.uint64(1))
-    z = np.empty(np.broadcast_shapes(keys.shape, d.shape), dtype=np.uint64)
+    offset = _draw_offset(draw)
+    z = np.empty(np.broadcast_shapes(keys.shape, offset.shape), dtype=np.uint64)
     np.add(keys, offset, out=z)
     for c, s in _chunks(z):
         _mix64(c, s)
-        np.right_shift(c, np.uint64(11), out=s)
-        u = c.view(np.float64)
-        np.add(s, 0.5, out=u)
-        np.multiply(u, 2.0**-53, out=u)
-        np.minimum(u, 1.0 - 2.0**-53, out=u)
+        _to_uniforms(c, s)
     return z.view(np.float64)
 
 
@@ -136,14 +166,20 @@ def counter_uniforms(seed: int, trials, draw) -> np.ndarray:
 class UniformPanel:
     """Vectorized access to the uniforms of a contiguous block of trials.
 
-    The trial keys are mixed once, on the first column. column(draw) equals
-    counter_uniforms(seed, range(start, stop), draw) bitwise, whatever the
-    order of the calls, and is read-only.
+    column(draw) equals counter_uniforms(seed, range(start, stop), draw)
+    bitwise, whatever the order of the calls, and is read-only. Each call
+    builds, mixes and converts one cache-sized chunk of trials at a time;
+    the panel keeps no keys, since a single-uniform sampler reads one
+    column and a many-draw one mixes from panel_keys.
     """
 
     def __init__(self, seed: int, start: int, stop: int):
+        if start < 0:
+            raise ValueError(f"trial indices start at 0, got start={start}")
         if stop < start:
             raise ValueError("empty panel must still have stop >= start")
+        if stop > 1 << 64:
+            raise ValueError(f"trial indices must fit in 64 bits, got stop={stop}")
         self.seed = seed
         self.start = start
         self.stop = stop
@@ -151,11 +187,15 @@ class UniformPanel:
     def __len__(self) -> int:
         return self.stop - self.start
 
-    _keys = cached_property(panel_keys)
-
     def column(self, draw: int) -> np.ndarray:
         """The draw-th uniform of every trial in the block."""
-        u = key_uniforms(self._keys, draw)
+        offset = _draw_offset(draw)
+        z = np.empty(len(self), dtype=np.uint64)
+        for c, s in _panel_key_chunks(self, z):
+            np.add(c, offset, out=c)
+            _mix64(c, s)
+            _to_uniforms(c, s)
+        u = z.view(np.float64)
         u.flags.writeable = False
         return u
 

@@ -480,6 +480,9 @@ _ULP = 2.0 * _U  # log, log1p and exp are taken to be within one ulp
 _SUBNORMAL = 5e-324  # absolute error of an exp that lands below the normal range
 _TILT_CHUNK = 1 << 14  # trapezoid nodes summed per pass of _coupon_tilt
 _WAIT_BLOCK = 1 << 15  # geometric waits (256 KB) per block of the coupon sampler
+# -log1p(-u) <= 53 log 2 for every counter uniform u <= 1 - 2^-53; the
+# factor covers the rounding of log1p and of the sampler's divide
+_WAIT_LOG_CAP = 53.0 * math.log(2.0) * (1.0 + 1e-9)
 _SERIES_CHUNK = 64  # terms in the first chunk of the series; each next one doubles
 # a series term above e^_TOP_LIMIT rules out certifying _SERIES_TARGET
 _TOP_LIMIT = math.log(_SERIES_TARGET / _U) + 1.0
@@ -902,6 +905,19 @@ def _at_thresholds(tail, n: int, xs: list, threshold) -> list:
     return tail(n, ms)
 
 
+def _coupon_waits(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log_q, wmax) over the draws d = 0, ..., n - 2 of the coupon sampler.
+
+    Draw d is the wait for coupon k = d + 2, of success p = (n - d - 1)/n:
+    ceil(log1p(-u) / log_q[d]) with log_q[d] = log1p(-p). At u <= 1 - 2^-53
+    that wait is at most ceil(y) <= floor(y) + 1 for y = 53 log 2 / -log_q[d].
+    _WAIT_LOG_CAP's factor covers the rounding of y, and wmax[d] adds one
+    more draw.
+    """
+    log_q = np.fromiter((math.log1p(-((n - d - 1) / n)) for d in range(n - 1)), float, n - 1)
+    return log_q, np.floor(-_WAIT_LOG_CAP / log_q) + 2.0
+
+
 def make_coupon() -> FamilySpec:
     """C_n = T_n / (n log n) - 1 for the n-coupon collection time; v_n = log n.
 
@@ -912,11 +928,15 @@ def make_coupon() -> FamilySpec:
 
     count_hits reads the waits from k = n (the longest) down to k = 2, in
     (draws, trials) blocks of at most _WAIT_BLOCK words. Every wait is at
-    least 1, so after each block a trial whose sum so far plus its unread
-    waits reaches m_up is an upper hit, and one past m_lo a lower miss;
-    decided trials are dropped before the next block is mixed. Each
-    uniform is a function of (seed, trial, draw) alone, so the count is
-    the one reading every wait of every trial in order would give.
+    least 1 and the wait of draw d at most wmax_d (_coupon_waits), so
+    before each block a trial whose sum so far plus the least its unread
+    waits can add reaches the threshold is decided above it, and one whose
+    sum plus the most they can add stays below it is decided below: an
+    upper hit or miss, a lower miss or hit. Decided trials are dropped
+    before the next block is mixed, and a row the test decides before the
+    first block mixes no key. Each uniform is a function of (seed, trial,
+    draw) alone, so the count is the one reading every wait of every trial
+    in order would give.
     """
     rate = _linear_rate(1.0, -math.inf)
 
@@ -928,37 +948,43 @@ def make_coupon() -> FamilySpec:
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
         m_lo, m_up = coupon_threshold_pair(n, x)
-        upper = side == "upper"
+        # the upper side counts the trials with T_n >= m, the lower side
+        # the others
+        m = m_up if side == "upper" else m_lo + 1
         # every wait is at least one draw, so T_n >= n
-        if upper and m_up <= n:
-            return len(panel)
-        if not upper and m_lo < n:
-            return 0
-        keys = panel_keys(panel)
-        t = np.ones(len(keys))
-        decided = 0  # the upper hits, or the lower misses, dropped so far
+        if m <= n:
+            return len(panel) if side == "upper" else 0
+        log_q, wmax = _coupon_waits(n)
+        most = np.zeros(n)  # most[j]: wmax_d summed over d < j
+        np.cumsum(wmax, out=most[1:])
+        t = np.ones(len(panel))
+        keys = None  # every t starts at 1, so the first test decides all trials or none
+        above = 0  # the trials dropped with T_n >= m
         unread = n - 1  # draws 0, ..., unread - 1 are still to be read
-        while unread and keys.size:
-            rows = min(unread, max(1, _WAIT_BLOCK // keys.size))
-            # draw d is the wait for coupon k = d + 2, of success p = (n - d - 1)/n
-            log_q = [math.log1p(-((n - d - 1) / n)) for d in range(unread - rows, unread)]
+        while True:
+            # the unread waits add at least unread and at most most[unread]
+            undecided = (t >= m - most[unread]) & (t < m - unread)
+            left = int(np.count_nonzero(undecided))
+            if left < t.size:
+                above += int(np.count_nonzero(t >= m - unread))
+                t = t[undecided]
+                if keys is not None:
+                    keys = keys[undecided]
+            if not left:
+                return above if side == "upper" else len(panel) - above
+            if keys is None:
+                keys = panel_keys(panel)
+            rows = min(unread, max(1, _WAIT_BLOCK // left))
             w = key_uniforms(keys, np.arange(unread - rows, unread)[:, None])
             np.negative(w, out=w)
             np.log1p(w, out=w)
-            np.divide(w, np.array(log_q)[:, None], out=w)
+            np.divide(w, log_q[unread - rows:unread, None], out=w)
             np.ceil(w, out=w)
             # every partial sum is an integer below 2^53, so float64 holds
             # T_n exactly and the order of the additions does not matter;
             # numpy's axis-0 sum of a single row costs twice one add
             t += w[0] if rows == 1 else w.sum(axis=0)
             unread -= rows
-            # each unread wait adds at least 1 to t
-            undecided = t < m_up - unread if upper else t <= m_lo - unread
-            left = int(np.count_nonzero(undecided))
-            if left < keys.size:
-                decided += keys.size - left
-                keys, t = keys[undecided], t[undecided]
-        return decided if upper else keys.size
 
     return _family(
         "coupon", 2, log_upper, log_lower, count_hits,

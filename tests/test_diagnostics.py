@@ -288,6 +288,25 @@ def test_default_weak_grid_covers_both_tails(fam_coupon):
     assert fam_coupon.limit_cdf(grid[-1]) >= 0.995
 
 
+@pytest.mark.parametrize("fam,call,match", [
+    ("fam_minima_exp", lambda f: ldp_probe(f, [0.5], []), "n_list must not be empty"),
+    ("fam_minima_exp", lambda f: ldp_probe(f, [0.5], (100, 10**4, 1000, 10**5)),
+     r"n_list must be strictly increasing, got \[100, 10000, 1000, 100000\]"),
+    ("fam_coupon", lambda f: ldp_probe(f, [0.5], (1, 1000, 10**4)), "coupon needs n >= 2, got 1"),
+    ("fam_gumbel_weibull2", lambda f: ldp_probe(f, [0.5], (10**12, 10**14, 10**16)),
+     "gumbel_maxima caps n at 1000000000000000, got 10000000000000000"),
+    ("fam_minima_exp", lambda f: ldp_probe(f, [], LD_GRID), "x_list must not be empty"),
+    ("fam_minima_exp", lambda f: weak_probe(f, (100, 10**4), x_grid=default_weak_grid(f)[::-1]),
+     "weak grid must be strictly increasing"),
+    ("fam_minima_exp", lambda f: weak_sup_distances(ldp_probe(f, [0.5], LD_GRID)),
+     "expected a weak report, got regime 'ld'"),
+], ids=["no n", "n not increasing", "n below least_n", "n above max_n", "no x",
+        "weak grid not increasing", "sup distances of an ld report"])
+def test_probe_input_checks_name_the_fault(request, fam, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(request.getfixturevalue(fam))
+
+
 def test_probe_input_validation(fam_minima_exp):
     with pytest.raises(ValueError):
         ldp_probe(fam_minima_exp, [0.5], (100, 1000))  # too few sizes

@@ -249,6 +249,15 @@ def test_vectorized_inverses_map_levels_zero_and_one_to_the_support(dist):
     assert isf_values(dist, levels).tolist()[::2] == [math.inf, 0.0]
 
 
+@pytest.mark.parametrize("method,level,match", [
+    ("quantile", 1.5, r"quantile needs p in \[0, 1\], got 1.5"),
+    ("isf", -0.1, r"isf needs q in \[0, 1\], got -0.1"),
+])
+def test_inverses_reject_levels_outside_0_1(method, level, match):
+    with pytest.raises(ValueError, match=match):
+        getattr(exponential(1.0), method)(level)
+
+
 @pytest.mark.parametrize("spec", [
     "exponential:1", "exponential:0.5", "uniform01", "weibull:2",
     "gamma:3", "std_normal", "logistic", "lognormal",

@@ -19,7 +19,8 @@ from mdlab import (
     parse_family_spec,
     stable_log_complement,
 )
-from mdlab.estimators import _clopper_pearson_upper_log, _mix64, key_uniforms
+from mdlab.estimators import (_clopper_pearson_upper_log, _mix64, _trial_keys, key_uniforms,
+                               panel_keys)
 
 # (spec, n, x, side) with a hit rate well inside (0, 1) at 4096 trials;
 # the five canonical families plus the gamma members, whose quantiles
@@ -102,7 +103,6 @@ def test_counter_stream_matches_frozen_digests(seed, grid, columns):
 def test_panel_read_ahead_serves_the_counter_stream(trials, order):
     # 70001 trials span three mixing chunks; the columns come in any order
     panel = UniformPanel(seed=5, start=37, stop=37 + trials)
-    keys = panel._keys.copy()
     idx = np.arange(37, 37 + trials)
     first = prev = None
     for draw in COLUMN_ORDERS[order]:
@@ -114,9 +114,35 @@ def test_panel_read_ahead_serves_the_counter_stream(trials, order):
         first = first or (draw, col)
         prev = (draw, col)
     assert np.array_equal(first[1], counter_uniforms(5, idx, first[0]))
-    assert np.array_equal(panel._keys, keys)
     with pytest.raises(ValueError):
         col[0] = 0.5
+
+
+@pytest.mark.parametrize("m", [1, 2**15 - 1, 2**15, 2**15 + 1, 70001])
+@pytest.mark.parametrize("start", [0, 2**32 + 3, 2**62])
+def test_chunked_panel_keys_equal_the_counter_stream(start, m):
+    # a panel builds its keys one 2^15-word chunk at a time from the chunk's
+    # first trial; m covers one word, a chunk less one, one, and one more,
+    # and three chunks with a short tail
+    trials = np.arange(start, start + m, dtype=np.uint64)
+    for seed in (-1, 0, 2**63 + 5, 2**64 - 1):
+        panel = UniformPanel(seed, start, start + m)
+        assert np.array_equal(panel_keys(panel), _trial_keys(seed, trials)), seed
+        for draw in (0, 1, 10**6):
+            assert np.array_equal(panel.column(draw), counter_uniforms(seed, trials, draw))
+
+
+@pytest.mark.parametrize("start,stop,match", [
+    (5, 4, "empty panel must still have stop >= start"),
+    (-1, 5, "trial indices start at 0, got start=-1"),
+    (0, 2**64 + 1, "trial indices must fit in 64 bits, got stop=18446744073709551617"),
+])
+def test_panel_takes_the_trials_below_2_64_only(start, stop, match):
+    # the last trial index the counters hold is still served
+    top = UniformPanel(7, 2**64 - 1, 2**64)
+    assert np.array_equal(top.column(3), counter_uniforms(7, [2**64 - 1], 3))
+    with pytest.raises(ValueError, match=match):
+        UniformPanel(7, start, stop)
 
 
 def test_coupon_sampler_runs_in_bounded_memory():

@@ -42,7 +42,7 @@ from mdlab import (
 from mdlab import families
 from mdlab.diagnostics import default_weak_grid, ldp_probe, weak_probe
 from mdlab.distributions import gamma, isf_values, quantile_values
-from mdlab.estimators import UniformPanel
+from mdlab.estimators import UniformPanel, key_uniforms, panel_keys
 from mdlab.rvtoolkit import characteristic_level, normalizing_rate
 from mdlab.families import _coupon_log_cdf, _coupon_log_sf, _coupon_series, _coupon_tilt
 
@@ -835,6 +835,54 @@ def test_coupon_rows_that_t_at_least_n_decides_mix_no_key(fam_coupon):
     assert fam_coupon.count_hits(n, x, "upper", panel) == 3000 - at_n
 
 
+def _coupon_sums_reading_every_wait(n, panel):
+    # T_n of every trial with all n - 1 waits read in draw order, none dropped
+    keys = panel_keys(panel)
+    t = np.ones(len(panel))
+    for d in range(n - 1):
+        t += np.ceil(np.log1p(-key_uniforms(keys, d)) / math.log1p(-((n - d - 1) / n)))
+    return t
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 200])
+@pytest.mark.parametrize("seed", [1, 2**40 + 7, 2**64 - 3])
+def test_coupon_early_decisions_count_what_every_wait_counts(fam_coupon, monkeypatch, n, seed):
+    # levels in both tails, near the median, beyond the largest sum drawn
+    # and at the most n - 1 waits can add
+    panel = UniformPanel(seed, 0, 2000)
+    t = _coupon_sums_reading_every_wait(n, panel)
+    cap = 1 + int(families._coupon_waits(n)[1].sum())
+    ms = [int(np.quantile(t, q)) for q in (0.0, 0.001, 0.02, 0.5, 0.98, 0.999, 1.0)]
+    for m in ms + [ms[-1] + 1, cap, cap + 1]:
+        x = m / (n * math.log(n)) - 1.0
+        m_lo, m_up = coupon_threshold_pair(n, x)
+        assert fam_coupon.count_hits(n, x, "upper", panel) == np.count_nonzero(t >= m_up), m
+        assert fam_coupon.count_hits(n, x, "lower", panel) == np.count_nonzero(t <= m_lo), m
+    # T_n <= cap: a threshold past it is settled before any key is mixed,
+    # one at it is not
+    reads = []
+    monkeypatch.setattr(families, "panel_keys", lambda p: reads.append(p) or panel_keys(p))
+    for m, mixed in ((cap - 0.5, True), (cap + 0.5, False)):
+        x = m / (n * math.log(n)) - 1.0
+        for side, hits in (("upper", 0), ("lower", len(panel))):
+            reads.clear()
+            assert fam_coupon.count_hits(n, x, side, panel) == hits
+            assert bool(reads) == mixed, (m, side)
+
+
+@pytest.mark.parametrize("n", [2, 20, 2000, 10**6])
+def test_coupon_waits_stay_below_their_cap(n):
+    # the sampler's wait at the largest counter uniform, by its own numpy
+    # ops, at every draw; wmax_d keeps one draw of slack above it
+    log_q, wmax = families._coupon_waits(n)
+    w = np.full(n - 1, 1.0 - 2.0**-53)
+    np.negative(w, out=w)
+    np.log1p(w, out=w)
+    np.divide(w, log_q, out=w)
+    np.ceil(w, out=w)
+    assert np.all(w < wmax)
+
+
 def test_count_hits_transforms_only_near_the_threshold(monkeypatch):
     fam = parse_family_spec("minima:exponential:1")
     panel = UniformPanel(seed=43, start=0, stop=200_000)
@@ -868,6 +916,19 @@ def test_shift_rate_moves_the_zero():
     assert r(0.0) == 0.0
     assert r(1.0) == pytest.approx(1.5, rel=1e-12)
     assert r(-1.5) == math.inf
+
+
+@pytest.mark.parametrize("value,match", [
+    (-1e-13, None),  # rounding below 0 reads as 0
+    (-1e-3, r"rate function returned -0.001 < 0 at x=0.5"),
+])
+def test_rate_function_clips_rounding_and_rejects_a_negative_rate(value, match):
+    rate = families.RateFunction(fn=lambda x: value, domain_note="constant")
+    if match is None:
+        assert rate(0.5) == 0.0
+    else:
+        with pytest.raises(ValueError, match=match):
+            rate(0.5)
 
 
 def test_rate_grid_violations_flag_broken_rates():
