@@ -9,16 +9,18 @@ special-cases a family.
 
 Four samplers (classical, minima, gumbel_maxima, replacement) draw C_n
 from one uniform per trial through a transform f nondecreasing in u. Their
-count_hits first evaluates f at the two end doubles of (0, 1); where both
-lie past x by a margin of 1e-9 max(1, |x|) on one side, so does every
-draw, and the count is 0 or the trial count with no column read (as on
-the rows whose P lies far below 2^-53). Otherwise it brackets the
-crossing f(u) = x on two successive 255-point grids in u, keeping the same
-margin from x, classifies the trials outside the bracket by comparing u
-with its ends, and applies f only to the few inside, so the count equals
-the one f on every trial gives. The ends and the bracket come from f
-alone, never from the exact tails, so Monte Carlo stays an independent
-check of them.
+count_hits evaluates f once on the two end doubles of (0, 1) and on a
+bracket [a, b] that the family's exact tails place around u* = P(C_n <= x).
+Where both end doubles lie past x by a margin of 1e-9 max(1, |x|) on one
+side, so does every draw, and the count is 0 or the trial count with no
+column read (as on the rows whose P lies far below 2^-53). Otherwise the
+bracket holds when f(a) and f(b) lie past x by the same margin, one on
+each side, and it is widened until it does; the trials outside it are
+classified by comparing u with its ends, and f runs only on the few
+inside, so the count equals the one f on every trial gives. The tails
+place the bracket, and f alone accepts it and classifies every trial: a
+wrong tail can cost time but never moves a count, so Monte Carlo stays an
+independent check of the tails.
 
 The coupon collection time has one evaluator for both tails: the exact
 alternating series of P(T_n <= m), summed in log-scaled form with a
@@ -256,48 +258,63 @@ def _count(values: np.ndarray, x: float, side: str) -> int:
     return int(np.count_nonzero(values <= x))
 
 
-# two rounds of this many interior grid points bracket the crossing f(u) = x
-_BRACKET_GRID = np.arange(1, 256) / 256.0
 # the least and the greatest double in (0, 1)
-_U_ENDS = np.array([5e-324, 1.0 - 2.0**-53])
+_U_LEAST, _U_GREATEST = 5e-324, 1.0 - 2.0**-53
+# the bracket's successive half-widths in log probability
+_BRACKET_HALF_WIDTHS = (1e-6, 1e-3, 1.0, 1e3)
 
 
-def _count_by_bracket(panel, f, x: float, side: str) -> int:
+def _count_by_bracket(panel, f, x: float, side: str,
+                      log_lower: float, log_upper: float) -> int:
     """_count(f(u), x, side) on u = panel.column(0), for a transform f
-    nondecreasing in u.
+    nondecreasing in u, with the bracket placed by the exact tails
+    log P(C_n <= x) and log P(C_n >= x).
 
     eta = 1e-9 max(1, |x|) is orders of magnitude above the rounding of f.
     If f at the two end doubles of (0, 1) already lies at least eta below
     (above) x, every draw does, and the count is 0 or len(panel) without
-    a column read. Otherwise f is evaluated on a 255-point grid over
-    (0, 1) and again on one over the bracket the first grid leaves. A
-    grid point with f <= x - eta (f >= x + eta) becomes the low (high)
-    end, so every trial at or below the low end has f(u) < x and every
-    one at or above the high end has f(u) > x. Only the trials strictly
-    inside get the full transform.
+    a column read. Otherwise the bracket [a, b] sits where the smaller
+    tail p is p e^-h and p e^h, as u = p or u = -expm1(log p), clipped to
+    the end doubles. Each attempt evaluates f once, on the end doubles, a
+    and b, and the bracket holds when f(a) <= x - eta and f(b) >= x + eta:
+    every trial at or below a then has f(u) < x and every one at or above
+    b has f(u) > x, and only the trials strictly inside get the full
+    transform. h starts at 1e-6 and grows 1000-fold up to 1e3, skipping
+    all but the last bracket where a < b fails (one double, or a nan
+    tail); if none holds, f runs on every trial. The tails only place the
+    bracket and f alone accepts it, so a wrong or nan tail can cost time
+    but never changes the count.
     """
     eta = 1e-9 * max(1.0, abs(x))
-    least, greatest = f(_U_ENDS)
-    if least >= x + eta:  # every draw lies above x
-        return len(panel) if side == "upper" else 0
-    if greatest <= x - eta:  # every draw lies below x
-        return 0 if side == "upper" else len(panel)
-    u = panel.column(0)
+    upper = log_upper < log_lower
+    log_p = log_upper if upper else log_lower
     lo, hi = -math.inf, math.inf
-    a, b = 0.0, 1.0
-    for _ in range(2):
-        g = a + (b - a) * _BRACKET_GRID
-        v = f(g)
-        below = np.flatnonzero(v <= x - eta)
-        above = np.flatnonzero(v >= x + eta)
-        if below.size:
-            lo = a = g[below[-1]]
-        if above.size:
-            hi = b = g[above[0]]
-    hits = _count(f(u[(u > lo) & (u < hi)]), x, side)
-    if side == "upper":
-        return hits + int(np.count_nonzero(u >= hi))
-    return hits + int(np.count_nonzero(u <= lo))
+    for h in _BRACKET_HALF_WIDTHS:
+        # log p -+ h, capped at 0 so that exp stays finite; a nan stays nan
+        t_lo, t_hi = min(log_p - h, 0.0), min(log_p + h, 0.0)
+        if upper:
+            a, b = -math.expm1(t_hi), -math.expm1(t_lo)
+        else:
+            a, b = math.exp(t_lo), math.exp(t_hi)
+        a, b = min(max(a, _U_LEAST), _U_GREATEST), min(max(b, _U_LEAST), _U_GREATEST)
+        if not a < b and h < _BRACKET_HALF_WIDTHS[-1]:
+            # one double, or a nan end, cannot hold; the widest attempt
+            # runs regardless, since it also makes the range decision
+            continue
+        least, greatest, fa, fb = f(np.array([_U_LEAST, _U_GREATEST, a, b]))
+        if least >= x + eta:  # every draw lies above x
+            return len(panel) if side == "upper" else 0
+        if greatest <= x - eta:  # every draw lies below x
+            return 0 if side == "upper" else len(panel)
+        if fa <= x - eta and fb >= x + eta:
+            lo, hi = a, b
+            break
+    u = panel.column(0)
+    below, above = int(np.count_nonzero(u <= lo)), int(np.count_nonzero(u >= hi))
+    hits = above if side == "upper" else below
+    if below + above < u.size:
+        hits += _count(f(u[(u > lo) & (u < hi)]), x, side)
+    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +347,8 @@ def make_classical_sums(sigma: float = 1.0) -> FamilySpec:
         return float(log_ndtr(x * math.sqrt(n) / sigma))
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
-        return _count_by_bracket(panel,
-                                 lambda u: sigma * ndtri(u) / math.sqrt(n), x, side)
+        return _count_by_bracket(panel, lambda u: sigma * ndtri(u) / math.sqrt(n), x, side,
+                                 log_lower(n, x), log_upper(n, x))
 
     return _family(
         "classical_sums", 1, _mapped(log_upper), _mapped(log_lower), count_hits,
@@ -392,7 +409,7 @@ def make_minima(dist: Distribution) -> FamilySpec:
     def count_hits(n: int, x: float, side: str, panel) -> int:
         return _count_by_bracket(panel,
                                  lambda u: isf_values(dist, np.exp(np.log1p(-u) / n)),
-                                 x, side)
+                                 x, side, log_lower(n, x), log_upper(n, x))
 
     return _family(
         "minima", 1, _mapped(log_upper), _mapped(log_lower), count_hits,
@@ -431,18 +448,20 @@ def make_gumbel_maxima(dist: Distribution) -> FamilySpec:
     def speed(n: int) -> float:
         return normalizing_rate(dist, _check_n(n, least, _GUMBEL_N_CAP, "gumbel_maxima"))
 
+    # log P(C_n >= x) given m = m_n, which log_upper and count_hits each
+    # compute once per call
+    def upper_at(n: int, m: float, x: float) -> float:
+        y = m * (1.0 + x)
+        ls = dist.log_sf(y)
+        log_n = math.log(n)
+        if log_n + ls < _LOG_NS_SMALL:
+            # 1 - (1-s)^n = n s (1 - (n-1) s / 2 + O((ns)^2))
+            return log_n + ls + math.log1p(-(n - 1) * math.exp(ls) / 2.0)
+        return stable_log_complement(n * dist.log_cdf(y))
+
     def log_upper(n: int, xs: list) -> list:
-        m, log_n = characteristic_level(dist, n), math.log(n)
-
-        def at(x: float) -> float:
-            y = m * (1.0 + x)
-            ls = dist.log_sf(y)
-            if log_n + ls < _LOG_NS_SMALL:
-                # 1 - (1-s)^n = n s (1 - (n-1) s / 2 + O((ns)^2))
-                return log_n + ls + math.log1p(-(n - 1) * math.exp(ls) / 2.0)
-            return stable_log_complement(n * dist.log_cdf(y))
-
-        return [at(x) for x in xs]
+        m = characteristic_level(dist, n)
+        return [upper_at(n, m, x) for x in xs]
 
     def log_lower(n: int, xs: list) -> list:
         m = characteristic_level(dist, n)
@@ -451,8 +470,8 @@ def make_gumbel_maxima(dist: Distribution) -> FamilySpec:
     def count_hits(n: int, x: float, side: str, panel) -> int:
         m = characteristic_level(dist, n)
         return _count_by_bracket(
-            panel,
-            lambda u: isf_values(dist, -np.expm1(np.log(u) / n)) / m - 1.0, x, side)
+            panel, lambda u: isf_values(dist, -np.expm1(np.log(u) / n)) / m - 1.0, x, side,
+            n * dist.log_cdf(m * (1.0 + x)), upper_at(n, m, x))
 
     return _family(
         "gumbel_maxima", least, log_upper, log_lower, count_hits, max_n=_GUMBEL_N_CAP,
@@ -914,7 +933,9 @@ def _coupon_waits(n: int) -> tuple[np.ndarray, np.ndarray]:
     _WAIT_LOG_CAP's factor covers the rounding of y, and wmax[d] adds one
     more draw.
     """
-    log_q = np.fromiter((math.log1p(-((n - d - 1) / n)) for d in range(n - 1)), float, n - 1)
+    # math.log1p of each correctly rounded -p: numpy's log1p may round
+    # differently, and the frozen counts rest on these bits
+    log_q = np.fromiter(map(math.log1p, -(np.arange(n - 1, 0, -1) / n)), float, n - 1)
     return log_q, np.floor(-_WAIT_LOG_CAP / log_q) + 2.0
 
 
@@ -1094,7 +1115,7 @@ def make_replacement(params: ReplacementParams) -> FamilySpec:
                     G, np.exp(log_sfg_t + (np.log1p(-u[~low]) - log_1mbeta) / n))
             return z - t
 
-        return _count_by_bracket(panel, c_of, x, side)
+        return _count_by_bracket(panel, c_of, x, side, log_lower(n, x), log_upper(n, x))
 
     label = (f"replacement:{render_dist_spec(F)},{render_dist_spec(G)},"
              f"t={t!r},beta={beta!r}")

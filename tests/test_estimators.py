@@ -100,7 +100,7 @@ def test_counter_stream_matches_frozen_digests(seed, grid, columns):
 
 @pytest.mark.parametrize("order", COLUMN_ORDERS)
 @pytest.mark.parametrize("trials", [1, 2000, 70001])
-def test_panel_read_ahead_serves_the_counter_stream(trials, order):
+def test_panel_columns_serve_the_counter_stream_in_any_order(trials, order):
     # 70001 trials span three mixing chunks; the columns come in any order
     panel = UniformPanel(seed=5, start=37, stop=37 + trials)
     idx = np.arange(37, 37 + trials)

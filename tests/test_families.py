@@ -766,6 +766,85 @@ def test_count_hits_decides_a_row_from_the_range_of_the_transform(spec, n, trans
             assert fam.count_hits(m, far_above, side, _NoColumnPanel(4)) == want
 
 
+def _tail_variants(log_lower, log_upper):
+    # the exact tails, both shifted in log, and one or both replaced by a
+    # value no tail evaluator returns
+    yield log_lower, log_upper
+    for d in (-5.0, -1e-3, 1e-3, 5.0):
+        yield log_lower + d, log_upper + d
+    for bad in (math.nan, math.inf, -math.inf):
+        yield from ((bad, log_upper), (log_lower, bad), (bad, bad))
+
+
+@pytest.mark.parametrize("spec,n,transform", TRANSFORM_CASES,
+                         ids=[c[0].split(",")[0] for c in TRANSFORM_CASES])
+def test_count_by_bracket_counts_the_full_transform_under_any_tails(spec, n, transform):
+    # the tails only place the bracket: shifted, nan or infinite tails may
+    # cost transform calls but never change a count
+    fam = parse_family_spec(spec)
+    c_of = transform(n)
+    grid = np.arange(1, 256) / 256.0
+    u = np.concatenate([UniformPanel(seed=41, start=0, stop=3000).column(0), grid,
+                        np.nextafter(grid, 0.0), np.nextafter(grid, 1.0)])
+    c = c_of(u)
+    xs = [c.min() - 1.0, c.max() + 1.0]
+    for v in (c[7], c[3000 + 127], c[3000 + 255 + 31]):
+        xs += [v, np.nextafter(v, -math.inf), np.nextafter(v, math.inf)]
+    brackets = []
+
+    def recording(u):
+        if u.size == 4 and u[0] == 5e-324:  # an attempt: the end doubles, a and b
+            brackets.append(u[2:])
+        return c_of(u)
+
+    def check(panel):
+        c = c_of(panel.column(0))
+        for x in map(float, xs):
+            tails = fam.exact_log_lower_tail(n, x), fam.exact_log_upper_tail(n, x)
+            for side in ("upper", "lower"):
+                want = families._count(c, x, side)
+                for ll, lu in _tail_variants(*tails):
+                    got = families._count_by_bracket(panel, recording, x, side, ll, lu)
+                    assert got == want, (x, side, ll, lu)
+
+    check(_FixedPanel(u))
+    check(UniformPanel(seed=53, start=0, stop=2000))
+    # trials on every bracket end tried above and on its neighbours
+    ends = np.unique(np.concatenate(brackets))
+    ends = np.concatenate([ends, np.nextafter(ends, 0.0), np.nextafter(ends, 1.0)])
+    check(_FixedPanel(ends[(ends > 0.0) & (ends < 1.0)]))
+
+
+@pytest.mark.parametrize("spec,n,transform", TRANSFORM_CASES,
+                         ids=[c[0].split(",")[0] for c in TRANSFORM_CASES])
+def test_count_hits_calls_the_transform_at_most_twice(monkeypatch, spec, n, transform):
+    # one call checks the range and the bracket, one more transforms the
+    # trials inside it, if there are any; a row decided by the range of
+    # the transform makes only the first
+    fam = parse_family_spec(spec)
+    calls = []
+    bracket = families._count_by_bracket
+
+    def counting(panel, f, *args):
+        return bracket(panel, lambda u: calls.append(u.size) or f(u), *args)
+
+    monkeypatch.setattr(families, "_count_by_bracket", counting)
+    c_of = transform(n)
+    x = float(c_of(np.array([0.3]))[0])  # P(C_n <= x) = 0.3
+    panel = UniformPanel(seed=59, start=0, stop=2**16)
+    for side in ("upper", "lower"):
+        calls.clear()
+        hits = fam.count_hits(n, x, side, panel)
+        assert 0 < hits < len(panel)
+        assert len(calls) <= 2, (side, calls)
+    least, greatest = c_of(np.array([5e-324, 1.0 - 2.0**-53]))
+    for x in (least - 1.0 - abs(least), greatest + 1.0 + abs(greatest)):
+        for side in ("upper", "lower"):
+            calls.clear()
+            fam.count_hits(n, x, side, _NoColumnPanel(2**16))
+            assert len(calls) == 1, (x, side, calls)
+
+
 def test_coupon_count_hits_equals_integer_waits(fam_coupon):
     # the float64 running sum against T_n summed as int64 geometric waits
     n, trials = 60, 3000
@@ -881,6 +960,13 @@ def test_coupon_waits_stay_below_their_cap(n):
     np.divide(w, log_q, out=w)
     np.ceil(w, out=w)
     assert np.all(w < wmax)
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 2000, 10**5])
+def test_coupon_waits_keep_the_bits_of_the_scalar_build(n):
+    # one math.log1p per draw over the Python-rounded -(n - d - 1)/n
+    want = np.fromiter((math.log1p(-((n - d - 1) / n)) for d in range(n - 1)), float, n - 1)
+    assert families._coupon_waits(n)[0].tobytes() == want.tobytes()
 
 
 def test_count_hits_transforms_only_near_the_threshold(monkeypatch):
