@@ -42,13 +42,10 @@ from .rvtoolkit import (
     normalizing_rate,
 )
 from .families import (
-    CouponBounds,
     FamilySpec,
     RateFunction,
     ReplacementParams,
     coupon_cdf_dp,
-    coupon_cdf_inclusion_exclusion,
-    coupon_tail_bounds,
     coupon_threshold_pair,
     make_classical_sums,
     make_coupon,
@@ -57,8 +54,6 @@ from .families import (
     make_replacement,
     parse_family_spec,
     power_tail_rate,
-    rate_grid_violations,
-    render_family_spec,
     shift_rate,
 )
 from .scalings import (

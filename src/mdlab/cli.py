@@ -33,7 +33,7 @@ from .diagnostics import (
     write_svg,
 )
 from .distributions import parse_dist_spec
-from .families import parse_family_spec, render_family_spec
+from .families import parse_family_spec
 from .rvtoolkit import lemma_battery
 from .scalings import ScalingRejectedError, parse_scaling_spec, render_scaling_spec
 
@@ -114,7 +114,7 @@ class RunConfig:
             raise ValueError(f"unknown regime {self.regime!r}")
 
     def normalized(self) -> "RunConfig":
-        fam = render_family_spec(parse_family_spec(self.family))
+        fam = parse_family_spec(self.family).label
         scaling = self.scaling
         if scaling is not None:
             scaling = render_scaling_spec(parse_scaling_spec(scaling))

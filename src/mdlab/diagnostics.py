@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 import operator
@@ -448,12 +447,6 @@ def write_csv(reports, path_or_handle) -> None:
     finally:
         if own:
             fh.close()
-
-
-def csv_text(reports) -> str:
-    buf = io.StringIO()
-    write_csv(reports, buf)
-    return buf.getvalue()
 
 
 # write_json's text is json.dumps(payload, indent=1) + "\n" byte for byte,

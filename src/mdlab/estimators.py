@@ -218,9 +218,6 @@ class McEstimate:
     zero_hits: bool
     log_p_upper95: float
 
-    def p(self) -> float:
-        return math.exp(self.log_p_hat)
-
 
 def _clopper_pearson_upper_log(hits: int, trials: int) -> float:
     """log of the 95% Clopper-Pearson upper bound on hits/trials."""

@@ -31,7 +31,10 @@ and gives up once a term is too large for any sum to certify. A list of
 thresholds at one n runs through it together, one chunk of terms shared
 by all. Deep in the lower tail, where it cannot certify, a tilted Fourier
 inversion with its own computed bound answers; it keeps no state, and
-its grid, hence its time and memory, follows from (n, m) alone.
+its grid, hence its time and memory, follows from (n, m) alone. The
+tests check both against the integer inclusion-exclusion in
+tests/reference_oracles.py; coupon_cdf_dp, a convolution program that
+only its own tests call, is the one coupon evaluator off this path.
 
 Every family is built by _family from list-native tails: the record's
 exact tails take one level or a list of levels, a float level giving the
@@ -59,8 +62,9 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-# only the reference coupon_cdf_dp uses lfilter; perfbench/run.py requires
-# `import mdlab` to load scipy.signal, so the import stays until it changes
+# only coupon_cdf_dp, which no caller but its own tests reaches, uses
+# lfilter; perfbench/run.py requires `import mdlab` to load scipy.signal,
+# so the import stays until that check changes
 from scipy.signal import lfilter
 from scipy.special import cosdg, log_ndtr, ndtr, ndtri, sindg
 
@@ -130,30 +134,6 @@ def shift_rate(rate: RateFunction, c: float) -> RateFunction:
     base = rate.fn
     return RateFunction(fn=lambda x: base(x + c),
                         domain_note=f"{rate.domain_note} shifted left by {c!r}")
-
-
-def rate_grid_violations(rate: RateFunction, xs) -> list[str]:
-    """Check the defining shape properties of a rate on a grid.
-
-    A valid rate vanishes exactly at 0, is positive elsewhere, does not
-    increase on the negative side, and does not decrease on the positive
-    side. Returns human-readable violations; empty list means clean.
-    """
-    xs = sorted(float(x) for x in xs)
-    vals = [rate(x) for x in xs]
-    msgs = []
-    for x, v in zip(xs, vals):
-        if x == 0.0 and v != 0.0:
-            msgs.append(f"rate({x}) = {v}, expected exactly 0")
-        if x != 0.0 and not v > 0.0:
-            msgs.append(f"rate({x}) = {v}, expected > 0 away from the origin")
-    for (x0, v0), (x1, v1) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
-        slack = 1e-12 * (1.0 + min(abs(v0), abs(v1)))
-        if x1 <= 0.0 and v1 > v0 + slack:
-            msgs.append(f"rate rises on the negative side: ({x0}, {v0}) -> ({x1}, {v1})")
-        if x0 >= 0.0 and v1 < v0 - slack:
-            msgs.append(f"rate falls on the positive side: ({x0}, {v0}) -> ({x1}, {v1})")
-    return msgs
 
 
 def power_tail_rate(mu: float) -> RateFunction:
@@ -489,7 +469,6 @@ def make_gumbel_maxima(dist: Distribution) -> FamilySpec:
 
 
 _DP_CELL_BUDGET = 10 ** 9
-_IE_CELL_BUDGET = 10 ** 7
 _DP_RESCALE_FLOOR = 1e-280
 _DP_FLUSH = np.finfo(float).tiny  # smallest normal double
 # the series is used where its rounding bound certifies this relative error
@@ -827,7 +806,7 @@ def _coupon_log_sf(n: int, m: list) -> list:
 
 def coupon_cdf_dp(n: int, m: int) -> float:
     """P(T_n <= m) by the exact convolution dynamic program, built at
-    exactly m and not cached: the reference the series is checked against."""
+    exactly m and not cached."""
     n, m = _check_n(n, 1, None, "coupon collection"), int(m)
     if m < n:
         return 0.0
@@ -836,63 +815,6 @@ def coupon_cdf_dp(n: int, m: int) -> float:
     if s <= 0.0:
         return 0.0
     return math.exp(math.log(min(s, 1.0)) if log_scale == 0.0 else math.log(s) + log_scale)
-
-
-def coupon_cdf_inclusion_exclusion(n: int, m: int) -> float:
-    """P(T_n <= m) as the exact surjection count over n^m, for cross-checks.
-
-    Evaluated in integer arithmetic, so the alternating cancellation is
-    lossless and the only rounding is the final conversion to float. A
-    cell budget keeps the big-integer work bounded; coupon_cdf_dp is the
-    reference beyond it.
-    """
-    n, m = _check_n(n, 1, None, "coupon collection"), int(m)
-    if m < n:
-        return 0.0
-    if n * m > _IE_CELL_BUDGET:
-        raise ValueError(
-            f"inclusion-exclusion cross-check budget is n*m <= 1e7, "
-            f"got n={n}, m={m}; use coupon_cdf_dp")
-    total = 0
-    for k in range(n + 1):
-        term = math.comb(n, k) * (n - k) ** m
-        total += term if k % 2 == 0 else -term
-    return float(Fraction(total, n ** m))
-
-
-@dataclass(frozen=True)
-class CouponBounds:
-    """Closed-form tail bounds at the threshold m (drawn at c n log n)."""
-
-    n: int
-    threshold: float
-    upper_bound: float
-    lower_bound: float
-
-
-def coupon_tail_bounds(n: int, c: Optional[float] = None,
-                        m: Optional[float] = None) -> CouponBounds:
-    """n^{1-c} bounding P(T_n > c n log n) and 2(1-e^{-m/n})^n bounding
-    P(T_n <= m), both reported at the same threshold.
-
-    Give either c (threshold c n log n) or m directly. The upper bound
-    is informative for c > 1, the lower one for m below n log n; both
-    are valid (if vacuous) elsewhere.
-    """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"bounds need n >= 2, got {n}")
-    if (c is None) == (m is None):
-        raise ValueError("give exactly one of c or m")
-    log_n = math.log(n)
-    if m is None:
-        m_val = c * n * log_n
-    else:
-        m_val = float(m)
-        c = m_val / (n * log_n)
-    upper = math.exp((1.0 - c) * log_n)
-    lower = 2.0 * math.exp(n * math.log1p(-math.exp(-m_val / n)))
-    return CouponBounds(n=n, threshold=m_val, upper_bound=upper, lower_bound=lower)
 
 
 def coupon_threshold_pair(n: int, x: float) -> tuple[int, int]:
@@ -1197,7 +1119,3 @@ def parse_family_spec(spec: str) -> FamilySpec:
         f"unknown family {head!r}; families: classical, minima, gumbel_maxima, "
         f"coupon, replacement")
 
-
-def render_family_spec(fam: FamilySpec) -> str:
-    """Canonical specifier; parse(render(fam)) rebuilds the same family."""
-    return fam.label

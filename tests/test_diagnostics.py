@@ -32,7 +32,7 @@ from mdlab import (
     write_json,
     write_svg,
 )
-from mdlab.diagnostics import _row_seed, csv_text
+from mdlab.diagnostics import _row_seed
 from mdlab.estimators import mc_log_tail
 from mdlab.scalings import boundary_regimes, evaluate, render_scaling_spec
 
@@ -350,9 +350,15 @@ def test_slope_identity_all_families(fam_classical, fam_minima_exp,
         slope_identity_check(fam_classical, h=0.1)
 
 
+def _csv_text(reports) -> str:
+    buf = io.StringIO()
+    write_csv(reports, buf)
+    return buf.getvalue()
+
+
 def test_csv_shape(fam_minima_exp):
     report = ldp_probe(fam_minima_exp, [0.5], LD_GRID)
-    text = csv_text(report)
+    text = _csv_text(report)
     lines = text.strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + len(report.rows)
@@ -364,7 +370,7 @@ def test_csv_shape(fam_minima_exp):
 
 def test_csv_renders_infinities(fam_minima_exp):
     report = ldp_probe(fam_minima_exp, [-0.5, 0.5], LD_GRID)
-    text = csv_text(report)
+    text = _csv_text(report)
     assert "-inf" in text  # lower tail of a nonnegative variable
     buf = io.StringIO()
     write_csv([report, report], buf)
@@ -491,7 +497,7 @@ def test_report_files_match_the_reference_rendering(tmp_path, live_reports):
         path = tmp_path / "r.json"
         write_json(reports, path)
         assert path.read_text(encoding="utf-8") == _ref_json_text(reports), name
-        assert csv_text(reports) == _ref_csv_text(reports), name
+        assert _csv_text(reports) == _ref_csv_text(reports), name
 
 
 @given(cells=st.tuples(
@@ -505,7 +511,7 @@ def test_report_files_match_the_reference_rendering_on_any_row(tmp_path_factory,
     path = tmp_path_factory.mktemp("golden") / "r.json"
     write_json(reports, path)
     assert path.read_text(encoding="utf-8") == _ref_json_text(reports)
-    assert csv_text(reports) == _ref_csv_text(reports)
+    assert _csv_text(reports) == _ref_csv_text(reports)
 
 
 def _row_key(row):

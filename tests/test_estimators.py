@@ -275,7 +275,6 @@ def test_mc_hits_exact_probability():
     assert abs(est.log_p_hat - (-1.0)) <= 4.0 * est.stderr_log
     assert est.stderr_log == pytest.approx(
         math.sqrt((est.trials - est.hits) / (est.trials * est.hits)), rel=1e-12)
-    assert est.p() == pytest.approx(math.exp(est.log_p_hat), rel=1e-15)
 
 
 def test_mc_zero_hits_reports_upper_bound():
