@@ -20,7 +20,10 @@ and bare nan, inf and -inf in CSV; a missing Monte Carlo cell is null in
 JSON and empty in CSV. The JSON is indent-1 text whose layout is stable
 byte for byte. read_json rejects a file whose reports lack a field, whose
 rows miss or add a column, or whose cells have the wrong kind, naming the
-file, the report index and, for a bad row, the row index.
+file, the report index and, for a bad row, the row index. A report's
+family, regime, scaling and verdict must be strings, its notes a list of
+strings, and its tolerance factor and slack, where present, real numbers
+(not true or false).
 """
 
 from __future__ import annotations
@@ -68,6 +71,18 @@ class Row:
     normalized_rate: float
     rate_target: float
     residual: float
+
+
+def _new_row(cells: dict) -> Row:
+    """A Row from a dict that holds exactly Row's fields.
+
+    The row is rebuilt the way copy and pickle rebuild one, which skips
+    the frozen __init__'s twelve object.__setattr__ calls; this is sound
+    because Row has no __post_init__.
+    """
+    row = object.__new__(Row)
+    row.__dict__.update(cells)
+    return row
 
 
 @dataclass(frozen=True)
@@ -243,12 +258,12 @@ def _probe(fam: FamilySpec, regime: str, scaling: str, xs, ns, at, target,
             est = mc_log_tail(fam, n, threshold, sides[x], trials,
                               _row_seed(seed, fam.label, n, x, sides[x]), partitions)
             mc, stderr = est.log_p_hat, est.stderr_log
-        rows.append(Row(
-            family=fam.label, regime=regime, scaling=scaling, n=n, x=x,
-            log_p_exact=log_p, log_p_mc=mc, stderr_log=stderr, s_n=s_n,
-            normalized_rate=rate, rate_target=targets[x],
-            residual=rate - targets[x] if math.isfinite(targets[x]) else math.nan,
-        ))
+        rows.append(_new_row({
+            "family": fam.label, "regime": regime, "scaling": scaling, "n": n, "x": x,
+            "log_p_exact": log_p, "log_p_mc": mc, "stderr_log": stderr, "s_n": s_n,
+            "normalized_rate": rate, "rate_target": targets[x],
+            "residual": rate - targets[x] if math.isfinite(targets[x]) else math.nan,
+        }))
     tolerances = {"factor": tol_factor, "slack": MONOTONE_SLACK}
     return ConvergenceReport(
         family=fam.label, regime=regime, scaling=scaling, rows=tuple(rows),
@@ -314,9 +329,11 @@ def default_weak_grid(fam: FamilySpec) -> list[float]:
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if fam.limit_cdf(mid) < p:
-                lo = mid
+                lo, old = mid, lo
             else:
-                hi = mid
+                hi, old = mid, hi
+            if mid == old:
+                break  # a step that moves neither bound repeats to the end
         return 0.5 * (lo + hi)
 
     a, b = invert(0.004), invert(0.996)
@@ -429,11 +446,29 @@ def slope_identity_check(fam: FamilySpec, h: float = 1e-5) -> SlopeIdentityRepor
 _row_cells = operator.attrgetter(*CSV_COLUMNS)
 
 
+def _cell_texts(row) -> tuple:
+    """The row's cells as both report files take them: the repr of each
+    exact float, every other cell as it is.
+
+    A Row makes them on its first write and keeps them in its __dict__,
+    which eq, hash, repr, astuple and replace never read; a Row is frozen,
+    so they cannot go stale. A row of any other type gets them afresh.
+    """
+    texts = getattr(row, "_cell_texts", None)
+    if texts is None:
+        texts = tuple([repr(v) if type(v) is float else v for v in _row_cells(row)])
+        if type(row) is Row:
+            row.__dict__["_cell_texts"] = texts
+    return texts
+
+
 def write_csv(reports, path_or_handle) -> None:
     """One CSV with the shared column schema, reports concatenated.
 
     Cells are str, int, float (numpy float64 included) or None, which the
-    csv module writes as the text, repr, repr and an empty field.
+    csv module writes as the text, repr, repr and an empty field. A float
+    cell's repr is the text _cell_texts makes once per row and write_json
+    reuses, so a row written to both files formats each float once.
     """
     if isinstance(reports, ConvergenceReport):
         reports = [reports]
@@ -443,7 +478,7 @@ def write_csv(reports, path_or_handle) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for rep in reports:
-            writer.writerows(map(_row_cells, rep.rows))
+            writer.writerows(map(_cell_texts, rep.rows))
     finally:
         if own:
             fh.close()
@@ -454,19 +489,14 @@ def write_csv(reports, path_or_handle) -> None:
 # non-finite cells spelled "nan", "inf" and "-inf". Only the short header
 # of each report goes through json.dumps; each row is filled into a fixed
 # template with the scalar encoders the stdlib encoder itself calls, which
-# spares the pure-Python indenting encoder and its many small writes.
+# spares the pure-Python indenting encoder and its many small writes. A
+# float cell's text is the repr that _cell_texts made once for the row,
+# whichever file was written first, with the non-finite ones quoted; the
+# other cells are encoded from their values.
 _JSON_NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
-
-
-def _json_float(v: float) -> str:
-    text = float.__repr__(v)
-    return _JSON_NONFINITE.get(text, text)
-
-
 _JSON_CELL = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: _json_float,
     type(None): lambda v: "null",
 }
 
@@ -477,7 +507,8 @@ def _json_other(v) -> str:
     scalars) as its float value."""
     if isinstance(v, (str, int)):
         return json.dumps(v)
-    return _json_float(float(v))
+    text = float.__repr__(float(v))
+    return _JSON_NONFINITE.get(text, text)
 
 
 _ROW_JSON = ("    {\n"
@@ -496,8 +527,10 @@ def _report_json(rep: ConvergenceReport) -> str:
         "notes": list(rep.notes),
     }, indent=1)
     rows = ",\n".join([
-        _ROW_JSON % tuple([_JSON_CELL.get(type(v), _json_other)(v) for v in cells])
-        for cells in map(_row_cells, rep.rows)])
+        _ROW_JSON % tuple([_JSON_NONFINITE.get(t, t) if type(v) is float
+                           else _JSON_CELL.get(type(v), _json_other)(v)
+                           for v, t in zip(_row_cells(r), _cell_texts(r))])
+        for r in rep.rows])
     rows = f"[\n{rows}\n   ]" if rows else "[]"
     # drop the header's closing brace and shift it two levels in
     return "  " + header[:-2].replace("\n", "\n  ") + f',\n   "rows": {rows}\n  }}'
@@ -550,12 +583,7 @@ def _rows_in(rows: list, where: str) -> tuple:
         if not (_LABEL_TYPES.issuperset(map(type, _label_cells(d)))
                 and _NUMBER_TYPES.issuperset(map(type, _number_cells(d)))):
             d = _checked_row(d, f"{where} row {j}")
-        # rebuilt the way copy and pickle rebuild a Row, which skips the
-        # frozen __init__'s twelve object.__setattr__ calls; this is sound
-        # because d holds exactly Row's fields and Row has no __post_init__
-        row = object.__new__(Row)
-        row.__dict__.update(d)
-        out.append(row)
+        out.append(_new_row(d))
     return tuple(out)
 
 
@@ -569,6 +597,15 @@ def _report_in(d, where: str) -> ConvergenceReport:
     if not (isinstance(d["tolerances"], dict) and isinstance(d["rows"], list)
             and isinstance(notes, list)):
         raise ValueError(f"{where}: tolerances must be an object, rows and notes lists")
+    for key in ("family", "regime", "scaling", "verdict"):
+        if type(d[key]) is not str:
+            raise ValueError(f"{where}: {key} is {d[key]!r}, not a string")
+    if not all(type(note) is str for note in notes):
+        raise ValueError(f"{where}: notes are {notes!r}, not a list of strings")
+    for key in ("factor", "slack"):
+        v = d["tolerances"].get(key, 0.0)
+        if type(v) not in (int, float):
+            raise ValueError(f"{where}: tolerance {key} is {v!r}, not a number")
     return ConvergenceReport(
         family=d["family"], regime=d["regime"], scaling=d["scaling"],
         rows=_rows_in(d["rows"], where), tolerances=dict(d["tolerances"]),

@@ -150,15 +150,27 @@ def test_report_rejects_corrupt_json(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _one_report(x=0.5, **header):
+    report = {"family": "a", "regime": "ld", "scaling": "", "verdict": "pass",
+              "tolerances": {}, "notes": [], "rows": [{
+                  "family": "a", "regime": "ld", "scaling": "", "n": 10,
+                  "x": x, "log_p_exact": -1.0, "log_p_mc": None,
+                  "stderr_log": None, "s_n": 10.0, "normalized_rate": 0.1,
+                  "rate_target": 0.1, "residual": 0.0}]}
+    report.update(header)
+    return {"reports": [report]}
+
+
 @pytest.mark.parametrize("payload, message", [
     ({"reports": [{"family": "a"}]}, "report 0: missing regime"),
-    ({"reports": [{"family": "a", "regime": "ld", "scaling": "", "verdict": "pass",
-                   "tolerances": {}, "rows": [{
-                       "family": "a", "regime": "ld", "scaling": "", "n": 10,
-                       "x": "abc", "log_p_exact": -1.0, "log_p_mc": None,
-                       "stderr_log": None, "s_n": 10.0, "normalized_rate": 0.1,
-                       "rate_target": 0.1, "residual": 0.0}]}]},
-     "report 0 row 0: x is 'abc', not a number"),
+    (_one_report(x="abc"), "report 0 row 0: x is 'abc', not a number"),
+    (_one_report(verdict=3), "report 0: verdict is 3, not a string"),
+    (_one_report(family=3), "report 0: family is 3, not a string"),
+    (_one_report(notes=[1, 2]), "report 0: notes are [1, 2], not a list of strings"),
+    (_one_report(tolerances={"factor": "x"}), "report 0: tolerance factor is 'x', not a number"),
+    (_one_report(tolerances={"factor": None}), "report 0: tolerance factor is None, not a number"),
+    (_one_report(tolerances={"factor": 0.05, "slack": True}),
+     "report 0: tolerance slack is True, not a number"),
 ])
 def test_report_rejects_a_malformed_report(tmp_path, capsys, payload, message):
     bad = tmp_path / "bad.json"

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -288,6 +289,43 @@ def test_default_weak_grid_covers_both_tails(fam_coupon):
     assert fam_coupon.limit_cdf(grid[-1]) >= 0.995
 
 
+def _reference_weak_grid(fam):
+    # the grid with all 200 halvings of each bisection
+    def invert(p):
+        lo, hi = -1.0, 1.0
+        while fam.limit_cdf(lo) > p:
+            lo *= 2.0
+        while fam.limit_cdf(hi) < p:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if fam.limit_cdf(mid) < p:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    a, b = invert(0.004), invert(0.996)
+    step = (b - a) / 60
+    return [a + i * step for i in range(61)]
+
+
+@pytest.mark.parametrize("fam", ["fam_classical", "fam_minima_exp", "fam_gumbel_weibull2",
+                                 "fam_coupon", "fam_replacement"])
+def test_default_weak_grid_stops_bisecting_at_the_fixed_point(request, fam):
+    fam = request.getfixturevalue(fam)
+    calls = []
+
+    def limit_cdf(x):
+        calls.append(x)
+        return fam.limit_cdf(x)
+
+    grid = default_weak_grid(dataclasses.replace(fam, limit_cdf=limit_cdf))
+    assert [x.hex() for x in grid] == [x.hex() for x in _reference_weak_grid(fam)]
+    # 200 halvings per end would make at least 400 calls
+    assert len(calls) < 200
+
+
 @pytest.mark.parametrize("fam,call,match", [
     ("fam_minima_exp", lambda f: ldp_probe(f, [0.5], []), "n_list must not be empty"),
     ("fam_minima_exp", lambda f: ldp_probe(f, [0.5], (100, 10**4, 1000, 10**5)),
@@ -467,10 +505,9 @@ def _edge_rows():
     return rows
 
 
-@pytest.fixture(scope="module")
-def live_reports(fam_minima_exp, fam_replacement, fam_coupon):
+def _live_reports(fam_minima_exp, fam_replacement, fam_coupon):
     # an ld report with -inf tails and nan residuals, an md report with
-    # Monte Carlo columns, and a weak report
+    # Monte Carlo columns, and a weak report, in rows never written yet
     return [
         ldp_probe(fam_minima_exp, [-0.5, 0.5], LD_GRID, trials=256, seed=3),
         md_probe(fam_replacement, power_scaling(0.5), [-0.5, 0.5], LD_GRID,
@@ -492,12 +529,36 @@ def _golden_cases(live):
     }
 
 
-def test_report_files_match_the_reference_rendering(tmp_path, live_reports):
-    for name, reports in _golden_cases(live_reports).items():
-        path = tmp_path / "r.json"
-        write_json(reports, path)
-        assert path.read_text(encoding="utf-8") == _ref_json_text(reports), name
-        assert _csv_text(reports) == _ref_csv_text(reports), name
+# A row formats its float cells on its first write and both writers reuse
+# the texts, so each golden case is written in every order from fresh rows.
+WRITE_ORDERS = (("json", "csv"), ("csv", "json"), ("csv", "csv"))
+
+
+def _write_in_order(reports, order, path, name):
+    for kind in order:
+        if kind == "json":
+            write_json(reports, path)
+            assert path.read_text(encoding="utf-8") == _ref_json_text(reports), (name, order)
+        else:
+            assert _csv_text(reports) == _ref_csv_text(reports), (name, order)
+
+
+def test_report_files_match_the_reference_rendering(tmp_path, fam_minima_exp,
+                                                    fam_replacement, fam_coupon):
+    path = tmp_path / "r.json"
+    for order in WRITE_ORDERS:
+        live = _live_reports(fam_minima_exp, fam_replacement, fam_coupon)
+        cases = _golden_cases(live)
+        for name, reports in cases.items():
+            _write_in_order(reports, order, path, name)
+        # rows of two written reports merged into one bag, as `mdlab report`
+        # hands them to write_csv
+        bag = [SimpleNamespace(rows=sorted(live[0].rows + cases["edge rows"][0].rows,
+                                           key=lambda r: (r.regime, r.n)))]
+        assert _csv_text(bag) == _ref_csv_text(bag), ("bag", order)
+        # reports read back from their file and written again
+        write_json(live, path)
+        _write_in_order(read_json(path), order, path, "read back")
 
 
 @given(cells=st.tuples(
@@ -507,11 +568,9 @@ def test_report_files_match_the_reference_rendering(tmp_path, live_reports):
                 st.integers(-10**20, 10**20))] * 8))
 @settings(max_examples=200, deadline=None)
 def test_report_files_match_the_reference_rendering_on_any_row(tmp_path_factory, cells):
-    reports = [_report([Row(*cells)], notes=(cells[0],))]
     path = tmp_path_factory.mktemp("golden") / "r.json"
-    write_json(reports, path)
-    assert path.read_text(encoding="utf-8") == _ref_json_text(reports)
-    assert _csv_text(reports) == _ref_csv_text(reports)
+    for order in WRITE_ORDERS:
+        _write_in_order([_report([Row(*cells)], notes=(cells[0],))], order, path, "row")
 
 
 def _row_key(row):
@@ -519,10 +578,12 @@ def _row_key(row):
     return repr(dataclasses.astuple(row))
 
 
-def test_json_round_trip_keeps_every_cell(tmp_path, live_reports):
+def test_json_round_trip_keeps_every_cell(tmp_path, fam_minima_exp, fam_replacement,
+                                          fam_coupon):
     plain = [r for r in _edge_rows() if all(type(v) in (str, int, float, type(None))
                                             for v in dataclasses.astuple(r))]
-    reports = live_reports + [_report(plain, notes=("line one\nline two",))]
+    reports = (_live_reports(fam_minima_exp, fam_replacement, fam_coupon)
+               + [_report(plain, notes=("line one\nline two",))])
     path = tmp_path / "r.json"
     write_json(reports, path)
     back = read_json(path)
