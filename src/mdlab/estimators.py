@@ -7,14 +7,22 @@ uniform generator: every variate is a pure function of
 number of workers and the merged counts are bit-identical to a serial
 run. There is no sequential generator state anywhere.
 
-A UniformPanel is a contiguous block of trials (seed, start, stop). Its
-column(draw) serves the stream counter_uniforms gives, bit for bit, one
-draw at a time, building each cache-sized chunk's keys and uniforms in
-one pass. A sampler that reads many draws per trial, in whatever order
+A UniformPanel is a contiguous block of trials (seed, start, stop). A
+draw is first a mixed 64-bit word, and its uniform is the conversion
+u(z) = min(((z >> 11) + 1/2) 2^-53, 1 - 2^-53), nondecreasing in z, so
+the stream's uniforms run from 2^-54 to 1 - 2^-53. Every sampler reads a
+panel through panel.seed, panel.start and panel.stop and these helpers:
+panel_words(panel, draw) gives one draw's words for every trial, and
+first_words_above the word bounds that decide u <= v on a word, so a
+sampler compares words and converts (word_uniforms) only the few it must
+transform. A sampler that reads many draws per trial, in whatever order
 and on whichever trials it still needs, takes the trial keys from
-panel_keys(panel) and mixes blocks of draws itself with key_uniforms.
-mc_log_tail walks each partition in panels of at most _PANEL_TRIALS
-trials, so the memory of a row does not grow with its trial count.
+panel_keys(panel) and mixes blocks of draws with negated_uniforms.
+panel.column(draw) is word_uniforms(panel_words(panel, draw)), the
+stream counter_uniforms gives, bit for bit. mc_log_tail refuses a row
+whose draws exceed _DRAW_BUDGET before it draws anything, and walks each
+partition in panels of at most _PANEL_TRIALS trials, so the memory of a
+row does not grow with its trial count.
 """
 from __future__ import annotations
 
@@ -28,8 +36,12 @@ __all__ = [
     "stable_log_complement",
     "counter_uniforms",
     "UniformPanel",
+    "panel_words",
+    "first_words_above",
+    "word_uniforms",
     "panel_keys",
     "key_uniforms",
+    "negated_uniforms",
     "McEstimate",
     "mc_log_tail",
 ]
@@ -57,11 +69,11 @@ def stable_log_complement(log_p: float) -> float:
 # golden-ratio key folding: trial t of seed s has the key
 # mix((t + 1) golden + s), and its draw d the uniform from
 # mix(key + (d + 1) golden), all mod 2^64. Every step writes in place
-# through `out=`, one cache-sized chunk at a time, so a panel column, a
+# through `out=`, one cache-sized chunk at a time, so a panel_words, a
 # panel_keys or a key_uniforms call allocates its result and one scratch
-# chunk and no temporaries; a panel column builds, mixes and converts each
-# chunk before the next. numpy uint64 arrays wrap silently on overflow
-# (scalars warn), so all arithmetic below stays in array form.
+# chunk and no temporaries; panel_words builds and mixes each chunk's keys
+# and draw words before the next. numpy uint64 arrays wrap silently on
+# overflow (scalars warn), so all arithmetic below stays in array form.
 
 _GOLDEN_INT = 0x9E3779B97F4A7C15
 _GOLDEN = np.uint64(_GOLDEN_INT)
@@ -70,6 +82,10 @@ _MIX_B = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 _BLOCK = 1 << 15  # uint64 words per chunk (256 KB)
 _PANEL_TRIALS = 1 << 16  # trials per panel of mc_log_tail
+# the most uniforms one mc_log_tail row may draw, trials times the
+# family's draws per trial: 10^8 take under 1 s to mix and count on one
+# core (minima, 10^8 trials: 0.8 s; 2 vCPU, numpy 2.4)
+_DRAW_BUDGET = 10 ** 8
 # i golden mod 2^64 for i < _BLOCK: a chunk of consecutive trials t0 + i
 # has the unmixed keys _STEPS + ((t0 + 1) golden + s), one add
 _STEPS = np.multiply(np.arange(_BLOCK, dtype=np.uint64), _GOLDEN)
@@ -94,16 +110,45 @@ def _mix64(c: np.ndarray, s: np.ndarray) -> None:
             np.multiply(c, mult, out=c)
 
 
-def _to_uniforms(c: np.ndarray, s: np.ndarray) -> None:
-    # The mixed words of the chunk c become their doubles in the same
-    # memory: the top 53 bits go to the scratch s first, read as int64
+def _to_uniforms(c: np.ndarray, s: np.ndarray, negate: bool = False) -> None:
+    # The mixed words of the chunk c become their doubles u (or -u) in the
+    # same memory: the top 53 bits go to the scratch s first, read as int64
     # (the same value, converted faster than uint64). (2^53 - 1) + 0.5
-    # rounds to 2^53, so the top word is clamped below 1.
+    # rounds to 2^53, so the top word is clamped below 1. Scaling by -2^-53
+    # and clamping at -(1 - 2^-53) are exact, so -u has the negated bits.
     np.right_shift(c, np.uint64(11), out=s)
     u = c.view(np.float64)
     np.add(s.view(np.int64), 0.5, out=u)
-    np.multiply(u, 2.0**-53, out=u)
-    np.minimum(u, 1.0 - 2.0**-53, out=u)
+    if negate:
+        np.multiply(u, -2.0**-53, out=u)
+        np.maximum(u, -(1.0 - 2.0**-53), out=u)
+    else:
+        np.multiply(u, 2.0**-53, out=u)
+        np.minimum(u, 1.0 - 2.0**-53, out=u)
+
+
+def word_uniforms(z: np.ndarray) -> np.ndarray:
+    """The uniforms of the C-contiguous mixed words z, written over z's
+    memory and returned as its float64 view."""
+    for c, s in _chunks(z):
+        _to_uniforms(c, s)
+    return z.view(np.float64)
+
+
+def first_words_above(vs) -> list:
+    """For each double v of vs, the least 64-bit word whose uniform exceeds
+    v, 2^64 if none does: a mixed word z draws u <= v exactly when z lies
+    below it.
+
+    u depends on k = z >> 11 alone and lies in [k 2^-53, (k + 1) 2^-53],
+    so every k below k0 = floor(v 2^53) draws u <= v and every k above it
+    u > v. One call of the conversion on the words of the k0 decides them.
+    """
+    ks = [min(int(min(v, 1.0) * 2.0**53), (1 << 53) - 1) if v > 0.0 else -1 for v in vs]
+    words = np.array([max(k, 0) << 11 for k in ks], dtype=np.uint64)
+    _to_uniforms(words, np.empty_like(words))
+    return [(k + int(u <= v)) << 11 if k >= 0 else 0
+            for k, u, v in zip(ks, words.view(np.float64).tolist(), vs)]
 
 
 def _draw_offset(draw) -> np.ndarray:
@@ -130,6 +175,18 @@ def _panel_key_chunks(panel, out: np.ndarray):
         yield c, s
 
 
+def panel_words(panel, draw: int = 0) -> np.ndarray:
+    """The mixed words of draw `draw` of every trial of the panel, read
+    through panel.seed, panel.start and panel.stop: word_uniforms of them
+    is panel.column(draw), bit for bit."""
+    offset = np.uint64(((draw + 1) * _GOLDEN_INT) & _U64_MASK)
+    z = np.empty(panel.stop - panel.start, dtype=np.uint64)
+    for c, s in _panel_key_chunks(panel, z):
+        np.add(c, offset, out=c)
+        _mix64(c, s)
+    return z
+
+
 def panel_keys(panel) -> np.ndarray:
     """The trial keys of panel.seed on trials panel.start, ..., panel.stop - 1."""
     keys = np.empty(panel.stop - panel.start, dtype=np.uint64)
@@ -151,6 +208,28 @@ def key_uniforms(keys: np.ndarray, draw) -> np.ndarray:
     return z.view(np.float64)
 
 
+def negated_uniforms(keys: np.ndarray, first: int, out: np.ndarray,
+                     scratch: np.ndarray) -> np.ndarray:
+    """-key_uniforms(keys, first + arange(rows)[:, None]), bit for bit,
+    written into the C-contiguous uint64 out of shape (rows, keys.size),
+    with scratch of the same shape; returns out's float64 view.
+
+    Row r is row 0 plus r golden mod 2^64, so the filled rows are doubled
+    by one scalar add per word instead of a broadcast add.
+    """
+    rows = out.shape[0]
+    np.add(keys, np.uint64(((first + 1) * _GOLDEN_INT) & _U64_MASK), out=out[0])
+    done = 1
+    while done < rows:
+        step = min(done, rows - done)
+        np.add(out[:step], np.uint64((done * _GOLDEN_INT) & _U64_MASK),
+               out=out[done:done + step])
+        done += step
+    _mix64(out, scratch)
+    _to_uniforms(out, scratch, negate=True)
+    return out.view(np.float64)
+
+
 def counter_uniforms(seed: int, trials, draw) -> np.ndarray:
     """Uniforms in (0, 1), one per (seed, trial, draw) triple.
 
@@ -167,10 +246,9 @@ class UniformPanel:
     """Vectorized access to the uniforms of a contiguous block of trials.
 
     column(draw) equals counter_uniforms(seed, range(start, stop), draw)
-    bitwise, whatever the order of the calls, and is read-only. Each call
-    builds, mixes and converts one cache-sized chunk of trials at a time;
-    the panel keeps no keys, since a single-uniform sampler reads one
-    column and a many-draw one mixes from panel_keys.
+    bitwise, whatever the order of the calls, and is read-only. The
+    samplers read no column: they take seed, start and stop through
+    panel_words and panel_keys. The panel keeps no keys.
     """
 
     def __init__(self, seed: int, start: int, stop: int):
@@ -189,13 +267,7 @@ class UniformPanel:
 
     def column(self, draw: int) -> np.ndarray:
         """The draw-th uniform of every trial in the block."""
-        offset = _draw_offset(draw)
-        z = np.empty(len(self), dtype=np.uint64)
-        for c, s in _panel_key_chunks(self, z):
-            np.add(c, offset, out=c)
-            _mix64(c, s)
-            _to_uniforms(c, s)
-        u = z.view(np.float64)
+        u = word_uniforms(panel_words(self, draw))
         u.flags.writeable = False
         return u
 
@@ -238,7 +310,9 @@ def mc_log_tail(fam, n: int, x: float, side: str = "upper",
     counted in panels of at most _PANEL_TRIALS trials, and the integer hit
     counts are summed, so the result is bit-identical for any partition
     count. Discrete families resolve thresholds through the
-    same integer convention as their exact evaluators.
+    same integer convention as their exact evaluators. A row whose trials
+    times fam.draws_per_trial(n) exceed _DRAW_BUDGET raises a ValueError
+    before any panel is drawn.
     """
     if side not in ("upper", "lower"):
         raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
@@ -246,6 +320,10 @@ def mc_log_tail(fam, n: int, x: float, side: str = "upper",
         raise ValueError("trials must be positive")
     if not 1 <= partitions <= trials:
         raise ValueError("partitions must lie in [1, trials]")
+    draws = trials * fam.draws_per_trial(n)
+    if draws > _DRAW_BUDGET:
+        raise ValueError(f"{fam.label} at n={n}: {trials} trials draw {draws} uniforms, "
+                         f"over the Monte Carlo budget of {_DRAW_BUDGET}")
 
     hits = 0
     for i in range(partitions):

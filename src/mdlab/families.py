@@ -9,18 +9,19 @@ special-cases a family.
 
 Four samplers (classical, minima, gumbel_maxima, replacement) draw C_n
 from one uniform per trial through a transform f nondecreasing in u. Their
-count_hits evaluates f once on the two end doubles of (0, 1) and on a
-bracket [a, b] that the family's exact tails place around u* = P(C_n <= x).
-Where both end doubles lie past x by a margin of 1e-9 max(1, |x|) on one
-side, so does every draw, and the count is 0 or the trial count with no
-column read (as on the rows whose P lies far below 2^-53). Otherwise the
-bracket holds when f(a) and f(b) lie past x by the same margin, one on
-each side, and it is widened until it does; the trials outside it are
-classified by comparing u with its ends, and f runs only on the few
-inside, so the count equals the one f on every trial gives. The tails
-place the bracket, and f alone accepts it and classifies every trial: a
-wrong tail can cost time but never moves a count, so Monte Carlo stays an
-independent check of the tails.
+count_hits evaluates f once on the stream's least and greatest uniforms,
+2^-54 and 1 - 2^-53, and on a bracket [a, b] that the family's exact tails
+place around u* = P(C_n <= x). Where both ends of the stream lie past x
+by a margin of 1e-9 max(1, |x|) on one side, so does every draw, and the
+count is 0 or the trial count with no key mixed (as on the rows whose P
+lies below 2^-54). Otherwise the bracket holds when f(a) and f(b) lie past
+x by the same margin, one on each side, and it is widened until it does;
+the trials outside it are classified by comparing their mixed words with
+the bracket's word bounds, and only the few inside are converted to
+uniforms and transformed, so the count equals the one f on every trial
+gives. The tails place the bracket, and f alone accepts it and classifies
+every trial: a wrong tail can cost time but never moves a count, so Monte
+Carlo stays an independent check of the tails.
 
 The coupon collection time has one evaluator for both tails: the exact
 alternating series of P(T_n <= m), summed in log-scaled form with a
@@ -76,7 +77,14 @@ from .distributions import (
     quantile_values,
     render_dist_spec,
 )
-from .estimators import key_uniforms, panel_keys, stable_log_complement
+from .estimators import (
+    first_words_above,
+    negated_uniforms,
+    panel_keys,
+    panel_words,
+    stable_log_complement,
+    word_uniforms,
+)
 from .rvtoolkit import (
     characteristic_level,
     declared_profile,
@@ -165,14 +173,17 @@ class FamilySpec:
     the count that drawing C_n by inverse transform on every trial of the
     panel would give: how many draws fall in the tail (C_n >= x for side
     "upper", C_n <= x for "lower"), whether or not each draw is formed. It
-    uses only len(panel), the trial count, and panel.column(draw), which
-    returns one uniform in (0, 1) per trial for draw index draw = 0, 1, ...
-    A sampler that reads many draws per trial (the coupon) may instead read
-    panel.seed, panel.start and panel.stop through estimators.panel_keys and
-    mix the draws it needs, on the trials it needs, with
-    estimators.key_uniforms: the same uniforms, bit for bit. A row the
-    sampler's transform decides on all of (0, 1) may be counted from
-    len(panel) without reading a column.
+    uses len(panel), the trial count, and reads panel.seed, panel.start
+    and panel.stop only through estimators: panel_words for the mixed words
+    of one draw, which it compares with first_words_above bounds and
+    converts (word_uniforms) only where it must transform them, or
+    panel_keys and negated_uniforms for the draws it needs, on the trials
+    it needs. Either way the uniforms are the stream's, bit for bit. A row
+    the sampler's transform decides on the stream's whole range, 2^-54 to
+    1 - 2^-53, is counted from len(panel) without a key mixed.
+    draws_per_trial(n) is the number of uniforms a trial reads at n (1,
+    or n - 1 for the coupon); mc_log_tail holds trials times it to a
+    budget.
 
     exact_log_upper_tail(n, x) and exact_log_lower_tail(n, x) take one
     level or a list of levels. A list gives the list of log probabilities,
@@ -197,6 +208,7 @@ class FamilySpec:
     least_n: int = 1
     max_n: Optional[int] = None
     md_needs_alogn: bool = False
+    draws_per_trial: Callable[[int], int] = field(default=lambda n: 1, repr=False)
 
 
 def _check_n(n: int, least: int, cap: Optional[int], label: str) -> int:
@@ -238,32 +250,40 @@ def _count(values: np.ndarray, x: float, side: str) -> int:
     return int(np.count_nonzero(values <= x))
 
 
-# the least and the greatest double in (0, 1)
-_U_LEAST, _U_GREATEST = 5e-324, 1.0 - 2.0**-53
+# the least and the greatest uniform of the stream
+_U_LEAST, _U_GREATEST = 2.0**-54, 1.0 - 2.0**-53
 # the bracket's successive half-widths in log probability
 _BRACKET_HALF_WIDTHS = (1e-6, 1e-3, 1.0, 1e3)
 
 
 def _count_by_bracket(panel, f, x: float, side: str,
                       log_lower: float, log_upper: float) -> int:
-    """_count(f(u), x, side) on u = panel.column(0), for a transform f
-    nondecreasing in u, with the bracket placed by the exact tails
-    log P(C_n <= x) and log P(C_n >= x).
+    """_count(f(u), x, side) on the panel's draw-0 uniforms u, for a
+    transform f nondecreasing in u, with the bracket placed by the exact
+    tails log P(C_n <= x) and log P(C_n >= x).
 
     eta = 1e-9 max(1, |x|) is orders of magnitude above the rounding of f.
-    If f at the two end doubles of (0, 1) already lies at least eta below
-    (above) x, every draw does, and the count is 0 or len(panel) without
-    a column read. Otherwise the bracket [a, b] sits where the smaller
-    tail p is p e^-h and p e^h, as u = p or u = -expm1(log p), clipped to
-    the end doubles. Each attempt evaluates f once, on the end doubles, a
-    and b, and the bracket holds when f(a) <= x - eta and f(b) >= x + eta:
-    every trial at or below a then has f(u) < x and every one at or above
-    b has f(u) > x, and only the trials strictly inside get the full
-    transform. h starts at 1e-6 and grows 1000-fold up to 1e3, skipping
-    all but the last bracket where a < b fails (one double, or a nan
-    tail); if none holds, f runs on every trial. The tails only place the
-    bracket and f alone accepts it, so a wrong or nan tail can cost time
-    but never changes the count.
+    If f at the stream's least and greatest uniforms already lies at least
+    eta below (above) x, every draw does, and the count is 0 or len(panel)
+    without a key mixed. Otherwise the bracket [a, b] sits where the
+    smaller tail p is p e^-h and p e^h, as u = p or u = -expm1(log p),
+    clipped to the stream's range. Each attempt evaluates f once, on the
+    stream's ends, a and b, and the bracket holds when f(a) <= x - eta and
+    f(b) >= x + eta: every trial at or below a then has f(u) < x and every
+    one at or above b has f(u) > x. h starts at 1e-6 and grows 1000-fold up
+    to 1e3, skipping all but the last bracket where a < b fails (one
+    double, or a nan tail); if none holds, f runs on every trial. The tails
+    only place the bracket and f alone accepts it, so a wrong or nan tail
+    can cost time but never changes the count.
+
+    The trials are classified on their mixed words z (panel_words): u <= a
+    exactly when z lies below the word bound first_words_above gives for
+    a, and u >= b exactly when z is at least the bound of the double below
+    b. One comparison pass
+    counts the trials on the smaller tail's side of the far bound; a second
+    splits them only when the bracket holds a uniform of the stream and the
+    first found a trial. Only the words strictly inside are converted and
+    transformed.
     """
     eta = 1e-9 * max(1.0, abs(x))
     upper = log_upper < log_lower
@@ -289,11 +309,20 @@ def _count_by_bracket(panel, f, x: float, side: str,
         if fa <= x - eta and fb >= x + eta:
             lo, hi = a, b
             break
-    u = panel.column(0)
-    below, above = int(np.count_nonzero(u <= lo)), int(np.count_nonzero(u >= hi))
+    # words below w_lo draw u <= lo, words at or above w_hi draw u >= hi
+    w_lo, w_hi = first_words_above([lo, math.nextafter(hi, -math.inf)])
+    z = panel_words(panel)
+    if upper:
+        near = int(np.count_nonzero(z >= w_lo))  # inside or above
+        above = near if near == 0 or w_lo == w_hi else int(np.count_nonzero(z >= w_hi))
+        below = z.size - near
+    else:
+        near = int(np.count_nonzero(z < w_hi))  # below or inside
+        below = near if near == 0 or w_lo == w_hi else int(np.count_nonzero(z < w_lo))
+        above = z.size - near
     hits = above if side == "upper" else below
-    if below + above < u.size:
-        hits += _count(f(u[(u > lo) & (u < hi)]), x, side)
+    if below + above < z.size:
+        hits += _count(f(word_uniforms(z[(z >= w_lo) & (z < w_hi)])), x, side)
     return hits
 
 
@@ -870,16 +899,19 @@ def make_coupon() -> FamilySpec:
     query with the same bits and the same memory.
 
     count_hits reads the waits from k = n (the longest) down to k = 2, in
-    (draws, trials) blocks of at most _WAIT_BLOCK words. Every wait is at
-    least 1 and the wait of draw d at most wmax_d (_coupon_waits), so
-    before each block a trial whose sum so far plus the least its unread
-    waits can add reaches the threshold is decided above it, and one whose
-    sum plus the most they can add stays below it is decided below: an
-    upper hit or miss, a lower miss or hit. Decided trials are dropped
-    before the next block is mixed, and a row the test decides before the
-    first block mixes no key. Each uniform is a function of (seed, trial,
-    draw) alone, so the count is the one reading every wait of every trial
-    in order would give.
+    (draws, trials) blocks of at most _WAIT_BLOCK words (one draw of every
+    trial left, if more), mixed from panel_keys with negated_uniforms into
+    one block buffer and one scratch buffer per call. The block holds -u
+    directly, the log1p input, and each wait is ceil(log1p(-u) / log_q[d]).
+    Every wait is at least 1 and the wait of draw d at most wmax_d
+    (_coupon_waits), so before each block a trial whose sum so far plus
+    the least its unread waits can add reaches the threshold is decided
+    above it, and one whose sum plus the most they can add stays below it
+    is decided below: an upper hit or miss, a lower miss or hit. Decided
+    trials are dropped before the next block is mixed, and a row the test
+    decides before the first block mixes no key. Each uniform is a function
+    of (seed, trial, draw) alone, so the count is the one reading every
+    wait of every trial in order would give.
     """
     rate = _linear_rate(1.0, -math.inf)
 
@@ -917,9 +949,12 @@ def make_coupon() -> FamilySpec:
                 return above if side == "upper" else len(panel) - above
             if keys is None:
                 keys = panel_keys(panel)
+                block = np.empty(max(_WAIT_BLOCK, left), dtype=np.uint64)
+                scratch = np.empty_like(block)
             rows = min(unread, max(1, _WAIT_BLOCK // left))
-            w = key_uniforms(keys, np.arange(unread - rows, unread)[:, None])
-            np.negative(w, out=w)
+            size = rows * left
+            w = negated_uniforms(keys, unread - rows, block[:size].reshape(rows, left),
+                                 scratch[:size].reshape(rows, left))
             np.log1p(w, out=w)
             np.divide(w, log_q[unread - rows:unread, None], out=w)
             np.ceil(w, out=w)
@@ -932,6 +967,7 @@ def make_coupon() -> FamilySpec:
     return _family(
         "coupon", 2, log_upper, log_lower, count_hits,
         label="coupon",
+        draws_per_trial=lambda n: n - 1,
         central=False,
         speed=lambda n: math.log(n),
         rate_ld=rate,

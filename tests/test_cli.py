@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -355,3 +356,17 @@ def test_verify_with_mc_columns(tmp_path, capsys):
     first = rows[0].split(",")
     assert first[6] != ""  # log_p_mc present at the feasible row
     capsys.readouterr()
+
+
+def test_verify_refuses_monte_carlo_over_the_draw_budget(capsys):
+    # the first row, the coupon at n = 1e5, would mix 262144 x 99999
+    # uniforms (about a minute); it is refused before any is drawn, with
+    # one message line and exit 1
+    t0 = time.perf_counter()
+    code = main(["verify", "ld", "--family", "coupon", "--x", "3", "--n", "1e5,1e6,1e8",
+                 "--trials", "262144"])
+    assert time.perf_counter() - t0 < 10.0
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["mdlab: coupon at n=100000: 262144 trials draw 26214137856 "
+                                "uniforms, over the Monte Carlo budget of 100000000"]

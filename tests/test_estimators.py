@@ -1,5 +1,6 @@
 """Log-domain helpers and the counter-based Monte Carlo engine."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -19,8 +20,10 @@ from mdlab import (
     parse_family_spec,
     stable_log_complement,
 )
-from mdlab.estimators import (_clopper_pearson_upper_log, _mix64, _trial_keys, key_uniforms,
-                               panel_keys)
+from mdlab.estimators import (_DRAW_BUDGET, _clopper_pearson_upper_log, _mix64, _trial_keys,
+                               first_words_above, key_uniforms, negated_uniforms,
+                               panel_keys, panel_words, word_uniforms)
+from stream_words import GOLDEN, MASK, key_drawing, lattice_words, word_panel
 
 # (spec, n, x, side) with a hit rate well inside (0, 1) at 4096 trials;
 # the five canonical families plus the gamma members, whose quantiles
@@ -216,32 +219,12 @@ def test_counter_uniforms_shape_and_range():
     assert not np.array_equal(u[:-1], counter_uniforms(seed=9, trials=np.arange(1, 1001), draw=3)[:-1])
 
 
-def _unmix64(word: int) -> int:
-    # the inverse of splitmix64's finalizer: each xorshift undone by
-    # iterating it, each multiplier by its inverse mod 2^64
-    mask = (1 << 64) - 1
-
-    def unshift(y, s):
-        x = y
-        for _ in range(64 // s + 1):
-            x = y ^ (x >> s)
-        return x
-
-    x = unshift(word, 31)
-    x = (x * pow(0x94D049BB133111EB, -1, 1 << 64)) & mask
-    x = unshift(x, 27)
-    x = (x * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask
-    return unshift(x, 30)
-
-
 def test_top_mixed_word_stays_below_one():
     # keys whose draw-0 word mixes to the given top 53 bits: all ones would
     # round (2^53 - 1) + 0.5 up to 2^53 and give u = 1 without the clamp
-    offset = 0x9E3779B97F4A7C15  # the golden-ratio offset of draw 0
     tops = [(1 << 53) - 1, (1 << 53) - 2, (1 << 52) + 7, 0]
-    keys = np.array([(_unmix64(t << 11 | 0x5A5) - offset) % (1 << 64) for t in tops],
-                    dtype=np.uint64)
-    mixed = keys + np.uint64(offset)
+    keys = np.array([key_drawing(t << 11 | 0x5A5) for t in tops], dtype=np.uint64)
+    mixed = keys + np.uint64(GOLDEN)
     _mix64(mixed, np.empty_like(mixed))
     assert [int(w) >> 11 for w in mixed] == tops
     u = key_uniforms(keys, 0)
@@ -317,3 +300,111 @@ def test_mc_partition_invariance_property(seed, parts):
     a = mc_log_tail(fam, n=4, x=0.2, side="upper", trials=512, seed=seed, partitions=1)
     b = mc_log_tail(fam, n=4, x=0.2, side="upper", trials=512, seed=seed, partitions=parts)
     assert a.log_p_hat == b.log_p_hat
+
+
+def test_word_panels_draw_the_chosen_word():
+    # a one-trial panel whose seed inverts both mixes draws the given word
+    for word in (0, 1, 0x5A5, 1 << 63, MASK, 0x0123456789ABCDEF):
+        panel = word_panel(word)
+        assert len(panel) == 1 and panel_words(panel).tolist() == [word]
+        assert panel.column(0).tolist() == word_uniforms(np.array([word], np.uint64)).tolist()
+
+
+@pytest.mark.parametrize("start,stop,draw", [(0, 2000, 0), (37, 70038, 5), (2**62, 2**62 + 9, 10**6)])
+def test_panel_words_convert_to_the_panel_column(start, stop, draw):
+    panel = UniformPanel(seed=2**63 + 5, start=start, stop=stop)
+    keys = panel_keys(panel)
+    z = panel_words(panel, draw)
+    assert z.dtype == np.uint64
+    # the draw mix of the trial keys, as key_uniforms forms it
+    mixed = keys + np.uint64((draw + 1) * GOLDEN & MASK)
+    _mix64(mixed, np.empty_like(mixed))
+    assert np.array_equal(z, mixed)
+    assert np.array_equal(word_uniforms(z), counter_uniforms(2**63 + 5, np.arange(start, stop), draw))
+
+
+@pytest.mark.parametrize("left,first,rows", [(1, 0, 1), (2000, 0, 16), (2000, 1983, 16),
+                                             (3, 7, 10000), (1, 0, 1999), (40000, 5, 1)])
+def test_negated_uniforms_are_a_block_of_key_uniforms(left, first, rows):
+    keys = panel_keys(UniformPanel(seed=9, start=11, stop=11 + left))
+    want = key_uniforms(keys, np.arange(first, first + rows)[:, None])
+    out, scratch = np.empty((2, rows, left), dtype=np.uint64)
+    got = negated_uniforms(keys, first, out, scratch)
+    assert got.tobytes() == (-want).tobytes()
+
+
+def _bracket_ends():
+    # the stream's ends and their neighbouring doubles, lattice points and
+    # the doubles between them around 1/2, where (k + 1/2) rounds to even,
+    # and the h = 1e-6 bracket ends around p = P(C_n <= x) for the lower
+    # tail (u = p) and the upper one (u = -expm1(log p)) over a wide range
+    ends = [2.0**-54, 1.0 - 2.0**-53, 2.0**-53, 1.5 * 2.0**-53, 0.2, 0.5, 1.0 - 2.0**-52,
+            1e-300, 5e-324]
+    ends += [math.nextafter(v, d) for v in ends for d in (0.0, 1.0)]
+    ends += [(2**52 + k) * 2.0**-53 for k in range(-4, 5)]
+    ends += [(2**52 + k + 0.5) * 2.0**-53 for k in range(-4, 5)]
+    for log_p in np.linspace(-40.0, -1e-3, 157):
+        for h in (-1e-6, 1e-6):
+            ends += [math.exp(log_p + h), -math.expm1(log_p + h)]
+    return [v for v in ends if 0.0 < v < 1.0]
+
+
+def test_first_words_above_split_the_words_at_their_uniforms():
+    # at every word within 3 of each bound, u <= v exactly below the
+    # bound; a bound moved by one word puts one of them on the wrong side
+    ends = _bracket_ends()
+    bounds = first_words_above(ends)
+    words = np.array([min(max(w + d, 0), MASK) for w in bounds for d in range(-3, 4)],
+                     dtype=np.uint64)
+    u = word_uniforms(words.copy()).reshape(len(ends), 7)
+    for v, w, row, ws in zip(ends, bounds, u, words.reshape(len(ends), 7)):
+        below = [int(z) < w for z in ws]
+        assert (row <= v).tolist() == below, (v, w)
+    # one at a time gives the same bounds
+    assert [first_words_above([v])[0] for v in ends[::17]] == bounds[::17]
+    # no uniform lies at or below 0 and every one at or below 1
+    assert first_words_above([-math.inf, -1.0, 0.0, math.nan]) == [0] * 4
+    assert first_words_above([1.0 - 2.0**-53, 1.0, math.inf]) == [1 << 64] * 3
+    assert first_words_above([2.0**-54, math.nextafter(2.0**-54, 0.0)]) == [1 << 11, 0]
+    assert first_words_above([]) == []
+
+
+def test_a_lower_row_below_the_stream_allocates_nothing_per_trial(monkeypatch):
+    # P(C_100 <= -0.5) = e^-106.9 for replacement over gamma(2) lies below
+    # the stream's least uniform 2^-54, so no trial key is mixed
+    from mdlab import families
+
+    fam = parse_family_spec("replacement:gamma:2.0,exponential:2.0,t=1.0,beta=0.4")
+    assert fam.exact_log_lower_tail(100, -0.5) < math.log(2.0**-54)
+    monkeypatch.setattr(families, "panel_words", lambda *a: pytest.fail("a key was mixed"))
+    tracemalloc.start()
+    try:
+        est = mc_log_tail(fam, 100, -0.5, "lower", trials=2 * 10**6, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.hits == 0 and est.trials == 2 * 10**6
+    assert peak < 1e6
+
+
+def test_mc_refuses_a_row_over_the_draw_budget(monkeypatch):
+    # trials times draws per trial (n - 1 for the coupon) is checked before
+    # any panel is drawn; the workloads' largest coupon row, 2000 trials at
+    # n = 2000, and a single-uniform row of 4e6 trials are admitted
+    fam = make_coupon()
+    assert fam.draws_per_trial(2000) == 1999
+    assert make_minima(exponential(1.0)).draws_per_trial(10**5) == 1
+    assert 2000 * 1999 <= _DRAW_BUDGET and 4 * 10**6 <= _DRAW_BUDGET
+    refusing = dataclasses.replace(fam, count_hits=lambda *a: pytest.fail("a panel was drawn"))
+    with pytest.raises(ValueError, match=r"coupon at n=100000: 262144 trials draw "
+                                         r"26214137856 uniforms, over the Monte Carlo budget"):
+        mc_log_tail(refusing, 10**5, 3.0, "upper", trials=262144, seed=1)
+    trials = _DRAW_BUDGET // 99
+    with pytest.raises(ValueError, match="budget"):
+        mc_log_tail(refusing, 100, 3.0, "upper", trials=trials + 1, seed=1)
+    minima = make_minima(exponential(1.0))
+    with pytest.raises(ValueError, match="budget"):
+        mc_log_tail(dataclasses.replace(minima, count_hits=lambda *a: pytest.fail("drawn")),
+                    100, 0.5, "upper", trials=_DRAW_BUDGET + 1, seed=1)
+    # at the budget the row runs
+    assert mc_log_tail(minima, 100, 0.5, "upper", trials=_DRAW_BUDGET // 1000, seed=1).hits == 0

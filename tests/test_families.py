@@ -47,6 +47,7 @@ from reference_oracles import (
     rate_grid_violations,
     surjection_count,
 )
+from stream_words import MASK, lattice_words, word_panel
 
 CANONICAL_SPECS = [
     "classical:sigma=1",
@@ -87,19 +88,6 @@ def test_classical_rejects_sigma_whose_variance_leaves_the_doubles(sigma):
         families.make_classical_sums(float(sigma))
     with pytest.raises(SpecParseError, match="2 sigma"):
         parse_family_spec(f"classical:sigma={sigma}")
-
-
-class _FixedPanel:
-    """A panel whose trials draw the uniforms u (a scalar is one trial)."""
-
-    def __init__(self, u):
-        self.u = np.atleast_1d(np.asarray(u, dtype=float))
-
-    def __len__(self):
-        return len(self.u)
-
-    def column(self, draw):
-        return self.u
 
 
 def _flips_between(fam, n, lo, hi, side, panel):
@@ -613,10 +601,13 @@ def test_replacement_atom_at_zero(fam_replacement):
 
 
 def test_replacement_quantile_anchor(fam_replacement):
-    # u = 0.2 < beta lands in the F branch: F^{-1}(0.2 F(1)/0.4) - t
+    # u = 0.2 < beta lands in the F branch: F^{-1}(0.2 F(1)/0.4) - t; the
+    # double 0.2 is the stream's uniform (k + 1/2) 2^-53 at k = floor(0.2 2^53)
     z = 0.37988549304172248
     lo, hi = z * (1.0 - 1e-12) - 1.0, z * (1.0 + 1e-12) - 1.0
-    assert _flips_between(fam_replacement, 1, lo, hi, "lower", _FixedPanel(0.2))
+    panel = word_panel(lattice_words(0.2, reach=0)[0])
+    assert panel.column(0)[0] == 0.2
+    assert _flips_between(fam_replacement, 1, lo, hi, "lower", panel)
 
 
 def test_replacement_rates(fam_replacement):
@@ -703,31 +694,51 @@ TRANSFORM_CASES = [
 ]
 
 
+# one-trial panels on the stream's uniforms nearest the dyadic points k/256
+# (the lattice index floor(2^53 k/256) and its two neighbours), where a
+# bracket end is most fragile; 1/2 is the uniform at _GRID_HALF
+_GRID = (1, 31, 32, 127, 128, 129, 255)
+_GRID_HALF = 3 * _GRID.index(128) + 1
+_GRID_BELOW_EIGHTH = 3 * _GRID.index(32)
+
+
+def _grid_panels():
+    panels = [word_panel(w) for k in _GRID for w in lattice_words(k / 256.0)]
+    return panels, np.concatenate([p.column(0) for p in panels])
+
+
+def _levels(c):
+    # beyond every draw, and on a trial, on 1/2 and below 1/8 with their
+    # neighbouring doubles
+    xs = [c.min() - 1.0, c.max() + 1.0]
+    for v in (c[7], c[3000 + _GRID_HALF], c[3000 + _GRID_BELOW_EIGHTH]):
+        xs += [v, np.nextafter(v, -math.inf), np.nextafter(v, math.inf)]
+    return [float(x) for x in xs]
+
+
 @pytest.mark.parametrize("spec,n,transform", TRANSFORM_CASES,
                          ids=[c[0].split(",")[0] for c in TRANSFORM_CASES])
 def test_count_hits_equals_the_full_transform(spec, n, transform):
     fam = parse_family_spec(spec)
     c_of = transform(n)
-    # counter uniforms, plus the dyadic points k/256 and their neighbours,
-    # where a grid-bracketed count is most fragile
-    grid = np.arange(1, 256) / 256.0
-    u = np.concatenate([UniformPanel(seed=41, start=0, stop=3000).column(0), grid,
-                        np.nextafter(grid, 0.0), np.nextafter(grid, 1.0)])
-    c = c_of(u)
-    xs = [c.min() - 1.0, c.max() + 1.0]
-    for v in (c[7], c[3000 + 127], c[3000 + 255 + 31]):  # a trial, 1/2, below 32/256
-        xs += [v, np.nextafter(v, -math.inf), np.nextafter(v, math.inf)]
-    for parts in (1, 3):
-        bounds = [i * len(u) // parts for i in range(parts + 1)]
-        for x in xs:
-            for side in ("upper", "lower"):
-                for lo, hi in zip(bounds, bounds[1:]):
-                    got = fam.count_hits(n, float(x), side, _FixedPanel(u[lo:hi]))
-                    assert got == families._count(c_of(u[lo:hi]), x, side), (x, side, lo)
+    grid, u_grid = _grid_panels()
+    assert u_grid[_GRID_HALF] == 0.5 and u_grid[_GRID_BELOW_EIGHTH] < 0.125
+    c = c_of(np.concatenate([UniformPanel(seed=41, start=0, stop=3000).column(0), u_grid]))
+    for x in _levels(c):
+        for side in ("upper", "lower"):
+            # 3000 counter trials, whole and in three sub-panels
+            for parts in (1, 3):
+                bounds = [i * 3000 // parts for i in range(parts + 1)]
+                got = sum(fam.count_hits(n, x, side, UniformPanel(41, lo, hi))
+                          for lo, hi in zip(bounds, bounds[1:]))
+                assert got == families._count(c[:3000], x, side), (x, side, parts)
+            for i, panel in enumerate(grid):
+                want = families._count(c[3000 + i:3001 + i], x, side)
+                assert fam.count_hits(n, x, side, panel) == want, (x, side, u_grid[i])
 
 
-class _NoColumnPanel:
-    """A panel of `trials` trials that refuses to serve any column."""
+class _NoDrawPanel:
+    """A panel of `trials` trials whose counters refuse to be read."""
 
     def __init__(self, trials):
         self.trials = trials
@@ -735,8 +746,10 @@ class _NoColumnPanel:
     def __len__(self):
         return self.trials
 
-    def column(self, draw):
-        raise AssertionError("a row decided by the transform's range read a column")
+    def _refuse(self):
+        raise AssertionError("a row decided before drawing read the panel's counters")
+
+    seed = start = stop = property(_refuse)
 
 
 RANGE_CASES = TRANSFORM_CASES + [("minima:uniform01", 10, _minima_transform(uniform01()))]
@@ -745,10 +758,13 @@ RANGE_CASES = TRANSFORM_CASES + [("minima:uniform01", 10, _minima_transform(unif
 @pytest.mark.parametrize("spec,n,transform", RANGE_CASES,
                          ids=[c[0].split(",")[0] for c in RANGE_CASES])
 def test_count_hits_decides_a_row_from_the_range_of_the_transform(spec, n, transform):
-    # the least and greatest doubles in (0, 1), the least counter uniform
-    # 2^-54 and 1/2: a count must match the full transform at the ends
+    # one-trial panels on the stream's least uniform 2^-54 (word 0), the
+    # next, 1/2 and its greatest 1 - 2^-53 (the top word): a count must
+    # match the full transform at the ends of the stream
     fam = parse_family_spec(spec)
-    u = np.array([5e-324, 2.0**-54, 0.5, 1.0 - 2.0**-53])
+    panels = [word_panel(w) for w in (0, 1 << 11, 1 << 63, MASK)]
+    u = np.concatenate([p.column(0) for p in panels])
+    assert u.tolist() == [2.0**-54, 1.5 * 2.0**-53, 0.5, 1.0 - 2.0**-53]
     for m in (n, 1000 * n):
         c_of = transform(m)
         least, greatest = c_of(u[[0, -1]])
@@ -757,12 +773,13 @@ def test_count_hits_decides_a_row_from_the_range_of_the_transform(spec, n, trans
         near = [e * (1.0 + d) for e in (least, greatest) for d in (-1e-12, 1e-12)]
         for x in [far_below, far_above] + near:
             for side in ("upper", "lower"):
-                want = families._count(c_of(u), x, side)
-                assert fam.count_hits(m, x, side, _FixedPanel(u)) == want, (m, x, side)
+                for panel, v in zip(panels, u):
+                    want = families._count(c_of(np.array([v])), x, side)
+                    assert fam.count_hits(m, x, side, panel) == want, (m, x, side, v)
         for side, want in (("upper", 4), ("lower", 0)):
-            assert fam.count_hits(m, far_below, side, _NoColumnPanel(4)) == want
+            assert fam.count_hits(m, far_below, side, _NoDrawPanel(4)) == want
         for side, want in (("upper", 0), ("lower", 4)):
-            assert fam.count_hits(m, far_above, side, _NoColumnPanel(4)) == want
+            assert fam.count_hits(m, far_above, side, _NoDrawPanel(4)) == want
 
 
 def _tail_variants(log_lower, log_upper):
@@ -782,36 +799,34 @@ def test_count_by_bracket_counts_the_full_transform_under_any_tails(spec, n, tra
     # cost transform calls but never change a count
     fam = parse_family_spec(spec)
     c_of = transform(n)
-    grid = np.arange(1, 256) / 256.0
-    u = np.concatenate([UniformPanel(seed=41, start=0, stop=3000).column(0), grid,
-                        np.nextafter(grid, 0.0), np.nextafter(grid, 1.0)])
-    c = c_of(u)
-    xs = [c.min() - 1.0, c.max() + 1.0]
-    for v in (c[7], c[3000 + 127], c[3000 + 255 + 31]):
-        xs += [v, np.nextafter(v, -math.inf), np.nextafter(v, math.inf)]
+    _, u_grid = _grid_panels()
+    xs = _levels(c_of(np.concatenate([UniformPanel(seed=41, start=0, stop=3000).column(0),
+                                      u_grid])))
     brackets = []
 
     def recording(u):
-        if u.size == 4 and u[0] == 5e-324:  # an attempt: the end doubles, a and b
+        if u.size == 4 and u[0] == 2.0**-54:  # an attempt: the stream's ends, a and b
             brackets.append(u[2:])
         return c_of(u)
 
-    def check(panel):
-        c = c_of(panel.column(0))
-        for x in map(float, xs):
-            tails = fam.exact_log_lower_tail(n, x), fam.exact_log_upper_tail(n, x)
-            for side in ("upper", "lower"):
-                want = families._count(c, x, side)
-                for ll, lu in _tail_variants(*tails):
+    panels = [UniformPanel(seed=41, start=0, stop=3000), UniformPanel(seed=53, start=0, stop=2000)]
+    cs = [c_of(p.column(0)) for p in panels]
+    for x in xs:
+        tails = fam.exact_log_lower_tail(n, x), fam.exact_log_upper_tail(n, x)
+        for side in ("upper", "lower"):
+            for ll, lu in _tail_variants(*tails):
+                for panel, c in zip(panels, cs):
+                    brackets.clear()
                     got = families._count_by_bracket(panel, recording, x, side, ll, lu)
-                    assert got == want, (x, side, ll, lu)
-
-    check(_FixedPanel(u))
-    check(UniformPanel(seed=53, start=0, stop=2000))
-    # trials on every bracket end tried above and on its neighbours
-    ends = np.unique(np.concatenate(brackets))
-    ends = np.concatenate([ends, np.nextafter(ends, 0.0), np.nextafter(ends, 1.0)])
-    check(_FixedPanel(ends[(ends > 0.0) & (ends < 1.0)]))
+                    assert got == families._count(c, x, side), (x, side, ll, lu)
+                # one-trial panels on the uniforms next to the ends of the
+                # bracket this call settled on
+                ends = [float(e) for e in brackets[-1] if not math.isnan(e)]
+                for w in {w for end in ends for w in lattice_words(end)}:
+                    one = word_panel(w)
+                    want = families._count(c_of(one.column(0)), x, side)
+                    got = families._count_by_bracket(one, recording, x, side, ll, lu)
+                    assert got == want, (x, side, ll, lu, w)
 
 
 @pytest.mark.parametrize("spec,n,transform", TRANSFORM_CASES,
@@ -836,11 +851,11 @@ def test_count_hits_calls_the_transform_at_most_twice(monkeypatch, spec, n, tran
         hits = fam.count_hits(n, x, side, panel)
         assert 0 < hits < len(panel)
         assert len(calls) <= 2, (side, calls)
-    least, greatest = c_of(np.array([5e-324, 1.0 - 2.0**-53]))
+    least, greatest = c_of(np.array([2.0**-54, 1.0 - 2.0**-53]))
     for x in (least - 1.0 - abs(least), greatest + 1.0 + abs(greatest)):
         for side in ("upper", "lower"):
             calls.clear()
-            fam.count_hits(n, x, side, _NoColumnPanel(2**16))
+            fam.count_hits(n, x, side, _NoDrawPanel(2**16))
             assert len(calls) == 1, (x, side, calls)
 
 
@@ -894,12 +909,12 @@ def test_coupon_count_hits_sum_over_sub_panels(fam_coupon, x, side):
 
 def test_coupon_rows_that_t_at_least_n_decides_mix_no_key(fam_coupon):
     # T_n >= n, so m_up <= n makes every trial an upper hit and m_lo < n
-    # none a lower one; _NoColumnPanel has no seed, so a key mixed raises
+    # none a lower one; _NoDrawPanel raises when its counters are read
     for n, m in ((2, 1), (20, 3), (20, 19), (2000, 1999)):
         x = (m + 0.5) / (n * math.log(n)) - 1.0
         assert coupon_threshold_pair(n, x) == (m, m + 1)
-        assert fam_coupon.count_hits(n, x, "upper", _NoColumnPanel(4)) == 4
-        assert fam_coupon.count_hits(n, x, "lower", _NoColumnPanel(4)) == 0
+        assert fam_coupon.count_hits(n, x, "upper", _NoDrawPanel(4)) == 4
+        assert fam_coupon.count_hits(n, x, "lower", _NoDrawPanel(4)) == 0
     # one draw count further, T_n = n (every wait 1) is a lower hit and an
     # upper miss: P(T_3 = 3) = 2/9
     n, panel = 3, UniformPanel(seed=5, start=0, stop=3000)
