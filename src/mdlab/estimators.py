@@ -18,11 +18,11 @@ sampler compares words and converts (word_uniforms) only the few it must
 transform. A sampler that reads many draws per trial, in whatever order
 and on whichever trials it still needs, takes the trial keys from
 panel_keys(panel) and mixes blocks of draws with negated_uniforms.
-panel.column(draw) is word_uniforms(panel_words(panel, draw)), the
-stream counter_uniforms gives, bit for bit. mc_log_tail refuses a row
-whose draws exceed _DRAW_BUDGET before it draws anything, and walks each
-partition in panels of at most _PANEL_TRIALS trials, so the memory of a
-row does not grow with its trial count.
+counter_uniforms(seed, trials, draw) is the stream's public, broadcasting
+form. mc_log_tail refuses a row whose draws exceed _DRAW_BUDGET before it
+draws anything, and walks each partition in panels of at most
+_PANEL_TRIALS trials, so the memory of a row does not grow with its trial
+count.
 """
 from __future__ import annotations
 
@@ -40,7 +40,6 @@ __all__ = [
     "first_words_above",
     "word_uniforms",
     "panel_keys",
-    "key_uniforms",
     "negated_uniforms",
     "McEstimate",
     "mc_log_tail",
@@ -69,11 +68,11 @@ def stable_log_complement(log_p: float) -> float:
 # golden-ratio key folding: trial t of seed s has the key
 # mix((t + 1) golden + s), and its draw d the uniform from
 # mix(key + (d + 1) golden), all mod 2^64. Every step writes in place
-# through `out=`, one cache-sized chunk at a time, so a panel_words, a
-# panel_keys or a key_uniforms call allocates its result and one scratch
-# chunk and no temporaries; panel_words builds and mixes each chunk's keys
-# and draw words before the next. numpy uint64 arrays wrap silently on
-# overflow (scalars warn), so all arithmetic below stays in array form.
+# through `out=`, one cache-sized chunk at a time, so a panel_words or a
+# panel_keys call allocates its result and one scratch chunk and no
+# temporaries; panel_words builds and mixes each chunk's keys and draw
+# words before the next. numpy uint64 arrays wrap silently on overflow
+# (scalars warn), so all arithmetic below stays in array form.
 
 _GOLDEN_INT = 0x9E3779B97F4A7C15
 _GOLDEN = np.uint64(_GOLDEN_INT)
@@ -151,20 +150,6 @@ def first_words_above(vs) -> list:
             for k, u, v in zip(ks, words.view(np.float64).tolist(), vs)]
 
 
-def _draw_offset(draw) -> np.ndarray:
-    return _GOLDEN * (np.atleast_1d(np.asarray(draw, dtype=np.uint64)) + np.uint64(1))
-
-
-def _trial_keys(seed: int, trials) -> np.ndarray:
-    # the key mix: one 64-bit key per (seed, trial); trials is not written
-    keys = np.add(np.atleast_1d(np.asarray(trials, dtype=np.uint64)), np.uint64(1))
-    np.multiply(keys, _GOLDEN, out=keys)
-    np.add(keys, np.uint64(seed & _U64_MASK), out=keys)
-    for c, s in _chunks(keys):
-        _mix64(c, s)
-    return keys
-
-
 def _panel_key_chunks(panel, out: np.ndarray):
     """(chunk, scratch) pairs covering out, one word per trial of the
     panel, each chunk holding the mixed keys of its trials."""
@@ -177,8 +162,7 @@ def _panel_key_chunks(panel, out: np.ndarray):
 
 def panel_words(panel, draw: int = 0) -> np.ndarray:
     """The mixed words of draw `draw` of every trial of the panel, read
-    through panel.seed, panel.start and panel.stop: word_uniforms of them
-    is panel.column(draw), bit for bit."""
+    through panel.seed, panel.start and panel.stop."""
     offset = np.uint64(((draw + 1) * _GOLDEN_INT) & _U64_MASK)
     z = np.empty(panel.stop - panel.start, dtype=np.uint64)
     for c, s in _panel_key_chunks(panel, z):
@@ -195,24 +179,12 @@ def panel_keys(panel) -> np.ndarray:
     return keys
 
 
-def key_uniforms(keys: np.ndarray, draw) -> np.ndarray:
-    """Uniforms in (0, 1) from trial keys and draw indices, broadcast
-    together: key_uniforms(panel_keys(panel), draw) is panel.column(draw)
-    bitwise, and any subset of the keys gives the same subset of it."""
-    offset = _draw_offset(draw)
-    z = np.empty(np.broadcast_shapes(keys.shape, offset.shape), dtype=np.uint64)
-    np.add(keys, offset, out=z)
-    for c, s in _chunks(z):
-        _mix64(c, s)
-        _to_uniforms(c, s)
-    return z.view(np.float64)
-
-
 def negated_uniforms(keys: np.ndarray, first: int, out: np.ndarray,
                      scratch: np.ndarray) -> np.ndarray:
-    """-key_uniforms(keys, first + arange(rows)[:, None]), bit for bit,
-    written into the C-contiguous uint64 out of shape (rows, keys.size),
-    with scratch of the same shape; returns out's float64 view.
+    """The negated uniforms -u of draws first, ..., first + rows - 1 (one
+    row each) of the trials whose keys are `keys`, written into the
+    C-contiguous uint64 out of shape (rows, keys.size), with scratch of the
+    same shape; returns out's float64 view.
 
     Row r is row 0 plus r golden mod 2^64, so the filled rows are doubled
     by one scalar add per word instead of a broadcast add.
@@ -231,24 +203,34 @@ def negated_uniforms(keys: np.ndarray, first: int, out: np.ndarray,
 
 
 def counter_uniforms(seed: int, trials, draw) -> np.ndarray:
-    """Uniforms in (0, 1), one per (seed, trial, draw) triple.
+    """Uniforms in (0, 1), one per (seed, trial, draw) triple: the
+    stream's public, broadcasting form, and the tests' reference for the
+    samplers' panel_words, panel_keys and negated_uniforms.
 
     trials and draw may be scalars or arrays (broadcast together). The
     result depends only on the triple, never on evaluation order, which
     is what makes partitioned Monte Carlo runs merge exactly.
     """
-    u = key_uniforms(_trial_keys(seed, trials), draw)
-    shape = np.broadcast_shapes(np.shape(trials), np.shape(draw))
-    return u.reshape(shape)
+    keys = np.add(np.ascontiguousarray(trials, dtype=np.uint64), np.uint64(1))
+    np.multiply(keys, _GOLDEN, out=keys)
+    np.add(keys, np.uint64(seed & _U64_MASK), out=keys)
+    for c, s in _chunks(keys):
+        _mix64(c, s)
+    offsets = np.add(np.atleast_1d(np.asarray(draw, dtype=np.uint64)), np.uint64(1))
+    np.multiply(offsets, _GOLDEN, out=offsets)
+    z = np.empty(np.broadcast_shapes(keys.shape, offsets.shape), dtype=np.uint64)
+    np.add(keys, offsets, out=z)
+    for c, s in _chunks(z):
+        _mix64(c, s)
+        _to_uniforms(c, s)
+    return z.view(np.float64).reshape(np.broadcast_shapes(np.shape(trials), np.shape(draw)))
 
 
 class UniformPanel:
-    """Vectorized access to the uniforms of a contiguous block of trials.
+    """A contiguous block of trials, start, ..., stop - 1, of one seed.
 
-    column(draw) equals counter_uniforms(seed, range(start, stop), draw)
-    bitwise, whatever the order of the calls, and is read-only. The
-    samplers read no column: they take seed, start and stop through
-    panel_words and panel_keys. The panel keeps no keys.
+    The samplers read its draws through panel_words and panel_keys, which
+    take seed, start and stop; the panel keeps no keys.
     """
 
     def __init__(self, seed: int, start: int, stop: int):
@@ -264,12 +246,6 @@ class UniformPanel:
 
     def __len__(self) -> int:
         return self.stop - self.start
-
-    def column(self, draw: int) -> np.ndarray:
-        """The draw-th uniform of every trial in the block."""
-        u = word_uniforms(panel_words(self, draw))
-        u.flags.writeable = False
-        return u
 
 
 @dataclass(frozen=True)
@@ -287,7 +263,6 @@ class McEstimate:
     trials: int
     stderr_log: float
     seed: int
-    zero_hits: bool
     log_p_upper95: float
 
 
@@ -333,8 +308,7 @@ def mc_log_tail(fam, n: int, x: float, side: str = "upper",
             panel = UniformPanel(seed, start, min(start + _PANEL_TRIALS, hi))
             hits += int(fam.count_hits(n, x, side, panel))
 
-    zero = hits == 0
-    if zero:
+    if hits == 0:
         log_p = -math.inf
         stderr_log = math.inf
     else:
@@ -349,6 +323,5 @@ def mc_log_tail(fam, n: int, x: float, side: str = "upper",
         trials=trials,
         stderr_log=stderr_log,
         seed=seed,
-        zero_hits=zero,
         log_p_upper95=_clopper_pearson_upper_log(hits, trials),
     )

@@ -20,10 +20,10 @@ from mdlab import (
     parse_family_spec,
     stable_log_complement,
 )
-from mdlab.estimators import (_DRAW_BUDGET, _clopper_pearson_upper_log, _mix64, _trial_keys,
-                               first_words_above, key_uniforms, negated_uniforms,
-                               panel_keys, panel_words, word_uniforms)
-from stream_words import GOLDEN, MASK, key_drawing, lattice_words, word_panel
+from mdlab.estimators import (_DRAW_BUDGET, _clopper_pearson_upper_log, first_words_above,
+                               negated_uniforms, panel_keys, panel_words, word_uniforms)
+from stream_words import (GOLDEN, MASK, lattice_words, mix64, panel_uniforms, stream_uniform,
+                          stream_word, unmix64, word_panel)
 
 # (spec, n, x, side) with a hit rate well inside (0, 1) at 4096 trials;
 # the five canonical families plus the gamma members, whose quantiles
@@ -44,14 +44,10 @@ PARTITION_CASES = [
 PARTITION_IDS = [spec if [c[0] for c in PARTITION_CASES].index(spec) == i else f"{spec}-n{n}"
                  for i, (spec, n, _, _) in enumerate(PARTITION_CASES)]
 
-# access orders for panel.column: in order, repeated, backwards and with
-# jumps
-COLUMN_ORDERS = {
-    "sequential": list(range(300)),
-    "repeats": [0, 0, 1, 1, 2, 0, 2, 3, 3, 1],
-    "backwards": list(range(40, -1, -1)),
-    "jumps": [1000, 7, 8, 9, 10, 1000, 1001, 3, 64, 65, 66, 0],
-}
+# trials at a panel's chunk edges and the last trial index, and draws up
+# to 10^6: the points where the stream is checked against its formula
+FORMULA_TRIALS = [0, 1, 2**15 - 1, 2**15, 2**15 + 1, 2**64 - 1]
+FORMULA_DRAWS = [0, 1, 10**6]
 
 
 @given(log_p=st.floats(min_value=-745.0, max_value=-1e-12))
@@ -77,14 +73,6 @@ def test_stable_log_complement_edges():
         stable_log_complement(math.nan)
 
 
-@pytest.mark.parametrize("start,stop", [(0, 2000), (37, 1013)])
-def test_panel_columns_equal_counter_uniforms_bitwise(start, stop):
-    panel = UniformPanel(seed=5, start=start, stop=stop)
-    for draw in (0, 1, 7, 1998):
-        ref = counter_uniforms(5, np.arange(start, stop), draw)
-        assert np.array_equal(panel.column(draw), ref)
-
-
 @pytest.mark.parametrize("seed,grid,columns", [
     (5, "cc91a0a3f5e18283786833d9604bf082ce08f56ccb2128a003b51727d551dc06",
      "71523c83bfdd5c64a38436a796e856f8ddbe3b28c907704e7238639eb726ba86"),
@@ -93,46 +81,65 @@ def test_panel_columns_equal_counter_uniforms_bitwise(start, stop):
 ])
 def test_counter_stream_matches_frozen_digests(seed, grid, columns):
     # frozen SHA-256 digests of the stream: any change to the key or draw
-    # mix, the float conversion or the panel's column reads shows here
+    # mix, the float conversion or the panel's word reads shows here
     u = counter_uniforms(seed, np.arange(70001)[:, None], np.arange(4)[None, :])
     assert hashlib.sha256(np.ascontiguousarray(u).tobytes()).hexdigest() == grid
     panel = UniformPanel(seed, 37, 2037)
-    got = b"".join(panel.column(d).tobytes() for d in range(300))
+    got = b"".join(word_uniforms(panel_words(panel, d)).tobytes() for d in range(300))
     assert hashlib.sha256(got).hexdigest() == columns
 
 
-@pytest.mark.parametrize("order", COLUMN_ORDERS)
-@pytest.mark.parametrize("trials", [1, 2000, 70001])
-def test_panel_columns_serve_the_counter_stream_in_any_order(trials, order):
-    # 70001 trials span three mixing chunks; the columns come in any order
-    panel = UniformPanel(seed=5, start=37, stop=37 + trials)
-    idx = np.arange(37, 37 + trials)
-    first = prev = None
-    for draw in COLUMN_ORDERS[order]:
-        col = panel.column(draw)
-        assert col.shape == (trials,)
-        assert np.array_equal(col, counter_uniforms(5, idx, draw))
-        if prev is not None:  # a later column read leaves what was returned alone
-            assert np.array_equal(prev[1], counter_uniforms(5, idx, prev[0]))
-        first = first or (draw, col)
-        prev = (draw, col)
-    assert np.array_equal(first[1], counter_uniforms(5, idx, first[0]))
-    with pytest.raises(ValueError):
-        col[0] = 0.5
+@pytest.mark.parametrize("seed", [-1, 0, 5, 2**63 + 5, 2**64 - 1])
+def test_the_stream_follows_its_formula(seed):
+    # every path to a draw against the pure-Python formula; the seeds -1
+    # and 2^64 - 1 are one seed mod 2^64
+    want = {(t, d): stream_word(seed, t, d) for t in FORMULA_TRIALS for d in FORMULA_DRAWS}
+    # the panel build, from trial 0 across the first chunk edge, and on the
+    # last trial alone
+    for panel, ts in ((UniformPanel(seed, 0, 2**15 + 2), FORMULA_TRIALS[:-1]),
+                      (UniformPanel(seed, 2**64 - 1, 2**64), FORMULA_TRIALS[-1:])):
+        rows = [t - panel.start for t in ts]
+        keys = panel_keys(panel)[rows]
+        assert keys.tolist() == [mix64(((t + 1) * GOLDEN + seed) & MASK) for t in ts]
+        for d in FORMULA_DRAWS:
+            assert panel_words(panel, d)[rows].tolist() == [want[t, d] for t in ts]
+            out, scratch = np.empty((2, 1, len(ts)), dtype=np.uint64)
+            got = negated_uniforms(keys, d, out, scratch)
+            assert got.tolist() == [[-stream_uniform(want[t, d]) for t in ts]]
+        # a block of rows runs through the draws that follow its first
+        out, scratch = np.empty((2, 3, len(ts)), dtype=np.uint64)
+        got = negated_uniforms(keys, 10**6 - 1, out, scratch)
+        assert got.tolist() == [[-stream_uniform(stream_word(seed, t, d)) for t in ts]
+                                for d in range(10**6 - 1, 10**6 + 2)]
+    # the general build, broadcast over trials and draws, and on trials
+    # handed over in Fortran order
+    trials = np.array(FORMULA_TRIALS, dtype=np.uint64)
+    u = counter_uniforms(seed, trials[:, None], np.array(FORMULA_DRAWS)[None, :])
+    assert u.tolist() == [[stream_uniform(want[t, d]) for d in FORMULA_DRAWS]
+                          for t in FORMULA_TRIALS]
+    block = np.asfortranarray(trials.reshape(2, 3))
+    assert counter_uniforms(seed, block, 1).tolist() == [
+        [stream_uniform(want[t, 1]) for t in row] for row in block.tolist()]
+    assert counter_uniforms(seed, 2**64 - 1, 10**6) == stream_uniform(want[2**64 - 1, 10**6])
 
 
 @pytest.mark.parametrize("m", [1, 2**15 - 1, 2**15, 2**15 + 1, 70001])
-@pytest.mark.parametrize("start", [0, 2**32 + 3, 2**62])
+@pytest.mark.parametrize("start", [0, 37, 2**32 + 3, 2**62])
 def test_chunked_panel_keys_equal_the_counter_stream(start, m):
-    # a panel builds its keys one 2^15-word chunk at a time from the chunk's
-    # first trial; m covers one word, a chunk less one, one, and one more,
-    # and three chunks with a short tail
-    trials = np.arange(start, start + m, dtype=np.uint64)
-    for seed in (-1, 0, 2**63 + 5, 2**64 - 1):
+    # panel words and keys are the counter stream: a panel builds its keys
+    # one 2^15-word chunk at a time from the chunk's first trial; m covers
+    # one word, a chunk less one, one, and one more, and three chunks with
+    # a short tail. The reference is counter_uniforms' own key build.
+    for seed in (-1, 0, 5, 2**63 + 5, 2**64 - 1):
         panel = UniformPanel(seed, start, start + m)
-        assert np.array_equal(panel_keys(panel), _trial_keys(seed, trials)), seed
-        for draw in (0, 1, 10**6):
-            assert np.array_equal(panel.column(draw), counter_uniforms(seed, trials, draw))
+        keys = panel_keys(panel)
+        for draw in (0, 1, 1998, 10**6):
+            want = panel_uniforms(panel, draw)
+            z = panel_words(panel, draw)
+            assert z.dtype == np.uint64 and z.shape == (m,)
+            assert np.array_equal(word_uniforms(z), want), (seed, draw)
+            out, scratch = np.empty((2, 1, m), dtype=np.uint64)
+            assert np.array_equal(negated_uniforms(keys, draw, out, scratch)[0], -want)
 
 
 @pytest.mark.parametrize("start,stop,match", [
@@ -143,7 +150,7 @@ def test_chunked_panel_keys_equal_the_counter_stream(start, m):
 def test_panel_takes_the_trials_below_2_64_only(start, stop, match):
     # the last trial index the counters hold is still served
     top = UniformPanel(7, 2**64 - 1, 2**64)
-    assert np.array_equal(top.column(3), counter_uniforms(7, [2**64 - 1], 3))
+    assert np.array_equal(word_uniforms(panel_words(top, 3)), counter_uniforms(7, [2**64 - 1], 3))
     with pytest.raises(ValueError, match=match):
         UniformPanel(7, start, stop)
 
@@ -164,7 +171,7 @@ def test_coupon_sampler_runs_in_bounded_memory():
 
 def test_a_row_decided_by_the_transform_allocates_nothing_per_trial():
     # P(min of 100 Exp(1) >= 0.5) = e^-50 lies past every double in (0, 1),
-    # so no trial key is mixed and no column drawn; mixing one panel of
+    # so no trial key is mixed and no word drawn; mixing one panel of
     # 2^16 trials peaks at about 1.4 MB
     fam = make_minima(exponential(1.0))
     tracemalloc.start()
@@ -220,18 +227,19 @@ def test_counter_uniforms_shape_and_range():
 
 
 def test_top_mixed_word_stays_below_one():
-    # keys whose draw-0 word mixes to the given top 53 bits: all ones would
-    # round (2^53 - 1) + 0.5 up to 2^53 and give u = 1 without the clamp
+    # one-trial panels whose draw-0 word has the given top 53 bits: all
+    # ones would round (2^53 - 1) + 0.5 up to 2^53 and give u = 1 without
+    # the clamp; every other word keeps its value (t + 1/2) 2^-53
     tops = [(1 << 53) - 1, (1 << 53) - 2, (1 << 52) + 7, 0]
-    keys = np.array([key_drawing(t << 11 | 0x5A5) for t in tops], dtype=np.uint64)
-    mixed = keys + np.uint64(GOLDEN)
-    _mix64(mixed, np.empty_like(mixed))
-    assert [int(w) >> 11 for w in mixed] == tops
-    u = key_uniforms(keys, 0)
-    assert u[0] == 1.0 - 2.0**-53
-    # every other word keeps its value (t + 1/2) 2^-53
-    assert u[1:].tolist() == [(float(t) + 0.5) * 2.0**-53 for t in tops[1:]]
-    assert np.all((u > 0.0) & (u < 1.0))
+    want = [1.0 - 2.0**-53] + [(float(t) + 0.5) * 2.0**-53 for t in tops[1:]]
+    for top, u in zip(tops, want):
+        panel = word_panel(top << 11 | 0x5A5)
+        assert stream_uniform(top << 11 | 0x5A5) == u
+        assert word_uniforms(panel_words(panel)).tolist() == [u]
+        assert panel_uniforms(panel, 0).tolist() == [u]
+        out, scratch = np.empty((2, 1, 1), dtype=np.uint64)
+        assert negated_uniforms(panel_keys(panel), 0, out, scratch).tolist() == [[-u]]
+    assert 0.0 < min(want) and max(want) < 1.0
 
 
 def test_counter_uniforms_moments():
@@ -264,7 +272,6 @@ def test_mc_zero_hits_reports_upper_bound():
     # P(C_100 >= 0.4) = e^-40, unreachable at this budget
     fam = make_minima(exponential(1.0))
     est = mc_log_tail(fam, n=100, x=0.4, side="upper", trials=1000, seed=1)
-    assert est.zero_hits
     assert est.hits == 0
     assert est.log_p_hat == -math.inf
     assert est.stderr_log == math.inf
@@ -305,29 +312,20 @@ def test_mc_partition_invariance_property(seed, parts):
 def test_word_panels_draw_the_chosen_word():
     # a one-trial panel whose seed inverts both mixes draws the given word
     for word in (0, 1, 0x5A5, 1 << 63, MASK, 0x0123456789ABCDEF):
+        assert unmix64(mix64(word)) == word
         panel = word_panel(word)
+        assert stream_word(panel.seed, 0, 0) == word
         assert len(panel) == 1 and panel_words(panel).tolist() == [word]
-        assert panel.column(0).tolist() == word_uniforms(np.array([word], np.uint64)).tolist()
-
-
-@pytest.mark.parametrize("start,stop,draw", [(0, 2000, 0), (37, 70038, 5), (2**62, 2**62 + 9, 10**6)])
-def test_panel_words_convert_to_the_panel_column(start, stop, draw):
-    panel = UniformPanel(seed=2**63 + 5, start=start, stop=stop)
-    keys = panel_keys(panel)
-    z = panel_words(panel, draw)
-    assert z.dtype == np.uint64
-    # the draw mix of the trial keys, as key_uniforms forms it
-    mixed = keys + np.uint64((draw + 1) * GOLDEN & MASK)
-    _mix64(mixed, np.empty_like(mixed))
-    assert np.array_equal(z, mixed)
-    assert np.array_equal(word_uniforms(z), counter_uniforms(2**63 + 5, np.arange(start, stop), draw))
+        assert panel_uniforms(panel, 0).tolist() == [stream_uniform(word)]
 
 
 @pytest.mark.parametrize("left,first,rows", [(1, 0, 1), (2000, 0, 16), (2000, 1983, 16),
                                              (3, 7, 10000), (1, 0, 1999), (40000, 5, 1)])
 def test_negated_uniforms_are_a_block_of_key_uniforms(left, first, rows):
+    # a block of the counter stream, draws first, ..., first + rows - 1
     keys = panel_keys(UniformPanel(seed=9, start=11, stop=11 + left))
-    want = key_uniforms(keys, np.arange(first, first + rows)[:, None])
+    want = counter_uniforms(9, np.arange(11, 11 + left, dtype=np.uint64)[None, :],
+                            np.arange(first, first + rows)[:, None])
     out, scratch = np.empty((2, rows, left), dtype=np.uint64)
     got = negated_uniforms(keys, first, out, scratch)
     assert got.tobytes() == (-want).tobytes()

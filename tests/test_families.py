@@ -38,7 +38,7 @@ from mdlab import (
 from mdlab import families
 from mdlab.diagnostics import default_weak_grid, ldp_probe, weak_probe
 from mdlab.distributions import gamma, isf_values, quantile_values
-from mdlab.estimators import UniformPanel, key_uniforms, panel_keys
+from mdlab.estimators import UniformPanel, panel_keys
 from mdlab.rvtoolkit import characteristic_level, normalizing_rate
 from mdlab.families import _coupon_log_cdf, _coupon_log_sf, _coupon_series, _coupon_tilt
 from reference_oracles import (
@@ -47,7 +47,7 @@ from reference_oracles import (
     rate_grid_violations,
     surjection_count,
 )
-from stream_words import MASK, lattice_words, word_panel
+from stream_words import MASK, lattice_words, panel_uniforms, word_panel
 
 CANONICAL_SPECS = [
     "classical:sigma=1",
@@ -102,7 +102,7 @@ def test_classical_sampler_is_quantile_transform(fam_classical):
     from scipy.special import ndtri
 
     panel = UniformPanel(seed=5, start=0, stop=1)
-    c = float(ndtri(panel.column(0)[0])) / 5.0
+    c = float(ndtri(panel_uniforms(panel, 0)[0])) / 5.0
     lo, hi = sorted((c * (1.0 - 1e-12), c * (1.0 + 1e-12)))
     assert _flips_between(fam_classical, 25, lo, hi, "upper", panel)
 
@@ -606,7 +606,7 @@ def test_replacement_quantile_anchor(fam_replacement):
     z = 0.37988549304172248
     lo, hi = z * (1.0 - 1e-12) - 1.0, z * (1.0 + 1e-12) - 1.0
     panel = word_panel(lattice_words(0.2, reach=0)[0])
-    assert panel.column(0)[0] == 0.2
+    assert panel_uniforms(panel, 0)[0] == 0.2
     assert _flips_between(fam_replacement, 1, lo, hi, "lower", panel)
 
 
@@ -704,7 +704,7 @@ _GRID_BELOW_EIGHTH = 3 * _GRID.index(32)
 
 def _grid_panels():
     panels = [word_panel(w) for k in _GRID for w in lattice_words(k / 256.0)]
-    return panels, np.concatenate([p.column(0) for p in panels])
+    return panels, np.concatenate([panel_uniforms(p, 0) for p in panels])
 
 
 def _levels(c):
@@ -723,7 +723,7 @@ def test_count_hits_equals_the_full_transform(spec, n, transform):
     c_of = transform(n)
     grid, u_grid = _grid_panels()
     assert u_grid[_GRID_HALF] == 0.5 and u_grid[_GRID_BELOW_EIGHTH] < 0.125
-    c = c_of(np.concatenate([UniformPanel(seed=41, start=0, stop=3000).column(0), u_grid]))
+    c = c_of(np.concatenate([panel_uniforms(UniformPanel(41, 0, 3000), 0), u_grid]))
     for x in _levels(c):
         for side in ("upper", "lower"):
             # 3000 counter trials, whole and in three sub-panels
@@ -763,7 +763,7 @@ def test_count_hits_decides_a_row_from_the_range_of_the_transform(spec, n, trans
     # match the full transform at the ends of the stream
     fam = parse_family_spec(spec)
     panels = [word_panel(w) for w in (0, 1 << 11, 1 << 63, MASK)]
-    u = np.concatenate([p.column(0) for p in panels])
+    u = np.concatenate([panel_uniforms(p, 0) for p in panels])
     assert u.tolist() == [2.0**-54, 1.5 * 2.0**-53, 0.5, 1.0 - 2.0**-53]
     for m in (n, 1000 * n):
         c_of = transform(m)
@@ -800,8 +800,7 @@ def test_count_by_bracket_counts_the_full_transform_under_any_tails(spec, n, tra
     fam = parse_family_spec(spec)
     c_of = transform(n)
     _, u_grid = _grid_panels()
-    xs = _levels(c_of(np.concatenate([UniformPanel(seed=41, start=0, stop=3000).column(0),
-                                      u_grid])))
+    xs = _levels(c_of(np.concatenate([panel_uniforms(UniformPanel(41, 0, 3000), 0), u_grid])))
     brackets = []
 
     def recording(u):
@@ -810,7 +809,7 @@ def test_count_by_bracket_counts_the_full_transform_under_any_tails(spec, n, tra
         return c_of(u)
 
     panels = [UniformPanel(seed=41, start=0, stop=3000), UniformPanel(seed=53, start=0, stop=2000)]
-    cs = [c_of(p.column(0)) for p in panels]
+    cs = [c_of(panel_uniforms(p, 0)) for p in panels]
     for x in xs:
         tails = fam.exact_log_lower_tail(n, x), fam.exact_log_upper_tail(n, x)
         for side in ("upper", "lower"):
@@ -824,7 +823,7 @@ def test_count_by_bracket_counts_the_full_transform_under_any_tails(spec, n, tra
                 ends = [float(e) for e in brackets[-1] if not math.isnan(e)]
                 for w in {w for end in ends for w in lattice_words(end)}:
                     one = word_panel(w)
-                    want = families._count(c_of(one.column(0)), x, side)
+                    want = families._count(c_of(panel_uniforms(one, 0)), x, side)
                     got = families._count_by_bracket(one, recording, x, side, ll, lu)
                     assert got == want, (x, side, ll, lu, w)
 
@@ -865,7 +864,7 @@ def test_coupon_count_hits_equals_integer_waits(fam_coupon):
     panel = UniformPanel(seed=47, start=0, stop=trials)
     t = np.ones(trials, dtype=np.int64)
     for k in range(2, n + 1):
-        u = panel.column(k - 2)
+        u = panel_uniforms(panel, k - 2)
         t += np.ceil(np.log1p(-u) / math.log1p(-(n - k + 1) / n)).astype(np.int64)
     for q in (0.01, 0.5, 0.99):
         m = int(np.quantile(t, q))
@@ -918,7 +917,7 @@ def test_coupon_rows_that_t_at_least_n_decides_mix_no_key(fam_coupon):
     # one draw count further, T_n = n (every wait 1) is a lower hit and an
     # upper miss: P(T_3 = 3) = 2/9
     n, panel = 3, UniformPanel(seed=5, start=0, stop=3000)
-    t = 1 + sum(np.ceil(np.log1p(-panel.column(k - 2)) / math.log1p(-(n - k + 1) / n))
+    t = 1 + sum(np.ceil(np.log1p(-panel_uniforms(panel, k - 2)) / math.log1p(-(n - k + 1) / n))
                 for k in range(2, n + 1))
     x = (n + 0.5) / (n * math.log(n)) - 1.0
     assert coupon_threshold_pair(n, x) == (n, n + 1)
@@ -930,10 +929,9 @@ def test_coupon_rows_that_t_at_least_n_decides_mix_no_key(fam_coupon):
 
 def _coupon_sums_reading_every_wait(n, panel):
     # T_n of every trial with all n - 1 waits read in draw order, none dropped
-    keys = panel_keys(panel)
     t = np.ones(len(panel))
     for d in range(n - 1):
-        t += np.ceil(np.log1p(-key_uniforms(keys, d)) / math.log1p(-((n - d - 1) / n)))
+        t += np.ceil(np.log1p(-panel_uniforms(panel, d)) / math.log1p(-((n - d - 1) / n)))
     return t
 
 
@@ -987,8 +985,8 @@ def test_count_hits_transforms_only_near_the_threshold(monkeypatch):
     fam = parse_family_spec("minima:exponential:1")
     panel = UniformPanel(seed=43, start=0, stop=200_000)
     x = 0.005  # P(C_100 >= x) = e^-0.5
-    expect = families._count(
-        isf_values(exponential(1.0), np.exp(np.log1p(-panel.column(0)) / 100)), x, "upper")
+    u = panel_uniforms(panel, 0)
+    expect = families._count(isf_values(exponential(1.0), np.exp(np.log1p(-u) / 100)), x, "upper")
     points = []
 
     def counting(dist, q):
@@ -1000,7 +998,6 @@ def test_count_hits_transforms_only_near_the_threshold(monkeypatch):
     # one call on the two end doubles and the h = 1e-6 bracket around
     # P(C_100 <= x) = 1 - e^-0.5, then at most the trials strictly inside it
     p = -math.expm1(-0.5)
-    u = panel.column(0)
     inside = int(np.count_nonzero((u > p * math.exp(-1e-6)) & (u < p * math.exp(1e-6))))
     assert points[0] == 4
     assert sum(points[1:]) <= inside
