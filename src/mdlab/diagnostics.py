@@ -30,10 +30,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import operator
+import os
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
@@ -443,80 +446,147 @@ def slope_identity_check(fam: FamilySpec, h: float = 1e-5) -> SlopeIdentityRepor
 # serialization
 
 
-_row_cells = operator.attrgetter(*CSV_COLUMNS)
+# Both report files are rendered a report at a time, not cell by cell.
+# The label cells (family, regime, scaling) are encoded once per distinct
+# triple in a writer call: as the CSV prefix that the csv module renders
+# for them, and as a JSON row template with them baked in. The number
+# cells (n to residual) are turned into texts a column at a time, and a
+# Row keeps them, so a row written to both files formats each float once.
+# A CSV line is the prefix and the comma-joined texts. A JSON row fills
+# its template with the texts, null for None and the non-finite floats
+# quoted. A row with a number cell of another type than the exact int,
+# float and None is rendered anew by each writer: by the csv module for
+# CSV, as json.dumps writes it for JSON.
+#
+# write_json's text is json.dumps(payload, indent=1) + "\n" byte for byte,
+# where payload holds each report's fields and its rows as dicts with the
+# non-finite cells spelled "nan", "inf" and "-inf". Only the short header
+# of each report goes through json.dumps.
+
+_LABEL_COLUMNS = CSV_COLUMNS[:3]
+_NUMBER_COLUMNS = CSV_COLUMNS[3:]
+_row_labels = operator.attrgetter(*_LABEL_COLUMNS)
+_row_numbers = operator.attrgetter(*_NUMBER_COLUMNS)
+_number_getters = [operator.attrgetter(c) for c in _NUMBER_COLUMNS]
+_NUMBER_TYPES = frozenset((int, float, type(None)))
 
 
-def _cell_texts(row) -> tuple:
-    """The row's cells as both report files take them: the repr of each
-    exact float, every other cell as it is.
+def _cell_texts(rows) -> list:
+    """The number cells of each row as the CSV file spells them: the repr
+    of an exact int or float and "" for None. A row with a cell of any
+    other type gets None.
 
-    A Row makes them on its first write and keeps them in its __dict__,
-    which eq, hash, repr, astuple and replace never read; a Row is frozen,
-    so they cannot go stale. A row of any other type gets them afresh.
+    rows is a tuple. The texts are made a column at a time. A Row
+    keeps them in its __dict__, which eq, hash, repr, astuple and replace
+    never read; a Row is frozen, so they cannot go stale. A row of any
+    other type gets them afresh.
     """
-    texts = getattr(row, "_cell_texts", None)
-    if texts is None:
-        texts = tuple([repr(v) if type(v) is float else v for v in _row_cells(row)])
-        if type(row) is Row:
-            row.__dict__["_cell_texts"] = texts
+    texts = [getattr(r, "_cell_texts", None) for r in rows]
+    todo = [i for i, t in enumerate(texts) if t is None]
+    columns = [list(map(cell, map(rows.__getitem__, todo))) for cell in _number_getters]
+    if not _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(columns))):
+        todo = [i for i in todo if _NUMBER_TYPES.issuperset(map(type, _row_numbers(rows[i])))]
+        columns = [list(map(cell, map(rows.__getitem__, todo))) for cell in _number_getters]
+    columns = [list(map(repr, c)) if None not in c else ["" if v is None else repr(v) for v in c]
+               for c in columns]
+    for i, t in zip(todo, zip(*columns)):
+        texts[i] = t
+        if type(rows[i]) is Row:
+            rows[i].__dict__["_cell_texts"] = t
+    return texts
+
+
+def _csv_cells(cells) -> str:
+    """The cells as csv.writer writes them, each followed by a comma."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((*cells, ""))  # an empty last cell keeps its comma
+    return buf.getvalue()[:-2]
+
+
+_CSV_HEADER = _csv_cells(CSV_COLUMNS)[:-1] + "\r\n"
+
+
+def _label_texts(rows, known: dict, render) -> list:
+    """render(labels) for each row, made once per distinct label triple.
+
+    known maps triples to texts for one writer call. Only triples of
+    strings go in, since cells of other types may be equal and spelled
+    apart, as 1 and 1.0 are.
+    """
+    labels = list(map(_row_labels, rows))
+    texts = list(map(known.get, labels))
+    if None in texts:
+        for i, t in enumerate(texts):
+            if t is None:
+                t = known.get(labels[i])
+                if t is None:
+                    t = render(labels[i])
+                    if all(isinstance(v, str) for v in labels[i]):
+                        known[labels[i]] = t
+                texts[i] = t
     return texts
 
 
 def write_csv(reports, path_or_handle) -> None:
     """One CSV with the shared column schema, reports concatenated.
 
-    Cells are str, int, float (numpy float64 included) or None, which the
-    csv module writes as the text, repr, repr and an empty field. A float
-    cell's repr is the text _cell_texts makes once per row and write_json
-    reuses, so a row written to both files formats each float once.
+    path_or_handle is a path (str, bytes or os.PathLike) or an open text
+    handle. A line is the csv module's rendering of the row's three
+    labels, made once per label triple, then the number texts of
+    _cell_texts joined by commas: what csv.writer writes for an exact
+    int, float or None, and never quoted. A row with a number cell of any
+    other type (a str, a bool, a numpy scalar) is rendered by the csv
+    module. Each report is written in one piece.
     """
     if isinstance(reports, ConvergenceReport):
         reports = [reports]
-    own = isinstance(path_or_handle, (str, bytes))
+    own = isinstance(path_or_handle, (str, bytes, os.PathLike))
     fh = open(path_or_handle, "w", newline="", encoding="utf-8") if own else path_or_handle
     try:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
+        fh.write(_CSV_HEADER)
+        prefixes = {}
         for rep in reports:
-            writer.writerows(map(_cell_texts, rep.rows))
+            rows = tuple(rep.rows)
+            texts = _cell_texts(rows)
+            if None in texts:  # the csv module's line for each odd row, as one text
+                texts = [t if t is not None else (_csv_cells(_row_numbers(r))[:-1],)
+                         for r, t in zip(rows, texts)]
+            lines = list(map(str.__add__, _label_texts(rows, prefixes, _csv_cells),
+                             map(",".join, texts)))
+            if lines:
+                lines.append("")
+                fh.write("\r\n".join(lines))
     finally:
         if own:
             fh.close()
 
 
-# write_json's text is json.dumps(payload, indent=1) + "\n" byte for byte,
-# where payload holds each report's fields and its rows as dicts with the
-# non-finite cells spelled "nan", "inf" and "-inf". Only the short header
-# of each report goes through json.dumps; each row is filled into a fixed
-# template with the scalar encoders the stdlib encoder itself calls, which
-# spares the pure-Python indenting encoder and its many small writes. A
-# float cell's text is the repr that _cell_texts made once for the row,
-# whichever file was written first, with the non-finite ones quoted; the
-# other cells are encoded from their values.
 _JSON_NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
-_JSON_CELL = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    type(None): lambda v: "null",
-}
+_JSON_TEXT = {"": "null", **_JSON_NONFINITE}  # a number text as JSON spells it
 
 
-def _json_other(v) -> str:
-    """A cell of none of the four exact types: str and int subclasses
-    (bool among them) as json.dumps writes them, any other real (numpy
-    scalars) as its float value."""
-    if isinstance(v, (str, int)):
+def _json_cell(v) -> str:
+    """A cell as json.dumps writes it in the payload: str and int
+    subclasses (bool among them) as they are, any other real (numpy
+    scalars) as its float value, the non-finite ones quoted."""
+    if v is None or isinstance(v, (str, int)):
         return json.dumps(v)
     text = float.__repr__(float(v))
     return _JSON_NONFINITE.get(text, text)
 
 
-_ROW_JSON = ("    {\n"
-             + ",\n".join(f"     {encode_basestring_ascii(c)}: %s" for c in CSV_COLUMNS)
-             + "\n    }")
+_JSON_NUMBERS = ("".join(f",\n     {encode_basestring_ascii(c)}: %s" for c in _NUMBER_COLUMNS)
+                 + "\n    }")
 
 
-def _report_json(rep: ConvergenceReport) -> str:
+def _json_template(labels) -> str:
+    """A row's JSON with its labels in place and a %s for each number."""
+    head = ",\n".join(f"     {encode_basestring_ascii(c)}: {_json_cell(v)}"
+                      for c, v in zip(_LABEL_COLUMNS, labels))
+    return "    {\n" + head.replace("%", "%%") + _JSON_NUMBERS
+
+
+def _report_json(rep: ConvergenceReport, templates: dict) -> str:
     """One report of the payload, indented for its place in the list."""
     header = json.dumps({
         "family": rep.family,
@@ -526,20 +596,25 @@ def _report_json(rep: ConvergenceReport) -> str:
         "tolerances": dict(rep.tolerances),
         "notes": list(rep.notes),
     }, indent=1)
-    rows = ",\n".join([
-        _ROW_JSON % tuple([_JSON_NONFINITE.get(t, t) if type(v) is float
-                           else _JSON_CELL.get(type(v), _json_other)(v)
-                           for v, t in zip(_row_cells(r), _cell_texts(r))])
-        for r in rep.rows])
-    rows = f"[\n{rows}\n   ]" if rows else "[]"
+    rows = tuple(rep.rows)
+    texts = _cell_texts(rows)
+    if None in texts:  # odd rows as JSON spells them, which _JSON_TEXT leaves alone
+        texts = [t if t is not None else tuple(map(_json_cell, _row_numbers(r)))
+                 for r, t in zip(rows, texts)]
+    flat = list(chain.from_iterable(texts))
+    # the JSON texts, taken back nine to a row
+    numbers = zip(*[map(_JSON_TEXT.get, flat, flat)] * len(_NUMBER_COLUMNS))
+    body = ",\n".join(map(str.__mod__, _label_texts(rows, templates, _json_template), numbers))
+    body = f"[\n{body}\n   ]" if body else "[]"
     # drop the header's closing brace and shift it two levels in
-    return "  " + header[:-2].replace("\n", "\n  ") + f',\n   "rows": {rows}\n  }}'
+    return "  " + header[:-2].replace("\n", "\n  ") + f',\n   "rows": {body}\n  }}'
 
 
 def write_json(reports, path) -> None:
     if isinstance(reports, ConvergenceReport):
         reports = [reports]
-    body = ",\n".join([_report_json(r) for r in reports])
+    templates = {}
+    body = ",\n".join([_report_json(r, templates) for r in reports])
     text = f'{{\n "reports": [\n{body}\n ]\n}}\n' if body else '{\n "reports": []\n}\n'
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -547,11 +622,11 @@ def write_json(reports, path) -> None:
 
 _REPORT_KEYS = ("family", "regime", "scaling", "verdict", "tolerances", "rows")
 _ROW_KEYS = frozenset(CSV_COLUMNS)
-_LABEL_COLUMNS = CSV_COLUMNS[:3]
 _label_cells = operator.itemgetter(*_LABEL_COLUMNS)
-_number_cells = operator.itemgetter(*CSV_COLUMNS[3:])
+_number_cells = operator.itemgetter(*_NUMBER_COLUMNS)
+_DICT_TYPES = frozenset((dict,))
+_ROW_LENGTHS = frozenset((len(CSV_COLUMNS),))
 _LABEL_TYPES = frozenset((str,))
-_NUMBER_TYPES = frozenset((int, float, type(None)))
 _NONFINITE_IN = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 
 
@@ -572,7 +647,27 @@ def _checked_row(d: dict, where: str) -> dict:
     return out
 
 
+def _rows_are_plain(rows: list) -> bool:
+    """Whether every row is a dict of exactly the report columns, with
+    string labels and int, float or null numbers: one pass over the cells
+    of a whole report."""
+    if not (_DICT_TYPES.issuperset(map(type, rows))
+            and _ROW_LENGTHS.issuperset(map(len, rows))):
+        return False
+    try:  # twelve cells each, so if the twelve columns are there they are all
+        return (_LABEL_TYPES.issuperset(map(type, chain.from_iterable(map(_label_cells, rows))))
+                and _NUMBER_TYPES.issuperset(
+                    map(type, chain.from_iterable(map(_number_cells, rows)))))
+    except KeyError:
+        return False
+
+
 def _rows_in(rows: list, where: str) -> tuple:
+    """The report's rows as Rows. Only a report that fails the bulk test
+    is read row by row, to map its non-finite strings or to name the
+    first bad row."""
+    if _rows_are_plain(rows):
+        return tuple(map(_new_row, rows))
     out = []
     for j, d in enumerate(rows):
         if not isinstance(d, dict) or d.keys() != _ROW_KEYS:

@@ -426,6 +426,15 @@ def test_json_round_trip(tmp_path, fam_replacement):
     assert set(payload) == {"reports"}
 
 
+def test_write_csv_takes_a_path(tmp_path, fam_minima_exp):
+    report = ldp_probe(fam_minima_exp, [0.5], LD_GRID)
+    path = tmp_path / "r.csv"
+    write_csv(report, path)
+    assert path.read_bytes().decode("utf-8") == _ref_csv_text([report])
+    write_csv([report], str(tmp_path / "s.csv"))
+    assert (tmp_path / "s.csv").read_bytes() == path.read_bytes()
+
+
 def test_json_rejects_foreign_payload(tmp_path):
     path = tmp_path / "other.json"
     path.write_text(json.dumps({"rows": []}))
@@ -492,7 +501,8 @@ def _report(rows, notes=(), family="synthetic"):
 
 
 EDGE_NUMBERS = (math.nan, math.inf, -math.inf, None, -0.0, 5e-324, 1e300, 10**30)
-ODD_LABELS = ('Fréchet·μ=2 ∞', 'say "q"', "a,b", "back\\slash", 'all of ",\\ é"')
+ODD_LABELS = ('Fréchet·μ=2 ∞', 'say "q"', "a,b", "back\\slash", 'all of ",\\ é"',
+              "%", "%s", "100%%", "a\tb", "\r\n", '"', " leading space", "")
 
 
 def _edge_rows():
@@ -526,12 +536,14 @@ def _golden_cases(live):
                     family=ODD_LABELS[0]),
             _report([], notes=("no rows",)),
         ],
+        # equal labels spelled apart: 1 == 1.0 == True, but each has its own text
+        "number labels": [_report([_row(family=v, scaling=v) for v in (1, 1.0, True, "1")])],
     }
 
 
 # A row formats its float cells on its first write and both writers reuse
 # the texts, so each golden case is written in every order from fresh rows.
-WRITE_ORDERS = (("json", "csv"), ("csv", "json"), ("csv", "csv"))
+WRITE_ORDERS = (("json", "csv"), ("csv", "json"), ("csv", "csv"), ("json", "json"))
 
 
 def _write_in_order(reports, order, path, name):
