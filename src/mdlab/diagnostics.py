@@ -548,7 +548,7 @@ def write_csv(reports, path_or_handle) -> None:
         for rep in reports:
             rows = tuple(rep.rows)
             texts = _cell_texts(rows)
-            if None in texts:  # the csv module's line for each odd row, as one text
+            if None in texts:  # an odd row's numbers as the csv module writes them, joined
                 texts = [t if t is not None else (_csv_cells(_row_numbers(r))[:-1],)
                          for r, t in zip(rows, texts)]
             lines = list(map(str.__add__, _label_texts(rows, prefixes, _csv_cells),
