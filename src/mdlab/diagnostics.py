@@ -15,15 +15,16 @@ rate_target the limit cdf, and residual their difference, so the same
 CSV machinery serves every probe.
 
 Report files. CSV and JSON rows both list their cells in CSV_COLUMNS
-order. Non-finite values are the strings "nan", "inf" and "-inf" in JSON
-and bare nan, inf and -inf in CSV; a missing Monte Carlo cell is null in
-JSON and empty in CSV. The JSON is indent-1 text whose layout is stable
-byte for byte. read_json rejects a file whose reports lack a field, whose
-rows miss or add a column, or whose cells have the wrong kind, naming the
-file, the report index and, for a bad row, the row index. A report's
-family, regime, scaling and verdict must be strings, its notes a list of
-strings, and its tolerance factor and slack, where present, real numbers
-(not true or false).
+order, with the cell types that Row states. Non-finite values are the
+strings "nan", "inf" and "-inf" in JSON and bare nan, inf and -inf in
+CSV; a missing Monte Carlo cell is null in JSON and empty in CSV. The
+JSON is indent-1 text whose layout is stable byte for byte. read_json
+rejects a file whose reports lack a field, whose rows miss or add a
+column, or whose cells have the wrong kind, naming the file, the report
+index and, for a bad row, the row index. A report's family, regime,
+scaling and verdict must be strings, its notes a list of strings, and
+its tolerance factor and slack, where present, real numbers (not true or
+false).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import io
 import json
 import math
 import operator
-import os
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -58,10 +58,16 @@ CSV_COLUMNS = [
 
 DEFAULT_TOL_FACTOR = 0.05
 MONOTONE_SLACK = 1e-12
+DIFFERENCE_STEP = 1e-5  # the h of slope_identity_check
 
 
 @dataclass(frozen=True)
 class Row:
+    """One cell per CSV_COLUMNS entry: family, regime and scaling are str,
+    the nine number cells int, float or None (a missing Monte Carlo
+    cell). read_json gives back such rows and the writers take no other:
+    a bool, a numpy scalar or a non-string label is refused."""
+
     family: str
     regime: str
     scaling: str
@@ -407,17 +413,16 @@ class SlopeIdentityReport:
         return all(c.status != "mismatch" for c in self.checks)
 
 
-def slope_identity_check(fam: FamilySpec, h: float = 1e-5) -> SlopeIdentityReport:
+def slope_identity_check(fam: FamilySpec) -> SlopeIdentityReport:
     """Tie the moderate rate to the local behavior of the large one.
 
-    Non-central families: the one-sided difference quotients of rate_ld
-    at 0 must match the moderate slopes within max(1e-6, 10h); a side
-    where the moderate rate is +inf must be a wall of rate_ld too and is
-    reported as not-applicable. Central families instead match second
-    differences (curvature) of both rates within 1e-4.
+    With h = DIFFERENCE_STEP: for non-central families the one-sided
+    difference quotients of rate_ld at 0 must match the moderate slopes
+    within 10h; a side where the moderate rate is +inf must be a wall of
+    rate_ld too and is reported as not-applicable. Central families
+    instead match second differences (curvature) of both rates within 1e-4.
     """
-    if not 0.0 < h <= 1e-3:
-        raise ValueError(f"difference step must lie in (0, 1e-3], got {h}")
+    h = DIFFERENCE_STEP
     if fam.central:
         d2_ld = (fam.rate_ld(h) - 2.0 * fam.rate_ld(0.0) + fam.rate_ld(-h)) / (h * h)
         d2_md = (fam.rate_md(h) - 2.0 * fam.rate_md(0.0) + fam.rate_md(-h)) / (h * h)
@@ -426,7 +431,7 @@ def slope_identity_check(fam: FamilySpec, h: float = 1e-5) -> SlopeIdentityRepor
         checks = (SlopeCheck("curvature", d2_ld, d2_md, tol, status),)
         return SlopeIdentityReport(family=fam.label, h=h, mode="curvature",
                                    checks=checks)
-    tol = max(1e-6, 10.0 * h)
+    tol = 10.0 * h
     checks = []
     for side, sign, target in (("right", 1.0, fam.rate_md.right_slope_at_zero),
                                ("left", -1.0, fam.rate_md.left_slope_at_zero)):
@@ -454,9 +459,8 @@ def slope_identity_check(fam: FamilySpec, h: float = 1e-5) -> SlopeIdentityRepor
 # Row keeps them, so a row written to both files formats each float once.
 # A CSV line is the prefix and the comma-joined texts. A JSON row fills
 # its template with the texts, null for None and the non-finite floats
-# quoted. A row with a number cell of another type than the exact int,
-# float and None is rendered anew by each writer: by the csv module for
-# CSV, as json.dumps writes it for JSON.
+# quoted. A writer checks every cell's type first and opens no file for
+# reports with a row that read_json would refuse.
 #
 # write_json's text is json.dumps(payload, indent=1) + "\n" byte for byte,
 # where payload holds each report's fields and its rows as dicts with the
@@ -466,27 +470,41 @@ def slope_identity_check(fam: FamilySpec, h: float = 1e-5) -> SlopeIdentityRepor
 _LABEL_COLUMNS = CSV_COLUMNS[:3]
 _NUMBER_COLUMNS = CSV_COLUMNS[3:]
 _row_labels = operator.attrgetter(*_LABEL_COLUMNS)
-_row_numbers = operator.attrgetter(*_NUMBER_COLUMNS)
 _number_getters = [operator.attrgetter(c) for c in _NUMBER_COLUMNS]
+_LABEL_TYPES = frozenset((str,))
 _NUMBER_TYPES = frozenset((int, float, type(None)))
 
 
-def _cell_texts(rows) -> list:
-    """The number cells of each row as the CSV file spells them: the repr
-    of an exact int or float and "" for None. A row with a cell of any
-    other type gets None.
+def _check_cells(cells: dict, where: str) -> None:
+    """Raise a ValueError naming the first cell, in column order, whose
+    type is not the one Row states."""
+    for col, v in cells.items():
+        if col in _LABEL_COLUMNS:
+            if type(v) is not str:
+                raise ValueError(f"{where}: {col} is {v!r}, not a string")
+        elif type(v) not in _NUMBER_TYPES:
+            raise ValueError(f"{where}: {col} is {v!r}, not a number")
 
-    rows is a tuple. The texts are made a column at a time. A Row
-    keeps them in its __dict__, which eq, hash, repr, astuple and replace
-    never read; a Row is frozen, so they cannot go stale. A row of any
-    other type gets them afresh.
+
+def _cell_texts(rows: tuple, where: str) -> list:
+    """The number cells of each row as the CSV file spells them: the repr
+    of an int or float and "" for None.
+
+    The texts are made a column at a time. A Row keeps them in its
+    __dict__, which eq, hash, repr, astuple and replace never read; a Row
+    is frozen, so they cannot go stale. A row that has no texts yet has
+    its twelve cells checked first, in bulk; one of another type than Row
+    states raises the ValueError of _check_cells, with where (the report)
+    and the row index.
     """
     texts = [getattr(r, "_cell_texts", None) for r in rows]
     todo = [i for i, t in enumerate(texts) if t is None]
-    columns = [list(map(cell, map(rows.__getitem__, todo))) for cell in _number_getters]
-    if not _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(columns))):
-        todo = [i for i in todo if _NUMBER_TYPES.issuperset(map(type, _row_numbers(rows[i])))]
-        columns = [list(map(cell, map(rows.__getitem__, todo))) for cell in _number_getters]
+    fresh = list(map(rows.__getitem__, todo))
+    columns = [list(map(cell, fresh)) for cell in _number_getters]
+    if not (_NUMBER_TYPES.issuperset(map(type, chain.from_iterable(columns)))
+            and _LABEL_TYPES.issuperset(map(type, chain.from_iterable(map(_row_labels, fresh))))):
+        for i, r in zip(todo, fresh):
+            _check_cells({c: getattr(r, c) for c in CSV_COLUMNS}, f"{where} row {i}")
     columns = [list(map(repr, c)) if None not in c else ["" if v is None else repr(v) for v in c]
                for c in columns]
     for i, t in zip(todo, zip(*columns)):
@@ -503,90 +521,58 @@ def _csv_cells(cells) -> str:
     return buf.getvalue()[:-2]
 
 
-_CSV_HEADER = _csv_cells(CSV_COLUMNS)[:-1] + "\r\n"
+_CSV_HEADER = _csv_cells(CSV_COLUMNS)[:-1]
 
 
 def _label_texts(rows, known: dict, render) -> list:
     """render(labels) for each row, made once per distinct label triple.
-
-    known maps triples to texts for one writer call. Only triples of
-    strings go in, since cells of other types may be equal and spelled
-    apart, as 1 and 1.0 are.
-    """
+    known maps triples to texts for one writer call."""
     labels = list(map(_row_labels, rows))
     texts = list(map(known.get, labels))
     if None in texts:
-        for i, t in enumerate(texts):
-            if t is None:
-                t = known.get(labels[i])
-                if t is None:
-                    t = render(labels[i])
-                    if all(isinstance(v, str) for v in labels[i]):
-                        known[labels[i]] = t
-                texts[i] = t
+        for triple in set(labels).difference(known):
+            known[triple] = render(triple)
+        texts = list(map(known.__getitem__, labels))
     return texts
 
 
-def write_csv(reports, path_or_handle) -> None:
+def write_csv(reports, path) -> None:
     """One CSV with the shared column schema, reports concatenated.
 
-    path_or_handle is a path (str, bytes or os.PathLike) or an open text
-    handle. A line is the csv module's rendering of the row's three
-    labels, made once per label triple, then the number texts of
-    _cell_texts joined by commas: what csv.writer writes for an exact
-    int, float or None, and never quoted. A row with a number cell of any
-    other type (a str, a bool, a numpy scalar) is rendered by the csv
-    module. Each report is written in one piece.
+    path is a str, bytes or os.PathLike. A line is the csv module's
+    rendering of the row's three labels, made once per label triple,
+    then the number texts of _cell_texts joined by commas: what
+    csv.writer writes for an int, float or None, and never quoted. The
+    whole text is made before the file is opened.
     """
     if isinstance(reports, ConvergenceReport):
         reports = [reports]
-    own = isinstance(path_or_handle, (str, bytes, os.PathLike))
-    fh = open(path_or_handle, "w", newline="", encoding="utf-8") if own else path_or_handle
-    try:
-        fh.write(_CSV_HEADER)
-        prefixes = {}
-        for rep in reports:
-            rows = tuple(rep.rows)
-            texts = _cell_texts(rows)
-            if None in texts:  # an odd row's numbers as the csv module writes them, joined
-                texts = [t if t is not None else (_csv_cells(_row_numbers(r))[:-1],)
-                         for r, t in zip(rows, texts)]
-            lines = list(map(str.__add__, _label_texts(rows, prefixes, _csv_cells),
-                             map(",".join, texts)))
-            if lines:
-                lines.append("")
-                fh.write("\r\n".join(lines))
-    finally:
-        if own:
-            fh.close()
+    lines = [_CSV_HEADER]
+    prefixes = {}
+    for i, rep in enumerate(reports):
+        rows = tuple(rep.rows)
+        texts = _cell_texts(rows, f"report {i}")
+        lines += map(str.__add__, _label_texts(rows, prefixes, _csv_cells), map(",".join, texts))
+    lines.append("")
+    text = "\r\n".join(lines)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
 
 
-_JSON_NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
-_JSON_TEXT = {"": "null", **_JSON_NONFINITE}  # a number text as JSON spells it
-
-
-def _json_cell(v) -> str:
-    """A cell as json.dumps writes it in the payload: str and int
-    subclasses (bool among them) as they are, any other real (numpy
-    scalars) as its float value, the non-finite ones quoted."""
-    if v is None or isinstance(v, (str, int)):
-        return json.dumps(v)
-    text = float.__repr__(float(v))
-    return _JSON_NONFINITE.get(text, text)
-
-
+# a number text as JSON spells it
+_JSON_TEXT = {"": "null", "nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 _JSON_NUMBERS = ("".join(f",\n     {encode_basestring_ascii(c)}: %s" for c in _NUMBER_COLUMNS)
                  + "\n    }")
 
 
 def _json_template(labels) -> str:
     """A row's JSON with its labels in place and a %s for each number."""
-    head = ",\n".join(f"     {encode_basestring_ascii(c)}: {_json_cell(v)}"
+    head = ",\n".join(f"     {encode_basestring_ascii(c)}: {encode_basestring_ascii(v)}"
                       for c, v in zip(_LABEL_COLUMNS, labels))
     return "    {\n" + head.replace("%", "%%") + _JSON_NUMBERS
 
 
-def _report_json(rep: ConvergenceReport, templates: dict) -> str:
+def _report_json(rep: ConvergenceReport, templates: dict, where: str) -> str:
     """One report of the payload, indented for its place in the list."""
     header = json.dumps({
         "family": rep.family,
@@ -597,11 +583,7 @@ def _report_json(rep: ConvergenceReport, templates: dict) -> str:
         "notes": list(rep.notes),
     }, indent=1)
     rows = tuple(rep.rows)
-    texts = _cell_texts(rows)
-    if None in texts:  # odd rows as JSON spells them, which _JSON_TEXT leaves alone
-        texts = [t if t is not None else tuple(map(_json_cell, _row_numbers(r)))
-                 for r, t in zip(rows, texts)]
-    flat = list(chain.from_iterable(texts))
+    flat = list(chain.from_iterable(_cell_texts(rows, where)))
     # the JSON texts, taken back nine to a row
     numbers = zip(*[map(_JSON_TEXT.get, flat, flat)] * len(_NUMBER_COLUMNS))
     body = ",\n".join(map(str.__mod__, _label_texts(rows, templates, _json_template), numbers))
@@ -614,7 +596,8 @@ def write_json(reports, path) -> None:
     if isinstance(reports, ConvergenceReport):
         reports = [reports]
     templates = {}
-    body = ",\n".join([_report_json(r, templates) for r in reports])
+    body = ",\n".join([_report_json(r, templates, f"report {i}")
+                       for i, r in enumerate(reports)])
     text = f'{{\n "reports": [\n{body}\n ]\n}}\n' if body else '{\n "reports": []\n}\n'
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -626,24 +609,17 @@ _label_cells = operator.itemgetter(*_LABEL_COLUMNS)
 _number_cells = operator.itemgetter(*_NUMBER_COLUMNS)
 _DICT_TYPES = frozenset((dict,))
 _ROW_LENGTHS = frozenset((len(CSV_COLUMNS),))
-_LABEL_TYPES = frozenset((str,))
 _NONFINITE_IN = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 
 
 def _checked_row(d: dict, where: str) -> dict:
     """A row past the fast type test: map the non-finite strings to
     floats and reject any other cell of the wrong kind."""
-    out = {}
-    for col in CSV_COLUMNS:
-        v = d[col]
-        if col in _LABEL_COLUMNS:
-            if type(v) is not str:
-                raise ValueError(f"{where}: {col} is {v!r}, not a string")
-        elif type(v) not in _NUMBER_TYPES:
-            if not (isinstance(v, str) and v in _NONFINITE_IN):
-                raise ValueError(f"{where}: {col} is {v!r}, not a number")
-            v = _NONFINITE_IN[v]
-        out[col] = v
+    out = {col: d[col] for col in CSV_COLUMNS}
+    for col in _NUMBER_COLUMNS:
+        if type(out[col]) is str and out[col] in _NONFINITE_IN:
+            out[col] = _NONFINITE_IN[out[col]]
+    _check_cells(out, where)
     return out
 
 

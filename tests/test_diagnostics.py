@@ -384,19 +384,16 @@ def test_slope_identity_all_families(fam_classical, fam_minima_exp,
                 fam_coupon, fam_replacement):
         check = slope_identity_check(fam)
         assert check.ok, (fam.name, check)
-    with pytest.raises(ValueError):
-        slope_identity_check(fam_classical, h=0.1)
 
 
-def _csv_text(reports) -> str:
-    buf = io.StringIO()
-    write_csv(reports, buf)
-    return buf.getvalue()
+def _csv_text(reports, path) -> str:
+    write_csv(reports, path)
+    return path.read_bytes().decode("utf-8")
 
 
-def test_csv_shape(fam_minima_exp):
+def test_csv_shape(tmp_path, fam_minima_exp):
     report = ldp_probe(fam_minima_exp, [0.5], LD_GRID)
-    text = _csv_text(report)
+    text = _csv_text(report, tmp_path / "r.csv")
     lines = text.strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + len(report.rows)
@@ -406,13 +403,11 @@ def test_csv_shape(fam_minima_exp):
     assert float(first[11]) == 0.0
 
 
-def test_csv_renders_infinities(fam_minima_exp):
+def test_csv_renders_infinities(tmp_path, fam_minima_exp):
     report = ldp_probe(fam_minima_exp, [-0.5, 0.5], LD_GRID)
-    text = _csv_text(report)
-    assert "-inf" in text  # lower tail of a nonnegative variable
-    buf = io.StringIO()
-    write_csv([report, report], buf)
-    assert buf.getvalue().count(",".join(CSV_COLUMNS)) == 1
+    path = tmp_path / "r.csv"
+    assert "-inf" in _csv_text(report, path)  # lower tail of a nonnegative variable
+    assert _csv_text([report, report], path).count(",".join(CSV_COLUMNS)) == 1
 
 
 def test_json_round_trip(tmp_path, fam_replacement):
@@ -507,9 +502,6 @@ ODD_LABELS = ('Fréchet·μ=2 ∞', 'say "q"', "a,b", "back\\slash", 'all of ",\
 
 def _edge_rows():
     rows = [_row(**{col: v}) for col in CSV_COLUMNS[4:] for v in EDGE_NUMBERS]
-    rows += [_row(x=np.float64(0.1), log_p_exact=np.float64(-math.inf),
-                  residual=np.float64(math.nan), s_n=np.float64(-0.0)),
-             _row(n=True, log_p_mc=False)]
     rows += [_row(family=label, scaling=label) for label in ODD_LABELS]
     rows += [_row(n=10**30, x=-1e-300, log_p_mc=-1e300, stderr_log=0.0)]
     return rows
@@ -536,8 +528,6 @@ def _golden_cases(live):
                     family=ODD_LABELS[0]),
             _report([], notes=("no rows",)),
         ],
-        # equal labels spelled apart: 1 == 1.0 == True, but each has its own text
-        "number labels": [_report([_row(family=v, scaling=v) for v in (1, 1.0, True, "1")])],
     }
 
 
@@ -552,7 +542,8 @@ def _write_in_order(reports, order, path, name):
             write_json(reports, path)
             assert path.read_text(encoding="utf-8") == _ref_json_text(reports), (name, order)
         else:
-            assert _csv_text(reports) == _ref_csv_text(reports), (name, order)
+            assert _csv_text(reports, path.with_suffix(".csv")) == _ref_csv_text(reports), \
+                (name, order)
 
 
 def test_report_files_match_the_reference_rendering(tmp_path, fam_minima_exp,
@@ -567,7 +558,7 @@ def test_report_files_match_the_reference_rendering(tmp_path, fam_minima_exp,
         # hands them to write_csv
         bag = [SimpleNamespace(rows=sorted(live[0].rows + cases["edge rows"][0].rows,
                                            key=lambda r: (r.regime, r.n)))]
-        assert _csv_text(bag) == _ref_csv_text(bag), ("bag", order)
+        assert _csv_text(bag, tmp_path / "bag.csv") == _ref_csv_text(bag), ("bag", order)
         # reports read back from their file and written again
         write_json(live, path)
         _write_in_order(read_json(path), order, path, "read back")
@@ -576,8 +567,7 @@ def test_report_files_match_the_reference_rendering(tmp_path, fam_minima_exp,
 @given(cells=st.tuples(
     st.text(), st.text(max_size=4), st.text(),
     st.integers(min_value=-10**40, max_value=10**40),
-    *[st.one_of(st.none(), st.floats(), st.floats().map(np.float64),
-                st.integers(-10**20, 10**20))] * 8))
+    *[st.one_of(st.none(), st.floats(), st.integers(-10**20, 10**20))] * 8))
 @settings(max_examples=200, deadline=None)
 def test_report_files_match_the_reference_rendering_on_any_row(tmp_path_factory, cells):
     path = tmp_path_factory.mktemp("golden") / "r.json"
@@ -592,10 +582,8 @@ def _row_key(row):
 
 def test_json_round_trip_keeps_every_cell(tmp_path, fam_minima_exp, fam_replacement,
                                           fam_coupon):
-    plain = [r for r in _edge_rows() if all(type(v) in (str, int, float, type(None))
-                                            for v in dataclasses.astuple(r))]
     reports = (_live_reports(fam_minima_exp, fam_replacement, fam_coupon)
-               + [_report(plain, notes=("line one\nline two",))])
+               + [_report(_edge_rows(), notes=("line one\nline two",))])
     path = tmp_path / "r.json"
     write_json(reports, path)
     back = read_json(path)
@@ -606,6 +594,56 @@ def test_json_round_trip_keeps_every_cell(tmp_path, fam_minima_exp, fam_replacem
         assert (got.family, got.regime, got.scaling, got.verdict, got.tolerances,
                 got.notes) == (want.family, want.regime, want.scaling, want.verdict,
                                want.tolerances, want.notes)
+
+
+# Any cell a caller might hand the writers: the types Row states and the
+# near misses that pass for them (bool is an int, numpy scalars compare
+# and print like their Python counterparts).
+_ANY_CELL = st.one_of(
+    st.text(max_size=3), st.integers(-10**20, 10**20), st.floats(), st.none(),
+    st.booleans(), st.floats().map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64))
+
+
+def _cell_fault(cells, where):
+    """read_json's message for the first cell, in column order, of another
+    type than Row states; None for a row read_json gives back."""
+    for col, v in zip(CSV_COLUMNS, cells):
+        if col in CSV_COLUMNS[:3]:
+            if type(v) is not str:
+                return f"{where}: {col} is {v!r}, not a string"
+        elif type(v) not in (int, float, type(None)):
+            return f"{where}: {col} is {v!r}, not a number"
+    return None
+
+
+@given(cells=st.tuples(*[st.text(max_size=3)] * 3, *[st.floats()] * 9),
+       swaps=st.lists(st.tuples(st.integers(0, len(CSV_COLUMNS) - 1), _ANY_CELL),
+                      max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_writers_take_exactly_the_rows_read_json_reads(tmp_path_factory, cells, swaps):
+    cells = list(cells)
+    for col, v in swaps:
+        cells[col] = v
+    rows = [_row(), Row(*cells)]
+    reports = [_report([_row()]), _report(rows)]
+    fault = _cell_fault(cells, "report 1 row 1")
+    tmp = tmp_path_factory.mktemp("schema")
+    for write, name in ((write_csv, "r.csv"), (write_json, "r.json")):
+        if fault is None:
+            write(reports, tmp / name)
+            continue
+        old = tmp / ("old_" + name)
+        old.write_bytes(b"earlier bytes")
+        for path in (old, tmp / name):
+            with pytest.raises(ValueError) as err:
+                write(reports, path)
+            assert str(err.value) == fault
+        assert old.read_bytes() == b"earlier bytes" and not (tmp / name).exists()
+    if fault is None:
+        assert (tmp / "r.csv").read_bytes().decode("utf-8") == _ref_csv_text(reports)
+        back = read_json(tmp / "r.json")
+        assert [_row_key(r) for r in back[1].rows] == [_row_key(r) for r in rows]
 
 
 def _row_dict(**kw):
