@@ -45,7 +45,6 @@ from .families import (
     FamilySpec,
     RateFunction,
     ReplacementParams,
-    coupon_cdf_dp,
     coupon_threshold_pair,
     make_classical_sums,
     make_coupon,

@@ -24,7 +24,7 @@ column, or whose cells have the wrong kind, naming the file, the report
 index and, for a bad row, the row index. A report's family, regime,
 scaling and verdict must be strings, its notes a list of strings, and
 its tolerance factor and slack, where present, real numbers (not true or
-false).
+false). The writers refuse a report that read_json would refuse.
 """
 
 from __future__ import annotations
@@ -459,8 +459,8 @@ def slope_identity_check(fam: FamilySpec) -> SlopeIdentityReport:
 # Row keeps them, so a row written to both files formats each float once.
 # A CSV line is the prefix and the comma-joined texts. A JSON row fills
 # its template with the texts, null for None and the non-finite floats
-# quoted. A writer checks every cell's type first and opens no file for
-# reports with a row that read_json would refuse.
+# quoted. A writer checks every header and cell first and opens no file
+# for reports with a header or row that read_json would refuse.
 #
 # write_json's text is json.dumps(payload, indent=1) + "\n" byte for byte,
 # where payload holds each report's fields and its rows as dicts with the
@@ -574,14 +574,10 @@ def _json_template(labels) -> str:
 
 def _report_json(rep: ConvergenceReport, templates: dict, where: str) -> str:
     """One report of the payload, indented for its place in the list."""
-    header = json.dumps({
-        "family": rep.family,
-        "regime": rep.regime,
-        "scaling": rep.scaling,
-        "verdict": rep.verdict,
-        "tolerances": dict(rep.tolerances),
-        "notes": list(rep.notes),
-    }, indent=1)
+    header = {"family": rep.family, "regime": rep.regime, "scaling": rep.scaling,
+              "verdict": rep.verdict, "tolerances": dict(rep.tolerances), "notes": list(rep.notes)}
+    _check_header(header, where)
+    header = json.dumps(header, indent=1)
     rows = tuple(rep.rows)
     flat = list(chain.from_iterable(_cell_texts(rows, where)))
     # the JSON texts, taken back nine to a row
@@ -658,14 +654,11 @@ def _rows_in(rows: list, where: str) -> tuple:
     return tuple(out)
 
 
-def _report_in(d, where: str) -> ConvergenceReport:
-    if not isinstance(d, dict):
-        raise ValueError(f"{where}: not a report object")
-    missing = [k for k in _REPORT_KEYS if k not in d]
-    if missing:
-        raise ValueError(f"{where}: missing {', '.join(missing)}")
+def _check_header(d: dict, where: str) -> None:
+    """Raise read_json's ValueError for a report header it refuses. d holds
+    the header fields, and rows too when it is read; notes may be absent."""
     notes = d.get("notes", [])
-    if not (isinstance(d["tolerances"], dict) and isinstance(d["rows"], list)
+    if not (isinstance(d["tolerances"], dict) and isinstance(d.get("rows", []), list)
             and isinstance(notes, list)):
         raise ValueError(f"{where}: tolerances must be an object, rows and notes lists")
     for key in ("family", "regime", "scaling", "verdict"):
@@ -677,10 +670,19 @@ def _report_in(d, where: str) -> ConvergenceReport:
         v = d["tolerances"].get(key, 0.0)
         if type(v) not in (int, float):
             raise ValueError(f"{where}: tolerance {key} is {v!r}, not a number")
+
+
+def _report_in(d, where: str) -> ConvergenceReport:
+    if not isinstance(d, dict):
+        raise ValueError(f"{where}: not a report object")
+    missing = [k for k in _REPORT_KEYS if k not in d]
+    if missing:
+        raise ValueError(f"{where}: missing {', '.join(missing)}")
+    _check_header(d, where)
     return ConvergenceReport(
         family=d["family"], regime=d["regime"], scaling=d["scaling"],
         rows=_rows_in(d["rows"], where), tolerances=dict(d["tolerances"]),
-        verdict=d["verdict"], notes=tuple(notes),
+        verdict=d["verdict"], notes=tuple(d.get("notes", [])),
     )
 
 

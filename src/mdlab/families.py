@@ -34,8 +34,7 @@ by all. Deep in the lower tail, where it cannot certify, a tilted Fourier
 inversion with its own computed bound answers; it keeps no state, and
 its grid, hence its time and memory, follows from (n, m) alone. The
 tests check both against the integer inclusion-exclusion in
-tests/reference_oracles.py; coupon_cdf_dp, a convolution program that
-only its own tests call, is the one coupon evaluator off this path.
+tests/reference_oracles.py.
 
 Every family is built by _family from list-native tails: the record's
 exact tails take one level or a list of levels, a float level giving the
@@ -63,10 +62,10 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-# only coupon_cdf_dp, which no caller but its own tests reaches, uses
-# lfilter; perfbench/run.py requires `import mdlab` to load scipy.signal,
-# so the import stays until that check changes
-from scipy.signal import lfilter
+# nothing in mdlab uses scipy.signal; the line stays only because two checks
+# need `import mdlab` to load it, and goes with them: perfbench/run.py's
+# IMPORT_MODULES in traced runs and tests/test_cli.py's import set check
+import scipy.signal  # noqa: F401
 from scipy.special import cosdg, log_ndtr, ndtr, ndtri, sindg
 
 from .distributions import (
@@ -497,9 +496,6 @@ def make_gumbel_maxima(dist: Distribution) -> FamilySpec:
 # coupon collection time
 
 
-_DP_CELL_BUDGET = 10 ** 9
-_DP_RESCALE_FLOOR = 1e-280
-_DP_FLUSH = np.finfo(float).tiny  # smallest normal double
 # the series is used where its rounding bound certifies this relative error
 _SERIES_TARGET = 1e-10
 _U = 2.0 ** -53  # unit roundoff
@@ -662,10 +658,12 @@ def _log_chernoff(n: int, m: int, lam: float, a: int) -> float:
 
 def _clog1p(v: np.ndarray, err_v) -> tuple[np.ndarray, np.ndarray]:
     """Complex log(1 + v), |v| <= 1, and its first-order error given err_v."""
-    out, small = np.log(1.0 + v), np.abs(v) < 0.5
+    one_v, small = 1.0 + v, np.abs(v) < 0.5
+    out = np.empty_like(one_v)
     x, y = v[small].real, v[small].imag
     out[small] = 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
-    d = np.abs(1.0 + v)
+    out[~small] = np.log(one_v[~small])  # the plain log only where |v| >= 0.5
+    d = np.abs(one_v)
     err = np.where(small, 9 * _U * np.abs(v) / d ** 2, 10 * _U + _U / d)
     return out, err + 2 * _ULP * np.abs(out) + err_v / d
 
@@ -756,34 +754,6 @@ def _coupon_tilt(n: int, m: int) -> tuple[float, float]:
     return min(value, 0.0), bound
 
 
-def _coupon_dp(n: int, top: int) -> tuple[np.ndarray, float]:
-    """Cumulative pmf of T_n on 0..top plus the log of the row rescale.
-
-    P(S_k = m) = p_k P(S_{k-1} = m-1) + (1-p_k) P(S_k = m-1), one lfilter
-    pass per new coupon. A row whose maximum falls below 1e-280 is
-    rescaled; entries below the smallest normal double are zeroed after
-    every stage, because subnormal arithmetic is what makes the pass slow.
-    """
-    if n * (top + 1) > _DP_CELL_BUDGET:
-        raise ValueError(
-            f"coupon table n={n}, m={top} exceeds the n*m <= 1e9 cell budget")
-    row = np.zeros(top + 1)
-    row[1] = 1.0  # the first coupon always lands on draw one
-    log_scale = 0.0
-    shifted = np.empty_like(row)
-    for k in range(2, n + 1):
-        p = (n - k + 1) / n
-        shifted[0] = 0.0
-        shifted[1:] = row[:-1]
-        row = lfilter([p], [1.0, -(1.0 - p)], shifted)
-        mx = row.max()
-        if 0.0 < mx < _DP_RESCALE_FLOOR:
-            row /= mx
-            log_scale += math.log(mx)
-        row[row < _DP_FLUSH] = 0.0
-    return np.cumsum(row), log_scale
-
-
 def _coupon_log_cdf(n: int, m: list) -> list:
     """log P(T_n <= m) for each of a list of m, n >= 2: the series where
     its bound certifies 1e-10, else _coupon_tilt where its bound does, else
@@ -831,19 +801,6 @@ def _coupon_log_sf(n: int, m: list) -> list:
     for i, log_p in zip(missed, _coupon_log_cdf(n, [ms[i] for i in missed])):
         out[i] = stable_log_complement(log_p)
     return out
-
-
-def coupon_cdf_dp(n: int, m: int) -> float:
-    """P(T_n <= m) by the exact convolution dynamic program, built at
-    exactly m and not cached."""
-    n, m = _check_n(n, 1, None, "coupon collection"), int(m)
-    if m < n:
-        return 0.0
-    cum, log_scale = _coupon_dp(n, m)
-    s = float(cum[m])
-    if s <= 0.0:
-        return 0.0
-    return math.exp(math.log(min(s, 1.0)) if log_scale == 0.0 else math.log(s) + log_scale)
 
 
 def coupon_threshold_pair(n: int, x: float) -> tuple[int, int]:

@@ -30,8 +30,7 @@ def coupon_cdf_inclusion_exclusion(n: int, m: int) -> float:
 
     Evaluated in integer arithmetic, so the alternating cancellation is
     lossless and the only rounding is the final conversion to float. A
-    cell budget keeps the big-integer work bounded; coupon_cdf_dp is the
-    reference beyond it.
+    cell budget, n*m <= 1e7, keeps the big-integer work bounded.
     """
     n, m = int(n), int(m)
     if n < 1:
@@ -41,7 +40,7 @@ def coupon_cdf_inclusion_exclusion(n: int, m: int) -> float:
     if n * m > _IE_CELL_BUDGET:
         raise ValueError(
             f"inclusion-exclusion cross-check budget is n*m <= 1e7, "
-            f"got n={n}, m={m}; use coupon_cdf_dp")
+            f"got n={n}, m={m}")
     return float(Fraction(surjection_count(n, m), n ** m))
 
 

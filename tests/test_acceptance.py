@@ -14,7 +14,6 @@ import pytest
 from mdlab import (
     ScalingRejectedError,
     characteristic_level,
-    coupon_cdf_dp,
     coupon_threshold_pair,
     declared_profile,
     ell_probe,
@@ -32,6 +31,7 @@ from mdlab import (
     weak_probe,
     weak_sup_distances,
 )
+from mdlab.families import _coupon_log_cdf
 from reference_oracles import (
     coupon_cdf_inclusion_exclusion,
     coupon_tail_bounds,
@@ -127,17 +127,22 @@ def test_criterion_04_gumbel_maxima_regimes(fam_gumbel_weibull2):
     _finish(4, "Gumbel maxima regimes", 10.0, t0, problems)
 
 
+def _coupon_cdf(n: int, m: int) -> float:
+    """P(T_n <= m) from the package's coupon evaluator."""
+    return math.exp(_coupon_log_cdf(n, [m])[0])
+
+
 def test_criterion_05_coupon_oracles():
     t0 = time.monotonic()
     problems = []
     for n in (2, 3, 5, 10, 30, 60):
         m_grid = sorted({n, n + 1, math.ceil(1.5 * n), 3 * n, 5 * n, 10 * n, 20 * n})
         for m in m_grid:
-            gap = abs(coupon_cdf_dp(n, m) - coupon_cdf_inclusion_exclusion(n, m))
+            gap = abs(_coupon_cdf(n, m) - coupon_cdf_inclusion_exclusion(n, m))
             if gap > 1e-9:
-                problems.append(f"DP vs IE at n={n} m={m}: gap {gap:.3e}")
+                problems.append(f"mdlab vs IE at n={n} m={m}: gap {gap:.3e}")
     for n, m, expect in ((3, 3, 2.0 / 9.0), (2, 3, 3.0 / 4.0)):
-        for label, fn in (("DP", coupon_cdf_dp), ("IE", coupon_cdf_inclusion_exclusion)):
+        for label, fn in (("mdlab", _coupon_cdf), ("IE", coupon_cdf_inclusion_exclusion)):
             got = fn(n, m)
             if abs(got - expect) > 1e-12:
                 problems.append(f"{label}({n},{m}) = {got!r}, expected {expect!r}")

@@ -184,8 +184,8 @@ def test_report_rejects_a_malformed_report(tmp_path, capsys, payload, message):
 def test_python_m_mdlab_runs_without_warnings():
     # -X importtime also pins what perfbench/run.py's import_times needs:
     # `import mdlab` loads scipy.signal and mdlab.cli, or the benchmark
-    # stops. The ROADMAP step that moves the scipy.signal import out of
-    # module level deletes this check together with that import.
+    # stops. Nothing in mdlab uses scipy.signal any more: the ROADMAP step
+    # that drops its import from families.py drops this set check with it.
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")

@@ -646,6 +646,30 @@ def test_writers_take_exactly_the_rows_read_json_reads(tmp_path_factory, cells, 
         assert [_row_key(r) for r in back[1].rows] == [_row_key(r) for r in rows]
 
 
+@pytest.mark.parametrize("header,message", [
+    ({"verdict": 1}, "report 0: verdict is 1, not a string"),
+    ({"notes": (1,)}, "report 0: notes are [1], not a list of strings"),
+    ({"tolerances": {"factor": True}}, "report 0: tolerance factor is True, not a number"),
+    ({"family": None}, "report 0: family is None, not a string"),
+], ids=["verdict", "notes", "tolerances", "family"])
+def test_write_json_refuses_a_header_read_json_refuses(tmp_path, header, message):
+    report = dataclasses.replace(_report([_row()]), **header)
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_bytes(b"earlier bytes")
+    for path in (old, new):
+        with pytest.raises(ValueError) as err:
+            write_json([report], path)
+        assert str(err.value) == message
+    assert old.read_bytes() == b"earlier bytes" and not new.exists()
+    # read_json refuses the same header in the same words
+    stored = tmp_path / "stored.json"
+    fields = {k: list(v) if k == "notes" else v for k, v in header.items()}
+    stored.write_text(json.dumps(_payload([_row_dict()], **fields)))
+    with pytest.raises(ValueError) as err:
+        read_json(stored)
+    assert str(err.value) == f"{stored}: {message}"
+
+
 def _row_dict(**kw):
     d = {k: _ref_num_out(v) for k, v in dataclasses.asdict(_row()).items()}
     d.update(kw)

@@ -19,7 +19,6 @@ from scipy.special import ndtri
 from mdlab import (
     ReplacementParams,
     SpecParseError,
-    coupon_cdf_dp,
     coupon_threshold_pair,
     exponential,
     lognormal,
@@ -259,28 +258,33 @@ FROZEN_COUPON = [
 ]
 
 
+def _coupon_cdf(n, m):
+    """P(T_n <= m) from the package's coupon evaluator."""
+    return math.exp(families._coupon_log_cdf(n, [m])[0])
+
+
 @pytest.mark.parametrize("n,m,prob", FROZEN_COUPON)
 def test_coupon_cdf_frozen_fractions(n, m, prob):
-    assert coupon_cdf_dp(n, m) == pytest.approx(float(prob), rel=1e-14)
+    assert _coupon_cdf(n, m) == pytest.approx(float(prob), rel=1e-14)
     assert coupon_cdf_inclusion_exclusion(n, m) == pytest.approx(float(prob), rel=1e-15)
 
 
 def test_coupon_cdf_edge_cases():
-    assert coupon_cdf_dp(3, 2) == 0.0
-    assert coupon_cdf_dp(1, 1) == 1.0
+    # fewer draws than coupons cannot collect them all; exactly n draws do
+    # with probability n!/n^n
+    assert families._coupon_log_cdf(3, [2, 3])[0] == -math.inf
+    assert _coupon_cdf(3, 3) == pytest.approx(coupon_cdf_inclusion_exclusion(3, 3), rel=1e-14)
+    assert coupon_cdf_inclusion_exclusion(3, 2) == 0.0
     assert coupon_cdf_inclusion_exclusion(1, 5) == 1.0
-    for reference in (coupon_cdf_dp, coupon_cdf_inclusion_exclusion):
-        with pytest.raises(ValueError, match="^coupon collection needs n >= 1, got 0$"):
-            reference(0, 1)
-    with pytest.raises(ValueError):
-        coupon_cdf_dp(3, 10**9)  # over the cell budget
+    with pytest.raises(ValueError, match="^coupon collection needs n >= 1, got 0$"):
+        coupon_cdf_inclusion_exclusion(0, 1)
 
 
 @given(n=st.integers(min_value=2, max_value=25), k=st.integers(min_value=0, max_value=30))
 @settings(max_examples=60, deadline=None)
 def test_coupon_dp_matches_inclusion_exclusion(n, k):
     m = n + k
-    assert coupon_cdf_dp(n, m) == pytest.approx(
+    assert _coupon_cdf(n, m) == pytest.approx(
         coupon_cdf_inclusion_exclusion(n, m), rel=1e-9, abs=1e-300)
 
 
@@ -557,12 +561,12 @@ def test_coupon_tilt_chunks_agree_with_one_pass(n, m, monkeypatch):
 
 
 def test_coupon_cdf_dp_below_the_normal_range_of_its_neighbours():
-    # probabilities between 1e-308 and 1e-290: the plain DP rescales its
-    # row and keeps them to full relative accuracy
+    # probabilities between 1e-308 and 1e-290, compared in log form: the
+    # evaluator keeps them to full relative accuracy
     for n, m in ((700, 700), (1000, 1125)):
         ref = coupon_cdf_inclusion_exclusion(n, m)
         assert 1e-308 < ref < 1e-290
-        assert coupon_cdf_dp(n, m) == pytest.approx(ref, rel=1e-12)
+        assert families._coupon_log_cdf(n, [m])[0] == pytest.approx(math.log(ref), abs=1e-12)
 
 
 def test_coupon_upper_tail_at_large_n_stops_early():

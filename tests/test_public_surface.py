@@ -15,10 +15,6 @@ import mdlab
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# a test reference still in src/: its lfilter import is what `import mdlab`
-# must load for perfbench/run.py, so it leaves together with that check
-TEST_ONLY = {"coupon_cdf_dp"}
-
 
 def _references(tree: ast.AST, skip: frozenset = frozenset()) -> set:
     names = set()
@@ -56,6 +52,5 @@ def _reached() -> set:
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    assert TEST_ONLY <= set(mdlab.__all__), "drop an exception that left the package"
-    unreached = set(mdlab.__all__) - _reached() - TEST_ONLY
+    unreached = set(mdlab.__all__) - _reached()
     assert not unreached, f"public names only tests reach: {sorted(unreached)}"
