@@ -9,17 +9,10 @@ import argparse
 import os
 
 from mdlab import (
-    ReplacementParams,
     boundary_regimes,
-    exponential,
     ldp_probe,
-    make_classical_sums,
-    make_coupon,
-    make_gumbel_maxima,
-    make_minima,
-    make_replacement,
     md_probe,
-    parse_dist_spec,
+    parse_family_spec,
     power_scaling,
     weak_probe,
     weak_sup_distances,
@@ -31,20 +24,19 @@ from mdlab import (
 # skips n=2, where the integer draw threshold sits exactly on the event
 # and the residual starts at zero before settling into its decay.
 RUNS = [
-    (make_classical_sums(1.0), (0.5, 1.0),
+    (parse_family_spec("classical:sigma=1"), (0.5, 1.0),
      (1000, 10**4, 10**5, 10**6), (1000, 10**4, 10**5, 10**6),
      (100, 10**4, 10**6)),
-    (make_minima(exponential(1.0)), (0.5, 1.0),
+    (parse_family_spec("minima:exponential:1"), (0.5, 1.0),
      (100, 1000, 10**4, 10**5), (100, 1000, 10**4, 10**5),
      (100, 10**4)),
-    (make_gumbel_maxima(parse_dist_spec("weibull:2")), (0.5, 1.0),
+    (parse_family_spec("gumbel_maxima:weibull:2"), (0.5, 1.0),
      (1000, 10**4, 10**5, 10**6), (1000, 10**4, 10**5, 10**6),
      (1000, 10**5)),
-    (make_coupon(), (0.5, 1.0),
+    (parse_family_spec("coupon"), (0.5, 1.0),
      (20, 200, 2000, 20000), (2, 20, 200, 2000),
      (50, 200, 1000)),
-    (make_replacement(ReplacementParams(exponential(1.0), exponential(2.0),
-                                        t=1.0, beta=0.4)),
+    (parse_family_spec("replacement:exponential:1,exponential:2,t=1,beta=0.4"),
      (0.5, 1.0), (10, 100, 1000, 10**4), (10, 100, 1000, 10**4),
      (100, 10**4)),
 ]

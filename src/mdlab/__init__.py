@@ -44,7 +44,6 @@ from .rvtoolkit import (
 from .families import (
     FamilySpec,
     RateFunction,
-    ReplacementParams,
     coupon_threshold_pair,
     make_classical_sums,
     make_coupon,
@@ -52,8 +51,6 @@ from .families import (
     make_minima,
     make_replacement,
     parse_family_spec,
-    power_tail_rate,
-    shift_rate,
 )
 from .scalings import (
     BoundaryRegime,

@@ -214,11 +214,12 @@ def _write_outputs(report: ConvergenceReport, cfg: RunConfig) -> None:
 
 
 def cmd_verify(args) -> int:
-    cfg = _merged_config(args, args.regime).normalized()
+    cfg = _merged_config(args, args.regime)
     fam = parse_family_spec(cfg.family)
+    scaling = None if cfg.scaling is None else parse_scaling_spec(cfg.scaling)
     if not cfg.n_list:
         raise ValueError("no sample sizes given (use --n or config n_list)")
-    if cfg.regime != "md" and cfg.scaling is not None:
+    if cfg.regime != "md" and scaling is not None:
         raise ValueError("--scaling only applies to the md regime")
     if cfg.regime != "weak" and cfg.grid is not None:
         raise ValueError("--grid only applies to the weak regime")
@@ -233,9 +234,8 @@ def cmd_verify(args) -> int:
         if not cfg.x_list:
             raise ValueError(f"{cfg.regime} verification needs --x thresholds")
         if cfg.regime == "md":
-            if cfg.scaling is None:
+            if scaling is None:
                 raise ValueError("md verification needs --scaling")
-            scaling = parse_scaling_spec(cfg.scaling)
             report = md_probe(fam, scaling, cfg.x_list, cfg.n_list,
                               trials=cfg.trials, seed=cfg.seed,
                               partitions=cfg.partitions, tol_factor=cfg.tol_factor)

@@ -44,7 +44,9 @@ against the family's least_n and max_n.
 The non-central moderate rates are linear on each side of 0 (x for the
 Gumbel maxima and the coupon, F'(0+) x for the minima, two slopes for
 replacement), so each is built by _linear_rate from its two slopes, which
-the rate stores for slope_identity_check. The Gumbel maxima family takes
+the rate stores for slope_identity_check. The Gumbel maxima's
+large-deviation rate J(1 + x) = ((1 + x)^mu - 1)/mu is built by
+_gumbel_ld_rate from the tail index mu. The Gumbel maxima family takes
 m_n and h_n from rvtoolkit's characteristic_level and normalizing_rate on
 every call and keeps no state.
 
@@ -107,7 +109,6 @@ class RateFunction:
     """
 
     fn: Callable[[float], float] = field(repr=False)
-    domain_note: str = ""
     right_slope_at_zero: float = math.nan
     left_slope_at_zero: float = math.nan
 
@@ -132,32 +133,19 @@ def _linear_rate(right: float, left: float) -> RateFunction:
             return left * x
         return 0.0
 
-    return RateFunction(fn=fn, domain_note=f"slope {right!r} above 0, {left!r} below",
-                        right_slope_at_zero=right, left_slope_at_zero=left)
+    return RateFunction(fn=fn, right_slope_at_zero=right, left_slope_at_zero=left)
 
 
-def shift_rate(rate: RateFunction, c: float) -> RateFunction:
-    """The rate x -> rate(x + c)."""
-    base = rate.fn
-    return RateFunction(fn=lambda x: base(x + c),
-                        domain_note=f"{rate.domain_note} shifted left by {c!r}")
-
-
-def power_tail_rate(mu: float) -> RateFunction:
-    """J(y) = (y^mu - 1)/mu on [1, inf), +inf below 1.
-
-    This is the rate of the ratio statistic before recentering; the
-    maxima family shifts it by 1.
-    """
-    if not mu > 0.0:
-        raise ValueError(f"power tail rate needs mu > 0, got {mu}")
-
-    def fn(y: float) -> float:
+def _gumbel_ld_rate(mu: float) -> RateFunction:
+    """x -> J(1 + x), J(y) = (y^mu - 1)/mu on [1, inf) and +inf below 1: the
+    large-deviation rate of C_n = M_n / m_n - 1 for a tail of index mu > 0."""
+    def fn(x: float) -> float:
+        y = x + 1.0
         if y < 1.0:
             return math.inf
         return (y ** mu - 1.0) / mu
 
-    return RateFunction(fn=fn, domain_note="(y^mu - 1)/mu on [1, inf)")
+    return RateFunction(fn=fn)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +334,7 @@ def make_classical_sums(sigma: float = 1.0) -> FamilySpec:
     def quad(x: float) -> float:
         return x * x / two_var
 
-    rate = RateFunction(fn=quad, domain_note="x^2 / (2 sigma^2) on all reals")
+    rate = RateFunction(fn=quad)
 
     def log_upper(n: int, x: float) -> float:
         return float(log_ndtr(-x * math.sqrt(n) / sigma))
@@ -424,8 +412,7 @@ def make_minima(dist: Distribution) -> FamilySpec:
         label=f"minima:{render_dist_spec(dist)}",
         central=False,
         speed=lambda n: float(n),
-        rate_ld=RateFunction(fn=rate_ld_fn,
-                             domain_note="-log sf(x) on [0, omega), +inf elsewhere"),
+        rate_ld=RateFunction(fn=rate_ld_fn),
         rate_md=_linear_rate(slope0, -math.inf),
         limit_cdf=limit_cdf,
     )
@@ -486,7 +473,7 @@ def make_gumbel_maxima(dist: Distribution) -> FamilySpec:
         label=f"gumbel_maxima:{render_dist_spec(dist)}",
         central=False,
         speed=speed,
-        rate_ld=shift_rate(power_tail_rate(mu), 1.0),
+        rate_ld=_gumbel_ld_rate(mu),
         rate_md=_linear_rate(1.0, -math.inf),
         limit_cdf=lambda x: math.exp(-math.exp(-x)),
     )
@@ -937,9 +924,9 @@ def make_coupon() -> FamilySpec:
 # replacement lifetimes
 
 
-@dataclass(frozen=True)
-class ReplacementParams:
-    """Inputs of the replace-at-t lifetime model.
+def make_replacement(F: Distribution, G: Distribution, t: float,
+                     beta: float) -> FamilySpec:
+    """C_n = Z_n - t for the age-n replacement lifetime; v_n = n.
 
     A unit is renewed at age t with probability beta (its age then
     resets through the conditioned lower law F^n on [0, t]) and survives
@@ -947,44 +934,30 @@ class ReplacementParams:
     one-sided slopes F'(t-) and G'(t+), which drive the moderate rate and
     the weak limit, are the catalog densities F.pdf(t) and G.pdf(t); both
     must be finite and positive.
-    """
-
-    F: Distribution
-    G: Distribution
-    t: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "beta", float(self.beta))
-        if not (math.isfinite(self.t) and self.t > 0.0):
-            raise ValueError(f"replacement age t must be positive, got {self.t}")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        for which, d in (("F", self.F), ("G", self.G)):
-            if d.support[0] != 0.0:
-                raise ValueError(
-                    f"{which} must be supported on [0, ...), got {d.name} "
-                    f"on [{d.support[0]}, {d.support[1]}]")
-        if not 0.0 < self.F.cdf(self.t) < 1.0:
-            raise ValueError(f"F must be strictly between 0 and 1 at t={self.t}")
-        if not 0.0 < self.G.cdf(self.t) < 1.0:
-            raise ValueError(f"G must be strictly between 0 and 1 at t={self.t}")
-        for which, d in (("F", self.F), ("G", self.G)):
-            slope = d.pdf(self.t)
-            if not (math.isfinite(slope) and slope > 0.0):
-                raise ValueError(f"{which}'(t) must be finite and positive, got {slope}")
-
-
-def make_replacement(params: ReplacementParams) -> FamilySpec:
-    """C_n = Z_n - t for the age-n replacement lifetime; v_n = n.
 
     P(Z_n <= z) = beta (F(z)/F(t))^n below t and
     1 - (1-beta)(sf_G(z)/sf_G(t))^n above it, so P(C_n <= 0) = beta at
     every n and both tails are one log-ratio away from F and G. The
     moderate regime additionally needs a_n log n -> 0.
     """
-    F, G, t, beta = params.F, params.G, params.t, params.beta
+    t, beta = float(t), float(beta)
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"replacement age t must be positive, got {t}")
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    for which, d in (("F", F), ("G", G)):
+        if d.support[0] != 0.0:
+            raise ValueError(
+                f"{which} must be supported on [0, ...), got {d.name} "
+                f"on [{d.support[0]}, {d.support[1]}]")
+    if not 0.0 < F.cdf(t) < 1.0:
+        raise ValueError(f"F must be strictly between 0 and 1 at t={t}")
+    if not 0.0 < G.cdf(t) < 1.0:
+        raise ValueError(f"G must be strictly between 0 and 1 at t={t}")
+    for which, d in (("F", F), ("G", G)):
+        slope = d.pdf(t)
+        if not (math.isfinite(slope) and slope > 0.0):
+            raise ValueError(f"{which}'(t) must be finite and positive, got {slope}")
     log_f_t = F.log_cdf(t)
     log_sfg_t = G.log_sf(t)
     log_beta = math.log(beta)
@@ -1039,9 +1012,7 @@ def make_replacement(params: ReplacementParams) -> FamilySpec:
         label=label,
         central=False,
         speed=lambda n: float(n),
-        rate_ld=RateFunction(
-            fn=rate_ld_fn,
-            domain_note="log-ratio of F below t, of sf_G above; +inf at and below -t"),
+        rate_ld=RateFunction(fn=rate_ld_fn),
         rate_md=_linear_rate(slope_right, -slope_left),
         limit_cdf=limit_cdf,
         md_needs_alogn=True,
@@ -1098,12 +1069,8 @@ def parse_family_spec(spec: str) -> FamilySpec:
             if extra or set(kvs) != {"t", "beta"}:
                 raise SpecParseError(
                     f"replacement needs t=<v> and beta=<v>, got {sorted(kvs)} in {spec!r}")
-            return make_replacement(ReplacementParams(
-                F=parse_dist_spec(dists[0]),
-                G=parse_dist_spec(dists[1]),
-                t=float(kvs["t"]),
-                beta=float(kvs["beta"]),
-            ))
+            return make_replacement(parse_dist_spec(dists[0]), parse_dist_spec(dists[1]),
+                                    float(kvs["t"]), float(kvs["beta"]))
     except SpecParseError:
         raise
     except (ValueError, TypeError) as exc:

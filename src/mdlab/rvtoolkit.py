@@ -313,8 +313,8 @@ class LemmaBattery:
         return self.mda_ok and all(c.ok for c in self.checks)
 
 
-def _trend_down(values, slack: float = 1e-12) -> bool:
-    return all(b <= a + slack for a, b in zip(values, values[1:]))
+def _trend_down(values) -> bool:
+    return all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
 def lemma_battery(dist: Distribution) -> LemmaBattery:

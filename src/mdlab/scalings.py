@@ -126,18 +126,13 @@ class ConditionCheck:
     """
 
     name: str
-    direction: str
     ok: bool
     method: str
-    first: float
-    last: float
 
 
 @dataclass(frozen=True)
 class ScalingReport:
     label: str
-    n_first: int
-    n_last: int
     cond_a_to_0: ConditionCheck
     cond_av_to_inf: ConditionCheck
     cond_alogn_to_0: Optional[ConditionCheck] = None
@@ -163,8 +158,7 @@ def _trend_check(name: str, direction: str, values: list[float],
             ok = all(b < a for a, b in zip(values, values[1:]))
         else:
             ok = all(b > a for a, b in zip(values, values[1:]))
-    return ConditionCheck(name=name, direction=direction, ok=ok, method=method,
-                          first=values[0], last=values[-1])
+    return ConditionCheck(name=name, ok=ok, method=method)
 
 
 def validate(scaling: ScalingFamily, fam, n_range) -> ScalingReport:
@@ -208,9 +202,7 @@ def validate(scaling: ScalingFamily, fam, n_range) -> ScalingReport:
         label = render_scaling_spec(scaling)
     except ValueError:
         label = "table:<inline>"
-    return ScalingReport(label=label,
-                         n_first=ns[0], n_last=ns[-1],
-                         cond_a_to_0=cond_a, cond_av_to_inf=cond_av,
+    return ScalingReport(label=label, cond_a_to_0=cond_a, cond_av_to_inf=cond_av,
                          cond_alogn_to_0=cond_alogn)
 
 

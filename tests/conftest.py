@@ -1,7 +1,6 @@
 import pytest
 
 from mdlab import (
-    ReplacementParams,
     exponential,
     make_classical_sums,
     make_coupon,
@@ -40,5 +39,4 @@ def fam_coupon():
 
 @pytest.fixture(scope="session")
 def fam_replacement():
-    params = ReplacementParams(exponential(1.0), exponential(2.0), t=1.0, beta=0.4)
-    return make_replacement(params)
+    return make_replacement(exponential(1.0), exponential(2.0), t=1.0, beta=0.4)

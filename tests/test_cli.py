@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from mdlab import cli
 from mdlab.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE, RunConfig, main
 from mdlab.diagnostics import default_weak_grid
 from mdlab.families import parse_family_spec
@@ -296,6 +297,60 @@ def test_config_numbers_take_what_the_flags_take():
 ])
 def test_usage_errors_exit_one(argv, capsys):
     assert main(argv) == EXIT_USAGE
+    capsys.readouterr()
+
+
+_N = ["--n", "1e2,1e3,1e4,1e5"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "ld", "--family", "replacement:exponential:1e9,exponential:2,t=1,beta=0.4",
+      "--x", "0.5"] + _N, "F must be strictly between 0 and 1 at t=1.0"),
+    (["verify", "ld", "--family", "replacement:exponential:1,exponential:1e9,t=1,beta=0.4",
+      "--x", "0.5"] + _N, "G must be strictly between 0 and 1 at t=1.0"),
+    # the Weibull(1e-300) density underflows to 0 at t = 1e24, where its
+    # cdf is 1 - 1/e
+    (["verify", "ld", "--family",
+      "replacement:weibull:1e-300,exponential:1e-24,t=1e24,beta=0.4", "--x", "0.5"] + _N,
+     "F'(t) must be finite and positive, got 0.0"),
+    (["verify", "ld", "--family",
+      "replacement:exponential:1e-24,weibull:1e-300,t=1e24,beta=0.4", "--x", "0.5"] + _N,
+     "G'(t) must be finite and positive, got 0.0"),
+    (["verify", "ld", "--family", "replacement:exponential:1,t=1,beta=0.4", "--x", "0.5"] + _N,
+     "replacement needs two distribution parts, got ['exponential:1']"),
+    (["verify", "ld", "--family", "classical:mu=1", "--x", "0.5"] + _N,
+     "classical takes sigma=<v>, got 'mu=1'"),
+    (["verify", "ld", "--family", "gumbel_maxima", "--x", "0.5"] + _N,
+     "gumbel_maxima needs a distribution part"),
+    (["verify", "ld", "--family", "coupon", "--scaling", "pow:0.5", "--x", "0.5"] + _N,
+     "--scaling only applies to the md regime"),
+    (["verify", "ld", "--family", "coupon", "--x=,"] + _N, "empty number list in x_list"),
+    (["verify", "ld", "--config", "{list}"], "{list}: config must be a JSON object"),
+    (["verify", "md", "--family", "coupon", "--scaling", "table:{list}", "--x", "0.5"] + _N,
+     "table file '{list}' must hold an object mapping n to a_n"),
+])
+def test_input_checks_exit_one_with_their_message(argv, message, tmp_path, capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    argv = [arg.replace("{list}", str(listed)) for arg in argv]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("mdlab: ") and err.count("\n") == 1, err
+    assert message.replace("{list}", str(listed)) in err, err
+
+
+def test_verify_parses_each_spec_once(tmp_path, monkeypatch, capsys):
+    # a table: scaling file is read once per run, and so is the family spec
+    table = tmp_path / "a.json"
+    table.write_text(json.dumps({str(10 ** k): 10.0 ** (-k / 2) for k in (2, 3, 4, 5)}))
+    calls = []
+    for name in ("parse_family_spec", "parse_scaling_spec"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda spec, real=real, name=name:
+                            calls.append(name) or real(spec))
+    assert main(["verify", "md", "--family", "classical:sigma=1", "--scaling",
+                 f"table:{table}", "--x", "0.5", "--n", "1e2,1e3,1e4,1e5"]) == EXIT_PASS
+    assert calls == ["parse_family_spec", "parse_scaling_spec"]
     capsys.readouterr()
 
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from mdlab import (
-    ReplacementParams,
     SpecParseError,
     coupon_threshold_pair,
     exponential,
@@ -28,8 +27,6 @@ from mdlab import (
     make_minima,
     make_replacement,
     parse_family_spec,
-    power_tail_rate,
-    shift_rate,
     std_normal,
     uniform01,
     weibull,
@@ -633,13 +630,13 @@ def test_replacement_limit_is_two_sided_exponential(fam_replacement):
 def test_replacement_params_validation():
     F, G = exponential(1.0), exponential(2.0)
     with pytest.raises(ValueError):
-        ReplacementParams(F, G, t=0.0, beta=0.4)
+        make_replacement(F, G, t=0.0, beta=0.4)
     with pytest.raises(ValueError):
-        ReplacementParams(F, G, t=1.0, beta=1.0)
+        make_replacement(F, G, t=1.0, beta=1.0)
     with pytest.raises(ValueError):
-        ReplacementParams(F, G, t=1.0, beta=-0.1)
+        make_replacement(F, G, t=1.0, beta=-0.1)
     with pytest.raises(ValueError):
-        ReplacementParams(std_normal(), G, t=1.0, beta=0.4)
+        make_replacement(std_normal(), G, t=1.0, beta=0.4)
 
 
 def test_replacement_sampler_tracks_exact_cdf(fam_replacement):
@@ -1010,16 +1007,17 @@ def test_count_hits_transforms_only_near_the_threshold(monkeypatch):
 # --- rate function machinery -------------------------------------------------
 
 def test_rate_function_rejects_negative_values():
-    r = power_tail_rate(2.0)
+    # J(y) = (y^2 - 1)/2 at y = 1 + x, for the Weibull(2) index mu = 2
+    r = parse_family_spec("gumbel_maxima:weibull:2").rate_ld
     with pytest.raises(ValueError):
         r(float("nan"))
-    assert r(1.0) == 0.0
-    assert r(0.5) == math.inf  # below the domain wall
-    assert r(2.0) == pytest.approx(1.5, rel=1e-14)
+    assert r(0.0) == 0.0
+    assert r(-0.5) == math.inf  # below the domain wall
+    assert r(1.0) == pytest.approx(1.5, rel=1e-14)
 
 
 def test_shift_rate_moves_the_zero():
-    r = shift_rate(power_tail_rate(2.0), 1.0)
+    r = parse_family_spec("gumbel_maxima:weibull:2").rate_ld
     assert r(0.0) == 0.0
     assert r(1.0) == pytest.approx(1.5, rel=1e-12)
     assert r(-1.5) == math.inf
@@ -1030,7 +1028,7 @@ def test_shift_rate_moves_the_zero():
     (-1e-3, r"rate function returned -0.001 < 0 at x=0.5"),
 ])
 def test_rate_function_clips_rounding_and_rejects_a_negative_rate(value, match):
-    rate = families.RateFunction(fn=lambda x: value, domain_note="constant")
+    rate = families.RateFunction(fn=lambda x: value)
     if match is None:
         assert rate(0.5) == 0.0
     else:
@@ -1041,11 +1039,11 @@ def test_rate_function_clips_rounding_and_rejects_a_negative_rate(value, match):
 def test_rate_grid_violations_flag_broken_rates():
     from mdlab.families import RateFunction
 
-    ok = RateFunction(fn=lambda x: x * x, domain_note="all reals")
+    ok = RateFunction(fn=lambda x: x * x)
     assert rate_grid_violations(ok, np.linspace(-2, 2, 41)) == []
-    shifted = RateFunction(fn=lambda x: abs(x - 0.3), domain_note="all reals")
+    shifted = RateFunction(fn=lambda x: abs(x - 0.3))
     assert rate_grid_violations(shifted, np.linspace(-2, 2, 41))
-    dipping = RateFunction(fn=lambda x: abs(abs(x) - 1.0), domain_note="w shape")
+    dipping = RateFunction(fn=lambda x: abs(abs(x) - 1.0))
     assert rate_grid_violations(dipping, np.linspace(-2, 2, 41))
 
 
