@@ -23,6 +23,7 @@ from .distributions import (
     parse_dist_spec,
     quantile_values,
     render_dist_spec,
+    stable_log_complement,
     std_normal,
     uniform01,
     weibull,
@@ -71,7 +72,6 @@ from .estimators import (
     UniformPanel,
     counter_uniforms,
     mc_log_tail,
-    stable_log_complement,
 )
 from .diagnostics import (
     CSV_COLUMNS,

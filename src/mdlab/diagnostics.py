@@ -35,7 +35,7 @@ import io
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
@@ -50,12 +50,6 @@ from .scalings import (
     validate,
 )
 
-CSV_COLUMNS = [
-    "family", "regime", "scaling", "n", "x",
-    "log_p_exact", "log_p_mc", "stderr_log",
-    "s_n", "normalized_rate", "rate_target", "residual",
-]
-
 DEFAULT_TOL_FACTOR = 0.05
 MONOTONE_SLACK = 1e-12
 DIFFERENCE_STEP = 1e-5  # the h of slope_identity_check
@@ -63,10 +57,11 @@ DIFFERENCE_STEP = 1e-5  # the h of slope_identity_check
 
 @dataclass(frozen=True)
 class Row:
-    """One cell per CSV_COLUMNS entry: family, regime and scaling are str,
-    the nine number cells int, float or None (a missing Monte Carlo
-    cell). read_json gives back such rows and the writers take no other:
-    a bool, a numpy scalar or a non-string label is refused."""
+    """One report row, its fields the CSV_COLUMNS in order: family, regime
+    and scaling are str, the nine number cells int, float or None (a
+    missing Monte Carlo cell). read_json gives back such rows and the
+    writers take no other: a bool, a numpy scalar or a non-string label is
+    refused."""
 
     family: str
     regime: str
@@ -80,6 +75,9 @@ class Row:
     normalized_rate: float
     rate_target: float
     residual: float
+
+
+CSV_COLUMNS = [f.name for f in fields(Row)]
 
 
 def _new_row(cells: dict) -> Row:

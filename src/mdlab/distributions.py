@@ -27,9 +27,8 @@ from scipy.special import (
     ndtri,
 )
 
-from .estimators import stable_log_complement
-
 __all__ = [
+    "stable_log_complement",
     "Distribution",
     "SpecParseError",
     "exponential",
@@ -46,6 +45,22 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_LOG_HALF = math.log(0.5)
+
+
+def stable_log_complement(log_p: float) -> float:
+    """log(1 - e^{log_p}) computed without ever forming 1 - p.
+
+    Uses expm1 above the log(1/2) branch point and log1p below it, which
+    keeps full relative accuracy at both ends of [-inf, 0].
+    """
+    if math.isnan(log_p) or log_p > 0.0:
+        raise ValueError(f"log probability must lie in [-inf, 0], got {log_p}")
+    if log_p == 0.0:
+        return -math.inf
+    if log_p > _LOG_HALF:
+        return math.log(-math.expm1(log_p))
+    return math.log1p(-math.exp(log_p))
 
 
 class SpecParseError(ValueError):
@@ -229,6 +244,13 @@ def uniform01() -> Distribution:
     )
 
 
+def _power(x, y):
+    """np.power(x, y) with an overflow rounded to inf without a warning:
+    -inf is then the right rounded log tail, and inf the right quantile."""
+    with np.errstate(over="ignore"):
+        return np.power(x, y)
+
+
 def weibull(shape: float) -> Distribution:
     """Weibull with sf(x) = e^{-x^shape} on x >= 0."""
     if not shape > 0 or not math.isfinite(shape):
@@ -239,11 +261,11 @@ def weibull(shape: float) -> Distribution:
         params=(a,),
         support=(0.0, math.inf),
         cdf_slope_at_zero=_power_slope_at_zero(a),
-        _log_cdf=lambda x: stable_log_complement(-float(np.power(x, a))),
-        _log_sf=lambda x: -np.power(x, a),
-        _log_pdf=lambda x: math.log(a) + (a - 1.0) * np.log(x) - np.power(x, a),
-        _quantile=lambda p: np.power(-np.log1p(-p), 1.0 / a),
-        _isf=lambda q: np.power(-np.log(q), 1.0 / a),
+        _log_cdf=lambda x: stable_log_complement(-float(_power(x, a))),
+        _log_sf=lambda x: -_power(x, a),
+        _log_pdf=lambda x: math.log(a) + (a - 1.0) * np.log(x) - _power(x, a),
+        _quantile=lambda p: _power(-np.log1p(-p), 1.0 / a),
+        _isf=lambda q: _power(-np.log(q), 1.0 / a),
     )
 
 

@@ -1,4 +1,4 @@
-"""Log-domain helpers and a deterministic Monte Carlo engine.
+"""Deterministic Monte Carlo on a counter-based uniform stream.
 
 Tail probabilities are carried as log values throughout ("log-prob"
 floats in [-inf, 0]). The Monte Carlo side is built on a counter-based
@@ -9,20 +9,21 @@ run. There is no sequential generator state anywhere.
 
 A UniformPanel is a contiguous block of trials (seed, start, stop). A
 draw is first a mixed 64-bit word, and its uniform is the conversion
-u(z) = min(((z >> 11) + 1/2) 2^-53, 1 - 2^-53), nondecreasing in z, so
-the stream's uniforms run from 2^-54 to 1 - 2^-53. Every sampler reads a
-panel through panel.seed, panel.start and panel.stop and these helpers:
-panel_words(panel, draw) gives one draw's words for every trial, and
-first_words_above the word bounds that decide u <= v on a word, so a
-sampler compares words and converts (word_uniforms) only the few it must
-transform. A sampler that reads many draws per trial, in whatever order
-and on whichever trials it still needs, takes the trial keys from
-panel_keys(panel) and mixes blocks of draws with negated_uniforms.
-counter_uniforms(seed, trials, draw) is the stream's public, broadcasting
-form. mc_log_tail refuses a row whose draws exceed _DRAW_BUDGET before it
-draws anything, and walks each partition in panels of at most
-_PANEL_TRIALS trials, so the memory of a row does not grow with its trial
-count.
+u(z) = min(((z >> 11) + 1/2) 2^-53, U_GREATEST), nondecreasing in z, so
+the stream's uniforms run from U_LEAST = 2^-54 to U_GREATEST = 1 - 2^-53.
+Every sampler reads a panel through panel.seed, panel.start and
+panel.stop and these helpers. A sampler that draws C_n from one uniform
+per trial through a transform f nondecreasing in u hands f and the exact
+tails to count_by_bracket, which compares the panel's mixed words
+(panel_words) with the word bounds of a bracket (first_words_above) and
+converts (word_uniforms) only the few words inside it. A sampler that
+reads many draws per trial, in whatever order and on whichever trials it
+still needs, takes the trial keys from panel_keys(panel) and mixes
+blocks of draws with negated_uniforms. counter_uniforms(seed, trials,
+draw) is the stream's public, broadcasting form. mc_log_tail refuses a
+row whose draws exceed _DRAW_BUDGET before it draws anything, and walks
+each partition in panels of at most _PANEL_TRIALS trials, so the memory
+of a row does not grow with its trial count.
 """
 from __future__ import annotations
 
@@ -32,36 +33,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainccinv
 
+from .distributions import stable_log_complement
+
 __all__ = [
-    "stable_log_complement",
     "counter_uniforms",
     "UniformPanel",
     "panel_words",
     "first_words_above",
     "word_uniforms",
+    "count_by_bracket",
     "panel_keys",
     "negated_uniforms",
     "McEstimate",
     "mc_log_tail",
 ]
-
-_LOG_HALF = math.log(0.5)
-
-
-def stable_log_complement(log_p: float) -> float:
-    """log(1 - e^{log_p}) computed without ever forming 1 - p.
-
-    Uses expm1 above the log(1/2) branch point and log1p below it, which
-    keeps full relative accuracy at both ends of [-inf, 0].
-    """
-    if math.isnan(log_p) or log_p > 0.0:
-        raise ValueError(f"log probability must lie in [-inf, 0], got {log_p}")
-    if log_p == 0.0:
-        return -math.inf
-    if log_p > _LOG_HALF:
-        return math.log(-math.expm1(log_p))
-    return math.log1p(-math.exp(log_p))
-
 
 # Counter-based uniforms: splitmix64's finalizer (Steele, Lea & Flood
 # 2014) used as a counter-based generator (Salmon et al. 2011), with
@@ -89,6 +74,8 @@ _DRAW_BUDGET = 10 ** 8
 # has the unmixed keys _STEPS + ((t0 + 1) golden + s), one add
 _STEPS = np.multiply(np.arange(_BLOCK, dtype=np.uint64), _GOLDEN)
 _STEPS.flags.writeable = False
+# the least and the greatest uniform of the stream
+U_LEAST, U_GREATEST = 2.0**-54, 1.0 - 2.0**-53
 
 
 def _chunks(z: np.ndarray):
@@ -113,17 +100,18 @@ def _to_uniforms(c: np.ndarray, s: np.ndarray, negate: bool = False) -> None:
     # The mixed words of the chunk c become their doubles u (or -u) in the
     # same memory: the top 53 bits go to the scratch s first, read as int64
     # (the same value, converted faster than uint64). (2^53 - 1) + 0.5
-    # rounds to 2^53, so the top word is clamped below 1. Scaling by -2^-53
-    # and clamping at -(1 - 2^-53) are exact, so -u has the negated bits.
+    # rounds to 2^53, so the top word is clamped to U_GREATEST. Scaling by
+    # -2^-53 and clamping at -U_GREATEST are exact, so -u has the negated
+    # bits.
     np.right_shift(c, np.uint64(11), out=s)
     u = c.view(np.float64)
     np.add(s.view(np.int64), 0.5, out=u)
     if negate:
         np.multiply(u, -2.0**-53, out=u)
-        np.maximum(u, -(1.0 - 2.0**-53), out=u)
+        np.maximum(u, -U_GREATEST, out=u)
     else:
         np.multiply(u, 2.0**-53, out=u)
-        np.minimum(u, 1.0 - 2.0**-53, out=u)
+        np.minimum(u, U_GREATEST, out=u)
 
 
 def word_uniforms(z: np.ndarray) -> np.ndarray:
@@ -140,14 +128,15 @@ def first_words_above(vs) -> list:
     below it.
 
     u depends on k = z >> 11 alone and lies in [k 2^-53, (k + 1) 2^-53],
-    so every k below k0 = floor(v 2^53) draws u <= v and every k above it
-    u > v. One call of the conversion on the words of the k0 decides them.
+    so every k below k0 = floor(v' 2^53), v' the nearest point of
+    [U_LEAST, U_GREATEST] to v (U_LEAST if v is nan), draws u <= v and
+    every k above it u > v. One call of the conversion on the words of the
+    k0 decides them.
     """
-    ks = [min(int(min(v, 1.0) * 2.0**53), (1 << 53) - 1) if v > 0.0 else -1 for v in vs]
-    words = np.array([max(k, 0) << 11 for k in ks], dtype=np.uint64)
+    ks = [int(min(max(U_LEAST, v), U_GREATEST) * 2.0**53) for v in vs]
+    words = np.array([k << 11 for k in ks], dtype=np.uint64)
     _to_uniforms(words, np.empty_like(words))
-    return [(k + int(u <= v)) << 11 if k >= 0 else 0
-            for k, u, v in zip(ks, words.view(np.float64).tolist(), vs)]
+    return [(k + int(u <= v)) << 11 for k, u, v in zip(ks, words.view(np.float64).tolist(), vs)]
 
 
 def _panel_key_chunks(panel, out: np.ndarray):
@@ -169,6 +158,86 @@ def panel_words(panel, draw: int = 0) -> np.ndarray:
         np.add(c, offset, out=c)
         _mix64(c, s)
     return z
+
+
+def _count(values: np.ndarray, x: float, side: str) -> int:
+    if side == "upper":
+        return int(np.count_nonzero(values >= x))
+    return int(np.count_nonzero(values <= x))
+
+
+# the bracket's successive half-widths in log probability
+_BRACKET_HALF_WIDTHS = (1e-6, 1e-3, 1.0, 1e3)
+
+
+def count_by_bracket(panel, f, x: float, side: str,
+                     log_lower: float, log_upper: float) -> int:
+    """_count(f(u), x, side) on the panel's draw-0 uniforms u, for a
+    transform f nondecreasing in u, with the bracket placed by the exact
+    tails log P(C_n <= x) and log P(C_n >= x).
+
+    eta = 1e-9 max(1, |x|) is orders of magnitude above the rounding of f.
+    If f at the stream's least and greatest uniforms already lies at least
+    eta below (above) x, every draw does, and the count is 0 or len(panel)
+    without a key mixed. Otherwise the bracket [a, b] sits where the
+    smaller tail p is p e^-h and p e^h, as u = p or u = -expm1(log p),
+    clipped to the stream's range. Each attempt evaluates f once, on the
+    stream's ends, a and b, and the bracket holds when f(a) <= x - eta and
+    f(b) >= x + eta: every trial at or below a then has f(u) < x and every
+    one at or above b has f(u) > x. h starts at 1e-6 and grows 1000-fold up
+    to 1e3, skipping all but the last bracket where a < b fails (one
+    double, or a nan tail); if none holds, f runs on every trial. The tails
+    only place the bracket and f alone accepts it, so a wrong or nan tail
+    can cost time but never changes the count, and Monte Carlo stays an
+    independent check of the tails.
+
+    The trials are classified on their mixed words z (panel_words): u <= a
+    exactly when z lies below the word bound first_words_above gives for
+    a, and u >= b exactly when z is at least the bound of the double below
+    b. One comparison pass counts the trials on the smaller tail's side of
+    the far bound; a second splits them only when the bracket holds a
+    uniform of the stream and the first found a trial. Only the words
+    strictly inside are converted and transformed.
+    """
+    eta = 1e-9 * max(1.0, abs(x))
+    upper = log_upper < log_lower
+    log_p = log_upper if upper else log_lower
+    lo, hi = -math.inf, math.inf
+    for h in _BRACKET_HALF_WIDTHS:
+        # log p -+ h, capped at 0 so that exp stays finite; a nan stays nan
+        t_lo, t_hi = min(log_p - h, 0.0), min(log_p + h, 0.0)
+        if upper:
+            a, b = -math.expm1(t_hi), -math.expm1(t_lo)
+        else:
+            a, b = math.exp(t_lo), math.exp(t_hi)
+        a, b = min(max(a, U_LEAST), U_GREATEST), min(max(b, U_LEAST), U_GREATEST)
+        if not a < b and h < _BRACKET_HALF_WIDTHS[-1]:
+            # one double, or a nan end, cannot hold; the widest attempt
+            # runs regardless, since it also makes the range decision
+            continue
+        least, greatest, fa, fb = f(np.array([U_LEAST, U_GREATEST, a, b]))
+        if least >= x + eta:  # every draw lies above x
+            return len(panel) if side == "upper" else 0
+        if greatest <= x - eta:  # every draw lies below x
+            return 0 if side == "upper" else len(panel)
+        if fa <= x - eta and fb >= x + eta:
+            lo, hi = a, b
+            break
+    # words below w_lo draw u <= lo, words at or above w_hi draw u >= hi
+    w_lo, w_hi = first_words_above([lo, math.nextafter(hi, -math.inf)])
+    z = panel_words(panel)
+    if upper:
+        near = int(np.count_nonzero(z >= w_lo))  # inside or above
+        above = near if near == 0 or w_lo == w_hi else int(np.count_nonzero(z >= w_hi))
+        below = z.size - near
+    else:
+        near = int(np.count_nonzero(z < w_hi))  # below or inside
+        below = near if near == 0 or w_lo == w_hi else int(np.count_nonzero(z < w_lo))
+        above = z.size - near
+    hits = above if side == "upper" else below
+    if below + above < z.size:
+        hits += _count(f(word_uniforms(z[(z >= w_lo) & (z < w_hi)])), x, side)
+    return hits
 
 
 def panel_keys(panel) -> np.ndarray:

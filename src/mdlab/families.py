@@ -8,20 +8,9 @@ Carlo, the command line) works off this record and never
 special-cases a family.
 
 Four samplers (classical, minima, gumbel_maxima, replacement) draw C_n
-from one uniform per trial through a transform f nondecreasing in u. Their
-count_hits evaluates f once on the stream's least and greatest uniforms,
-2^-54 and 1 - 2^-53, and on a bracket [a, b] that the family's exact tails
-place around u* = P(C_n <= x). Where both ends of the stream lie past x
-by a margin of 1e-9 max(1, |x|) on one side, so does every draw, and the
-count is 0 or the trial count with no key mixed (as on the rows whose P
-lies below 2^-54). Otherwise the bracket holds when f(a) and f(b) lie past
-x by the same margin, one on each side, and it is widened until it does;
-the trials outside it are classified by comparing their mixed words with
-the bracket's word bounds, and only the few inside are converted to
-uniforms and transformed, so the count equals the one f on every trial
-gives. The tails place the bracket, and f alone accepts it and classifies
-every trial: a wrong tail can cost time but never moves a count, so Monte
-Carlo stays an independent check of the tails.
+from one uniform per trial through a transform f nondecreasing in u, and
+count it with estimators.count_by_bracket, whose bracket the family's
+exact tails place.
 
 The coupon collection time has one evaluator for both tails: the exact
 alternating series of P(T_n <= m), summed in log-scaled form with a
@@ -77,15 +66,9 @@ from .distributions import (
     parse_dist_spec,
     quantile_values,
     render_dist_spec,
-)
-from .estimators import (
-    first_words_above,
-    negated_uniforms,
-    panel_keys,
-    panel_words,
     stable_log_complement,
-    word_uniforms,
 )
+from .estimators import U_GREATEST, count_by_bracket, negated_uniforms, panel_keys
 from .rvtoolkit import (
     characteristic_level,
     declared_profile,
@@ -160,17 +143,11 @@ class FamilySpec:
     the count that drawing C_n by inverse transform on every trial of the
     panel would give: how many draws fall in the tail (C_n >= x for side
     "upper", C_n <= x for "lower"), whether or not each draw is formed. It
-    uses len(panel), the trial count, and reads panel.seed, panel.start
-    and panel.stop only through estimators: panel_words for the mixed words
-    of one draw, which it compares with first_words_above bounds and
-    converts (word_uniforms) only where it must transform them, or
-    panel_keys and negated_uniforms for the draws it needs, on the trials
-    it needs. Either way the uniforms are the stream's, bit for bit. A row
-    the sampler's transform decides on the stream's whole range, 2^-54 to
-    1 - 2^-53, is counted from len(panel) without a key mixed.
-    draws_per_trial(n) is the number of uniforms a trial reads at n (1,
-    or n - 1 for the coupon); mc_log_tail holds trials times it to a
-    budget.
+    uses len(panel), the trial count, and reads the panel's draws only
+    through estimators, either with count_by_bracket or with panel_keys
+    plus negated_uniforms, so the uniforms are the stream's, bit for bit.
+    draws_per_trial(n) is the number of uniforms a trial reads at n (1, or
+    n - 1 for the coupon); mc_log_tail holds trials times it to a budget.
 
     exact_log_upper_tail(n, x) and exact_log_lower_tail(n, x) take one
     level or a list of levels. A list gives the list of log probabilities,
@@ -231,88 +208,6 @@ def _mapped(tail):
     return lambda n, xs: [tail(n, x) for x in xs]
 
 
-def _count(values: np.ndarray, x: float, side: str) -> int:
-    if side == "upper":
-        return int(np.count_nonzero(values >= x))
-    return int(np.count_nonzero(values <= x))
-
-
-# the least and the greatest uniform of the stream
-_U_LEAST, _U_GREATEST = 2.0**-54, 1.0 - 2.0**-53
-# the bracket's successive half-widths in log probability
-_BRACKET_HALF_WIDTHS = (1e-6, 1e-3, 1.0, 1e3)
-
-
-def _count_by_bracket(panel, f, x: float, side: str,
-                      log_lower: float, log_upper: float) -> int:
-    """_count(f(u), x, side) on the panel's draw-0 uniforms u, for a
-    transform f nondecreasing in u, with the bracket placed by the exact
-    tails log P(C_n <= x) and log P(C_n >= x).
-
-    eta = 1e-9 max(1, |x|) is orders of magnitude above the rounding of f.
-    If f at the stream's least and greatest uniforms already lies at least
-    eta below (above) x, every draw does, and the count is 0 or len(panel)
-    without a key mixed. Otherwise the bracket [a, b] sits where the
-    smaller tail p is p e^-h and p e^h, as u = p or u = -expm1(log p),
-    clipped to the stream's range. Each attempt evaluates f once, on the
-    stream's ends, a and b, and the bracket holds when f(a) <= x - eta and
-    f(b) >= x + eta: every trial at or below a then has f(u) < x and every
-    one at or above b has f(u) > x. h starts at 1e-6 and grows 1000-fold up
-    to 1e3, skipping all but the last bracket where a < b fails (one
-    double, or a nan tail); if none holds, f runs on every trial. The tails
-    only place the bracket and f alone accepts it, so a wrong or nan tail
-    can cost time but never changes the count.
-
-    The trials are classified on their mixed words z (panel_words): u <= a
-    exactly when z lies below the word bound first_words_above gives for
-    a, and u >= b exactly when z is at least the bound of the double below
-    b. One comparison pass
-    counts the trials on the smaller tail's side of the far bound; a second
-    splits them only when the bracket holds a uniform of the stream and the
-    first found a trial. Only the words strictly inside are converted and
-    transformed.
-    """
-    eta = 1e-9 * max(1.0, abs(x))
-    upper = log_upper < log_lower
-    log_p = log_upper if upper else log_lower
-    lo, hi = -math.inf, math.inf
-    for h in _BRACKET_HALF_WIDTHS:
-        # log p -+ h, capped at 0 so that exp stays finite; a nan stays nan
-        t_lo, t_hi = min(log_p - h, 0.0), min(log_p + h, 0.0)
-        if upper:
-            a, b = -math.expm1(t_hi), -math.expm1(t_lo)
-        else:
-            a, b = math.exp(t_lo), math.exp(t_hi)
-        a, b = min(max(a, _U_LEAST), _U_GREATEST), min(max(b, _U_LEAST), _U_GREATEST)
-        if not a < b and h < _BRACKET_HALF_WIDTHS[-1]:
-            # one double, or a nan end, cannot hold; the widest attempt
-            # runs regardless, since it also makes the range decision
-            continue
-        least, greatest, fa, fb = f(np.array([_U_LEAST, _U_GREATEST, a, b]))
-        if least >= x + eta:  # every draw lies above x
-            return len(panel) if side == "upper" else 0
-        if greatest <= x - eta:  # every draw lies below x
-            return 0 if side == "upper" else len(panel)
-        if fa <= x - eta and fb >= x + eta:
-            lo, hi = a, b
-            break
-    # words below w_lo draw u <= lo, words at or above w_hi draw u >= hi
-    w_lo, w_hi = first_words_above([lo, math.nextafter(hi, -math.inf)])
-    z = panel_words(panel)
-    if upper:
-        near = int(np.count_nonzero(z >= w_lo))  # inside or above
-        above = near if near == 0 or w_lo == w_hi else int(np.count_nonzero(z >= w_hi))
-        below = z.size - near
-    else:
-        near = int(np.count_nonzero(z < w_hi))  # below or inside
-        below = near if near == 0 or w_lo == w_hi else int(np.count_nonzero(z < w_lo))
-        above = z.size - near
-    hits = above if side == "upper" else below
-    if below + above < z.size:
-        hits += _count(f(word_uniforms(z[(z >= w_lo) & (z < w_hi)])), x, side)
-    return hits
-
-
 # ---------------------------------------------------------------------------
 # classical mean of centered Gaussians
 
@@ -343,8 +238,8 @@ def make_classical_sums(sigma: float = 1.0) -> FamilySpec:
         return float(log_ndtr(x * math.sqrt(n) / sigma))
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
-        return _count_by_bracket(panel, lambda u: sigma * ndtri(u) / math.sqrt(n), x, side,
-                                 log_lower(n, x), log_upper(n, x))
+        return count_by_bracket(panel, lambda u: sigma * ndtri(u) / math.sqrt(n), x, side,
+                                log_lower(n, x), log_upper(n, x))
 
     return _family(
         "classical_sums", 1, _mapped(log_upper), _mapped(log_lower), count_hits,
@@ -403,9 +298,8 @@ def make_minima(dist: Distribution) -> FamilySpec:
         return stable_log_complement(n * dist.log_sf(x))
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
-        return _count_by_bracket(panel,
-                                 lambda u: isf_values(dist, np.exp(np.log1p(-u) / n)),
-                                 x, side, log_lower(n, x), log_upper(n, x))
+        return count_by_bracket(panel, lambda u: isf_values(dist, np.exp(np.log1p(-u) / n)),
+                                x, side, log_lower(n, x), log_upper(n, x))
 
     return _family(
         "minima", 1, _mapped(log_upper), _mapped(log_lower), count_hits,
@@ -464,7 +358,7 @@ def make_gumbel_maxima(dist: Distribution) -> FamilySpec:
 
     def count_hits(n: int, x: float, side: str, panel) -> int:
         m = characteristic_level(dist, n)
-        return _count_by_bracket(
+        return count_by_bracket(
             panel, lambda u: isf_values(dist, -np.expm1(np.log(u) / n)) / m - 1.0, x, side,
             n * dist.log_cdf(m * (1.0 + x)), upper_at(n, m, x))
 
@@ -490,9 +384,9 @@ _ULP = 2.0 * _U  # log, log1p and exp are taken to be within one ulp
 _SUBNORMAL = 5e-324  # absolute error of an exp that lands below the normal range
 _TILT_CHUNK = 1 << 14  # trapezoid nodes summed per pass of _coupon_tilt
 _WAIT_BLOCK = 1 << 15  # geometric waits (256 KB) per block of the coupon sampler
-# -log1p(-u) <= 53 log 2 for every counter uniform u <= 1 - 2^-53; the
+# -log1p(-u) <= 53 log 2 for every counter uniform u <= U_GREATEST; the
 # factor covers the rounding of log1p and of the sampler's divide
-_WAIT_LOG_CAP = 53.0 * math.log(2.0) * (1.0 + 1e-9)
+_WAIT_LOG_CAP = -math.log1p(-U_GREATEST) * (1.0 + 1e-9)
 _SERIES_CHUNK = 64  # terms in the first chunk of the series; each next one doubles
 # a series term above e^_TOP_LIMIT rules out certifying _SERIES_TARGET
 _TOP_LIMIT = math.log(_SERIES_TARGET / _U) + 1.0
@@ -823,7 +717,7 @@ def _coupon_waits(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(log_q, wmax) over the draws d = 0, ..., n - 2 of the coupon sampler.
 
     Draw d is the wait for coupon k = d + 2, of success p = (n - d - 1)/n:
-    ceil(log1p(-u) / log_q[d]) with log_q[d] = log1p(-p). At u <= 1 - 2^-53
+    ceil(log1p(-u) / log_q[d]) with log_q[d] = log1p(-p). At u <= U_GREATEST
     that wait is at most ceil(y) <= floor(y) + 1 for y = 53 log 2 / -log_q[d].
     _WAIT_LOG_CAP's factor covers the rounding of y, and wmax[d] adds one
     more draw.
@@ -1003,7 +897,7 @@ def make_replacement(F: Distribution, G: Distribution, t: float,
                     G, np.exp(log_sfg_t + (np.log1p(-u[~low]) - log_1mbeta) / n))
             return z - t
 
-        return _count_by_bracket(panel, c_of, x, side, log_lower(n, x), log_upper(n, x))
+        return count_by_bracket(panel, c_of, x, side, log_lower(n, x), log_upper(n, x))
 
     label = (f"replacement:{render_dist_spec(F)},{render_dist_spec(G)},"
              f"t={t!r},beta={beta!r}")

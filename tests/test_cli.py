@@ -69,6 +69,16 @@ def test_verify_ld_coupon_dip_is_inconclusive(capsys):
     assert "verdict inconclusive" in capsys.readouterr().out
 
 
+def test_verify_with_an_overflowing_weibull_power_is_one_usage_line(capsys):
+    # 5^1000 overflows inside weibull(1e3); the level is refused with one
+    # message and no numpy warning (tier-1 turns RuntimeWarning into an error)
+    code = main(["verify", "ld", "--family", "gumbel_maxima:weibull:1e3", "--x", "5",
+                 "--n", "1e3,1e4,1e5,1e6"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("mdlab: "), err
+
+
 def test_lemmas_exit_codes(capsys):
     assert main(["lemmas", "--dist", "weibull:2"]) == EXIT_PASS
     assert "verdict pass" in capsys.readouterr().out

@@ -59,6 +59,11 @@ def test_verdict_pass_fail_inconclusive():
     assert evaluate_verdict(shrinking_but_high, {"factor": 0.05}) == "inconclusive"
 
 
+def test_verdict_of_an_empty_report_is_refused():
+    with pytest.raises(ValueError, match="cannot judge an empty report"):
+        evaluate_verdict([], {})
+
+
 def test_verdict_tolerance_scales_with_target():
     rows = [_row(n=n, rate_target=9.0, residual=r) for n, r in [(10, 1.0), (100, 0.45)]]
     # tol = 0.05 (1 + 9) = 0.5, so 0.45 passes

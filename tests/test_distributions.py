@@ -7,6 +7,7 @@ modeling slack.
 
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -161,6 +162,17 @@ def test_pdf_matches_centered_difference_of_cdf(dist):
 def test_weibull_quantile_matches_closed_form(p):
     d = weibull(2.0)
     assert d.quantile(p) == pytest.approx(math.sqrt(-math.log1p(-p)), rel=1e-10)
+
+
+def test_weibull_overflowing_power_rounds_without_a_warning():
+    # 5^1000 overflows a double: the rounded log tails, and the inverses of
+    # a tiny shape, follow from x^shape = inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = weibull(1e3)
+        assert (d.log_sf(5.0), d.log_cdf(5.0), d.log_pdf(5.0)) == (-math.inf, 0.0, -math.inf)
+        assert weibull(1e-3).isf(1e-10) == math.inf
+        assert weibull(1e-3).quantile(1.0 - 1e-10) == math.inf
 
 
 @given(x=st.floats(min_value=1e-3, max_value=30.0))

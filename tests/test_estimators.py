@@ -57,8 +57,8 @@ def test_stable_log_complement_against_mpmath(log_p):
 
     # mp.log(1 - exp(...)) would itself cancel for very negative inputs,
     # so the reference goes through log1p at high precision
-    mp.mp.dps = 60
-    ref = float(mp.log1p(-mp.exp(mp.mpf(log_p))))
+    with mp.workdps(60):
+        ref = float(mp.log1p(-mp.exp(mp.mpf(log_p))))
     assert stable_log_complement(log_p) == pytest.approx(ref, rel=1e-13, abs=1e-300)
 
 
@@ -370,11 +370,11 @@ def test_first_words_above_split_the_words_at_their_uniforms():
 def test_a_lower_row_below_the_stream_allocates_nothing_per_trial(monkeypatch):
     # P(C_100 <= -0.5) = e^-106.9 for replacement over gamma(2) lies below
     # the stream's least uniform 2^-54, so no trial key is mixed
-    from mdlab import families
+    from mdlab import estimators
 
     fam = parse_family_spec("replacement:gamma:2.0,exponential:2.0,t=1.0,beta=0.4")
     assert fam.exact_log_lower_tail(100, -0.5) < math.log(2.0**-54)
-    monkeypatch.setattr(families, "panel_words", lambda *a: pytest.fail("a key was mixed"))
+    monkeypatch.setattr(estimators, "panel_words", lambda *a: pytest.fail("a key was mixed"))
     tracemalloc.start()
     try:
         est = mc_log_tail(fam, 100, -0.5, "lower", trials=2 * 10**6, seed=3)

@@ -31,7 +31,7 @@ from mdlab import (
     uniform01,
     weibull,
 )
-from mdlab import families
+from mdlab import estimators, families
 from mdlab.diagnostics import default_weak_grid, ldp_probe, weak_probe
 from mdlab.distributions import gamma, isf_values, quantile_values
 from mdlab.estimators import UniformPanel, panel_keys
@@ -84,6 +84,13 @@ def test_classical_rejects_sigma_whose_variance_leaves_the_doubles(sigma):
         families.make_classical_sums(float(sigma))
     with pytest.raises(SpecParseError, match="2 sigma"):
         parse_family_spec(f"classical:sigma={sigma}")
+
+
+def test_classical_rejects_a_sigma_that_is_not_a_positive_real():
+    with pytest.raises(SpecParseError, match="sigma must be a positive real"):
+        parse_family_spec("classical:sigma=-1")
+    with pytest.raises(ValueError, match="sigma must be a positive real"):
+        families.make_classical_sums(math.nan)
 
 
 def _flips_between(fam, n, lo, hi, side, panel):
@@ -732,9 +739,9 @@ def test_count_hits_equals_the_full_transform(spec, n, transform):
                 bounds = [i * 3000 // parts for i in range(parts + 1)]
                 got = sum(fam.count_hits(n, x, side, UniformPanel(41, lo, hi))
                           for lo, hi in zip(bounds, bounds[1:]))
-                assert got == families._count(c[:3000], x, side), (x, side, parts)
+                assert got == estimators._count(c[:3000], x, side), (x, side, parts)
             for i, panel in enumerate(grid):
-                want = families._count(c[3000 + i:3001 + i], x, side)
+                want = estimators._count(c[3000 + i:3001 + i], x, side)
                 assert fam.count_hits(n, x, side, panel) == want, (x, side, u_grid[i])
 
 
@@ -775,7 +782,7 @@ def test_count_hits_decides_a_row_from_the_range_of_the_transform(spec, n, trans
         for x in [far_below, far_above] + near:
             for side in ("upper", "lower"):
                 for panel, v in zip(panels, u):
-                    want = families._count(c_of(np.array([v])), x, side)
+                    want = estimators._count(c_of(np.array([v])), x, side)
                     assert fam.count_hits(m, x, side, panel) == want, (m, x, side, v)
         for side, want in (("upper", 4), ("lower", 0)):
             assert fam.count_hits(m, far_below, side, _NoDrawPanel(4)) == want
@@ -817,15 +824,15 @@ def test_count_by_bracket_counts_the_full_transform_under_any_tails(spec, n, tra
             for ll, lu in _tail_variants(*tails):
                 for panel, c in zip(panels, cs):
                     brackets.clear()
-                    got = families._count_by_bracket(panel, recording, x, side, ll, lu)
-                    assert got == families._count(c, x, side), (x, side, ll, lu)
+                    got = estimators.count_by_bracket(panel, recording, x, side, ll, lu)
+                    assert got == estimators._count(c, x, side), (x, side, ll, lu)
                 # one-trial panels on the uniforms next to the ends of the
                 # bracket this call settled on
                 ends = [float(e) for e in brackets[-1] if not math.isnan(e)]
                 for w in {w for end in ends for w in lattice_words(end)}:
                     one = word_panel(w)
-                    want = families._count(c_of(panel_uniforms(one, 0)), x, side)
-                    got = families._count_by_bracket(one, recording, x, side, ll, lu)
+                    want = estimators._count(c_of(panel_uniforms(one, 0)), x, side)
+                    got = estimators.count_by_bracket(one, recording, x, side, ll, lu)
                     assert got == want, (x, side, ll, lu, w)
 
 
@@ -837,12 +844,12 @@ def test_count_hits_calls_the_transform_at_most_twice(monkeypatch, spec, n, tran
     # the transform makes only the first
     fam = parse_family_spec(spec)
     calls = []
-    bracket = families._count_by_bracket
+    bracket = estimators.count_by_bracket
 
     def counting(panel, f, *args):
         return bracket(panel, lambda u: calls.append(u.size) or f(u), *args)
 
-    monkeypatch.setattr(families, "_count_by_bracket", counting)
+    monkeypatch.setattr(families, "count_by_bracket", counting)
     c_of = transform(n)
     x = float(c_of(np.array([0.3]))[0])  # P(C_n <= x) = 0.3
     panel = UniformPanel(seed=59, start=0, stop=2**16)
@@ -987,7 +994,7 @@ def test_count_hits_transforms_only_near_the_threshold(monkeypatch):
     panel = UniformPanel(seed=43, start=0, stop=200_000)
     x = 0.005  # P(C_100 >= x) = e^-0.5
     u = panel_uniforms(panel, 0)
-    expect = families._count(isf_values(exponential(1.0), np.exp(np.log1p(-u) / 100)), x, "upper")
+    expect = estimators._count(isf_values(exponential(1.0), np.exp(np.log1p(-u) / 100)), x, "upper")
     points = []
 
     def counting(dist, q):

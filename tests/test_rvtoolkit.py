@@ -136,6 +136,26 @@ def test_least_valid_n():
     assert least_valid_n(exponential(1.0)) == 2
 
 
+def test_tail_helpers_reject_arguments_off_their_domain():
+    prof = declared_profile(weibull(2.0))
+    with pytest.raises(ValueError, match="probed at x > 0"):
+        slowly_varying_part(prof, 0.0)
+    with pytest.raises(ValueError, match="needs n >= 2"):
+        characteristic_level(weibull(2.0), 1)
+    with pytest.raises(ValueError, match=r"m_n <= 0 \(first usable n is 3\)"):
+        normalizing_rate(std_normal(), 2)
+    with pytest.raises(ValueError, match="needs A >= 1"):
+        potter_check(prof, 0.5, 0.1, [(10.0, 20.0)])
+    with pytest.raises(ValueError, match="Potter pairs must be positive"):
+        potter_check(prof, 2.0, 0.1, [(0.0, 20.0)])
+    with pytest.raises(ValueError, match="at least 4 grid points"):
+        estimate_rv_index(weibull(2.0), [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="grid must be positive"):
+        estimate_rv_index(weibull(2.0), [-1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="no closed-form L"):
+        representation_identity(declared_profile(std_normal()))
+
+
 def test_profile_rejects_bad_mu():
     with pytest.raises(ValueError):
         GumbelMdaProfile(std_normal(), mu=-1.0)

@@ -141,6 +141,19 @@ def test_scaling_family_rejects_bad_tables():
         ScalingFamily(kind="nope", gamma=0.5)
 
 
+def test_scaling_family_needs_a_finite_gamma():
+    with pytest.raises(ValueError, match="needs a finite gamma"):
+        ScalingFamily("pow", gamma=math.nan)
+
+
+def test_evaluate_rejects_n_and_speeds_off_its_domain():
+    s = power_scaling(0.5)
+    with pytest.raises(ScalingRejectedError, match="n must be a positive integer"):
+        evaluate(s, 0, lambda n: float(n))
+    with pytest.raises(ScalingRejectedError, match="cannot scale it"):
+        evaluate(s, 10, lambda n: 0.0)
+
+
 @given(gamma=st.floats(min_value=0.05, max_value=0.95))
 @settings(max_examples=40, deadline=None)
 def test_any_interior_power_is_admissible_for_minima(gamma, fam_minima_exp):
