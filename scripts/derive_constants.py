@@ -130,31 +130,3 @@ f = lambda t: -(mp.exp(10000 * mp.log1p(-t / 10000)) - mp.exp(-t))
 xstar = mp.findroot(lambda t: mp.diff(f, t), 2)
 show("uniform01 minima weak sup gap, n=1e4 (true sup)", f(xstar))
 print(f"{'':58s} attained near x = {mp.nstr(xstar, 8)}")
-
-# --- coupon closed-form bound dominance grid --------------------------------
-
-print()
-print("coupon bound dominance, exact tails vs n^(1-c) and 2(1-e^(-m/n))^n")
-
-
-def coupon_sf_exact(n, m):
-    """P(T_n > m) as an exact fraction."""
-    return 1 - coupon_cdf_surjection(n, m)
-
-
-for cn in (5, 10, 50, 200):
-    for c in (mp.mpf("1.25"), mp.mpf("1.5"), mp.mpf(2)):
-        thresh = c * cn * mp.log(cn)
-        m_up = int(mp.floor(thresh))         # P(T > m_up) <= P(T > thresh - 1)
-        m_lo = int(mp.floor(thresh))
-        sf = coupon_sf_exact(cn, m_up)
-        cdf = 1 - sf if m_lo == m_up else coupon_cdf_surjection(cn, m_lo)
-        ub = cn ** (1 - c)
-        lb = 2 * (1 - mp.exp(-mp.mpf(m_lo) / cn)) ** cn
-        ok_up = mp.mpf(sf.numerator) / sf.denominator <= ub
-        ok_lo = mp.mpf(cdf.numerator) / cdf.denominator <= lb
-        print(f"  n={cn:4d} c={float(c):4.2f} m={m_up:5d}  "
-              f"sf={mp.nstr(mp.mpf(sf.numerator)/sf.denominator, 6):12s} "
-              f"ub={mp.nstr(ub, 6):12s} {'OK' if ok_up else 'VIOLATED'}   "
-              f"cdf={mp.nstr(mp.mpf(cdf.numerator)/cdf.denominator, 6):12s} "
-              f"lb={mp.nstr(lb, 6):12s} {'OK' if ok_lo else 'VIOLATED'}")

@@ -9,6 +9,7 @@ import argparse
 import os
 
 from mdlab import (
+    DEFAULT_TOL_FACTOR,
     boundary_regimes,
     ldp_probe,
     md_probe,
@@ -55,7 +56,7 @@ def describe(report):
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", help="directory for CSV/JSON copies of every report")
-    ap.add_argument("--tol-factor", type=float, default=0.05)
+    ap.add_argument("--tol-factor", type=float, default=DEFAULT_TOL_FACTOR)
     args = ap.parse_args()
 
     reports = []

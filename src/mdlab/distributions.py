@@ -79,7 +79,10 @@ class Distribution:
     callables are vectorized over levels in (0, 1): closed forms where the
     catalog has them, otherwise (gamma) a safeguarded Newton on the log
     tail. The scalar quantile and isf run the vectorized quantile_values
-    and isf_values, so both give the same bits.
+    and isf_values, so both give the same bits. cdf_slope_at_zero is
+    F'(0+). A Gumbel max-domain law states as tail_index the mu with
+    w = sf/pdf regularly varying of index 1 - mu, and as slowly_varying
+    the closed-form L in w(x) = x^{1-mu} L(x), if it has one.
     """
 
     name: str
@@ -91,6 +94,8 @@ class Distribution:
     _quantile: Callable = field(repr=False)
     _isf: Callable = field(repr=False)
     cdf_slope_at_zero: Optional[float] = None
+    tail_index: Optional[float] = None
+    slowly_varying: Optional[Callable] = field(default=None, repr=False)
 
     # boundary-aware scalar evaluators
 
@@ -221,6 +226,8 @@ def exponential(rate: float) -> Distribution:
         params=(lam,),
         support=(0.0, math.inf),
         cdf_slope_at_zero=lam,
+        tail_index=1.0,
+        slowly_varying=lambda x: 1.0 / lam,
         _log_cdf=lambda x: stable_log_complement(-lam * x),
         _log_sf=lambda x: -lam * x,
         _log_pdf=lambda x: math.log(lam) - lam * x,
@@ -256,14 +263,21 @@ def weibull(shape: float) -> Distribution:
     if not shape > 0 or not math.isfinite(shape):
         raise SpecParseError(f"weibull shape must be positive, got {shape}")
     a = float(shape)
+    safe = 2.0 ** min(1023.0 / a, 1023.0)  # x^a < 2^1023 below it: no overflow
+
+    def power(x):  # _power's guard costs more than the power; skip it where safe
+        return np.power(x, a) if x < safe else _power(x, a)
+
     return Distribution(
         name="weibull",
         params=(a,),
         support=(0.0, math.inf),
         cdf_slope_at_zero=_power_slope_at_zero(a),
-        _log_cdf=lambda x: stable_log_complement(-float(_power(x, a))),
-        _log_sf=lambda x: -_power(x, a),
-        _log_pdf=lambda x: math.log(a) + (a - 1.0) * np.log(x) - _power(x, a),
+        tail_index=a,
+        slowly_varying=lambda x: 1.0 / a,
+        _log_cdf=lambda x: stable_log_complement(-float(power(x))),
+        _log_sf=lambda x: -power(x),
+        _log_pdf=lambda x: math.log(a) + (a - 1.0) * np.log(x) - power(x),
         _quantile=lambda p: _power(-np.log1p(-p), 1.0 / a),
         _isf=lambda q: _power(-np.log(q), 1.0 / a),
     )
@@ -365,6 +379,7 @@ def gamma(shape: float) -> Distribution:
         params=(a,),
         support=(0.0, math.inf),
         cdf_slope_at_zero=_power_slope_at_zero(a),
+        tail_index=1.0,
         _log_cdf=log_cdf,
         _log_sf=log_sf,
         _log_pdf=log_pdf,
@@ -381,6 +396,7 @@ def std_normal() -> Distribution:
         params=(),
         support=(-math.inf, math.inf),
         cdf_slope_at_zero=None,
+        tail_index=2.0,
         _log_cdf=log_ndtr,
         _log_sf=lambda x: log_ndtr(-x),
         _log_pdf=lambda x: -0.5 * x * x - 0.5 * _LOG_2PI,
@@ -402,6 +418,8 @@ def logistic() -> Distribution:
         params=(),
         support=(-math.inf, math.inf),
         cdf_slope_at_zero=None,
+        tail_index=1.0,
+        slowly_varying=lambda x: 1.0 + np.exp(-x),
         _log_cdf=lambda x: log_sf(-x),
         _log_sf=log_sf,
         _log_pdf=lambda x: -abs(x) - 2.0 * np.log1p(np.exp(-abs(x))),
@@ -418,6 +436,7 @@ def lognormal() -> Distribution:
         params=(),
         support=(0.0, math.inf),
         cdf_slope_at_zero=0.0,
+        tail_index=0.0,
         _log_cdf=lambda x: log_ndtr(np.log(x)),
         _log_sf=lambda x: log_ndtr(-np.log(x)),
         _log_pdf=lambda x: -np.log(x) - 0.5 * np.log(x) ** 2 - 0.5 * _LOG_2PI,

@@ -272,8 +272,6 @@ def make_minima(dist: Distribution) -> FamilySpec:
         raise ValueError(
             f"minima needs a finite positive density slope at 0+, "
             f"got {slope0} for {dist.name}")
-    if dist.sf(0.0) != 1.0:
-        raise ValueError(f"{dist.name} puts mass at or below 0")
 
     def rate_ld_fn(x: float) -> float:
         if x < 0.0:
@@ -329,9 +327,6 @@ def make_gumbel_maxima(dist: Distribution) -> FamilySpec:
     Only unbounded tails with a declared positive power index qualify.
     """
     mu = declared_profile(dist).mu
-    if dist.support[1] != math.inf:
-        raise ValueError(f"maxima scaling needs an unbounded upper tail, "
-                         f"got {dist.name}")
     least = least_valid_n(dist)
 
     def speed(n: int) -> float:

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, render_dist_spec
 
 __all__ = [
     "MdaViolationError",
@@ -73,29 +73,16 @@ class GumbelMdaProfile:
 
 
 def declared_profile(dist: Distribution) -> GumbelMdaProfile:
-    """Profile with the catalog's declared tail index.
-
-    Members outside the Gumbel max-domain regime raise MdaViolationError:
-    lognormal because mu = 0, uniform01 because its endpoint is finite.
-    """
+    """Profile with the tail index and closed-form L that the law states;
+    a finite right endpoint, no stated index or mu = 0 raise MdaViolationError."""
     name = dist.name
-    if name == "std_normal":
-        return GumbelMdaProfile(dist, mu=2.0)
-    if name == "gamma":
-        return GumbelMdaProfile(dist, mu=1.0)
-    if name == "weibull":
-        a = dist.params[0]
-        return GumbelMdaProfile(dist, mu=a, L_closed_form=lambda x: 1.0 / a)
-    if name == "exponential":
-        lam = dist.params[0]
-        return GumbelMdaProfile(dist, mu=1.0, L_closed_form=lambda x: 1.0 / lam)
-    if name == "logistic":
-        return GumbelMdaProfile(dist, mu=1.0, L_closed_form=lambda x: 1.0 + np.exp(-x))
-    if name == "lognormal":
-        raise MdaViolationError("lognormal has tail index mu = 0; probes do not apply")
-    if name == "uniform01":
-        raise MdaViolationError("uniform01 has a finite right endpoint; not Gumbel max-domain")
-    raise MdaViolationError(f"no declared tail index for {name!r}")
+    if dist.support[1] != math.inf:
+        raise MdaViolationError(f"{name} has a finite right endpoint; not Gumbel max-domain")
+    if dist.tail_index is None:
+        raise MdaViolationError(f"no declared tail index for {name!r}")
+    if dist.tail_index == 0.0:
+        raise MdaViolationError(f"{name} has tail index mu = 0; probes do not apply")
+    return GumbelMdaProfile(dist, dist.tail_index, dist.slowly_varying)
 
 
 def log_w(dist: Distribution, x: float) -> float:
@@ -320,13 +307,11 @@ def _trend_down(values) -> bool:
 def lemma_battery(dist: Distribution) -> LemmaBattery:
     """Run the tail lemmas for one distribution and collect verdicts.
 
-    Members outside the declared catalog of Gumbel-domain power tails
-    come back with mda_ok=False; when the upper endpoint is infinite the
-    battery still estimates the index so the report can say why (a
-    vanishing mu_hat is the slowly-varying signature).
+    Laws that declared_profile refuses come back with mda_ok=False; when
+    the upper endpoint is infinite the battery still estimates the index
+    so the report can say why (a vanishing mu_hat is the slowly-varying
+    signature).
     """
-    from .distributions import render_dist_spec
-
     label = render_dist_spec(dist)
     try:
         profile = declared_profile(dist)

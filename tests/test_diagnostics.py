@@ -714,6 +714,21 @@ def test_read_json_rejects_a_malformed_report(tmp_path, payload, where):
     assert where in str(err.value)
 
 
+def test_read_json_names_a_misspelt_column_of_a_twelve_key_row(tmp_path):
+    # twelve keys pass the bulk length test; the lookup of the missing
+    # column then sends the row to the row-by-row check, which names it
+    row = _without(_row_dict(), "residual")
+    row["residuals"] = 0.0
+    assert len(row) == len(CSV_COLUMNS)
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(_payload([row])))
+    with pytest.raises(ValueError) as err:
+        read_json(path)
+    assert str(err.value) == (
+        f"{path}: report 0 row 0: not a row of the 12 report columns "
+        "(missing ['residual'], extra ['residuals'])")
+
+
 def test_read_json_takes_the_spelled_non_finite_cells(tmp_path):
     path = tmp_path / "r.json"
     path.write_text(json.dumps(_payload([_row_dict(

@@ -4,6 +4,7 @@ Weibull closed forms anchor everything: sf = exp(-x^a) gives
 m_n = (log n)^(1/a) and h_n = a log n exactly, and L = 1/a.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from mdlab import (
     lemma_battery,
     logistic,
     lognormal,
+    make_gumbel_maxima,
     normalizing_rate,
     std_normal,
     uniform01,
@@ -52,6 +54,24 @@ def test_out_of_domain_members_raise():
         declared_profile(lognormal())
     with pytest.raises(MdaViolationError, match="endpoint"):
         declared_profile(uniform01())
+
+
+def test_a_law_is_admitted_by_its_stated_facts_not_its_name():
+    # a law built outside the catalog is a profile through its own
+    # tail_index and slowly_varying, and a gumbel_maxima family with it
+    custom = dataclasses.replace(weibull(2.0), name="custom")
+    prof = declared_profile(custom)
+    assert prof.mu == 2.0 and prof.L_closed_form(7.0) == 0.5
+    assert make_gumbel_maxima(custom).label == "gumbel_maxima:custom:2.0"
+    with pytest.raises(MdaViolationError, match="^no declared tail index for 'custom'$"):
+        declared_profile(dataclasses.replace(custom, tail_index=None))
+    with pytest.raises(MdaViolationError, match="^custom has tail index mu = 0;"):
+        declared_profile(dataclasses.replace(custom, tail_index=0.0))
+    # the endpoint rule comes first, whatever index the law states
+    with pytest.raises(MdaViolationError, match="^uniform01 has a finite right endpoint;"):
+        make_gumbel_maxima(dataclasses.replace(uniform01(), tail_index=1.0))
+    with pytest.raises(MdaViolationError, match="positive and finite"):
+        declared_profile(dataclasses.replace(custom, tail_index=-1.0))
 
 
 @pytest.mark.parametrize("a", [1.0, 2.0, 3.0])
@@ -107,6 +127,17 @@ def test_feller_ratio_decays_for_normal():
     _, ratios = feller_probe(declared_profile(std_normal()))
     assert ratios[-1] < 1e-3
     assert ratios[-1] < ratios[0]
+
+
+def test_feller_probe_stops_at_its_x_cap_for_a_tiny_index():
+    # at mu = 0.05, L(x)/x^mu = 20 x^-0.05 is still 2e-2 when x passes 1e60,
+    # so the grid stops there, well before its 512 points
+    grid, ratios = feller_probe(declared_profile(weibull(0.05)))
+    assert grid[-1] < 1e60 < grid[-1] * 1.35
+    assert len(grid) < 512 and ratios[-1] > 1e-3
+    named = {c.name: c for c in lemma_battery(weibull(0.05)).checks}
+    assert not named["feller_ratio_decays"].ok
+    assert "to 2.011e-02" in named["feller_ratio_decays"].detail
 
 
 def test_potter_bounds_on_default_grid():
