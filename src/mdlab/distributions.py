@@ -263,11 +263,6 @@ def weibull(shape: float) -> Distribution:
     if not shape > 0 or not math.isfinite(shape):
         raise SpecParseError(f"weibull shape must be positive, got {shape}")
     a = float(shape)
-    safe = 2.0 ** min(1023.0 / a, 1023.0)  # x^a < 2^1023 below it: no overflow
-
-    def power(x):  # _power's guard costs more than the power; skip it where safe
-        return np.power(x, a) if x < safe else _power(x, a)
-
     return Distribution(
         name="weibull",
         params=(a,),
@@ -275,9 +270,9 @@ def weibull(shape: float) -> Distribution:
         cdf_slope_at_zero=_power_slope_at_zero(a),
         tail_index=a,
         slowly_varying=lambda x: 1.0 / a,
-        _log_cdf=lambda x: stable_log_complement(-float(power(x))),
-        _log_sf=lambda x: -power(x),
-        _log_pdf=lambda x: math.log(a) + (a - 1.0) * np.log(x) - power(x),
+        _log_cdf=lambda x: stable_log_complement(-float(_power(x, a))),
+        _log_sf=lambda x: -_power(x, a),
+        _log_pdf=lambda x: math.log(a) + (a - 1.0) * np.log(x) - _power(x, a),
         _quantile=lambda p: _power(-np.log1p(-p), 1.0 / a),
         _isf=lambda q: _power(-np.log(q), 1.0 / a),
     )
